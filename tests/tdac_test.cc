@@ -1,8 +1,12 @@
 #include "tdac/tdac.h"
 
+#include <sstream>
+
 #include <gtest/gtest.h>
 
+#include "common/checkpoint.h"
 #include "eval/metrics.h"
+#include "gen/exam.h"
 #include "gen/synthetic.h"
 #include "partition/partition_metrics.h"
 #include "td/accu.h"
@@ -181,6 +185,64 @@ TEST(TdacTest, AgglomerativeSparseAwareCombination) {
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report->result.predicted.size(),
             data->dataset.DataItems().size());
+}
+
+// Characterization golden: the partition, chosen k, every silhouette bit
+// and a digest of the serialized result, for both clustering backends with
+// dense and sparse-aware distances, on a low-coverage synthetic dataset and
+// a wide exam.
+TEST(TdacTest, CharacterizationGolden) {
+  SyntheticConfig sparse_config;
+  sparse_config.num_objects = 40;
+  sparse_config.num_sources = 8;
+  sparse_config.planted_groups = {{0, 1, 2}, {3, 4, 5}};
+  sparse_config.reliability_levels = {0.95, 0.15};
+  sparse_config.coverage = 0.6;
+  sparse_config.seed = 13;
+  auto synthetic = GenerateSynthetic(sparse_config);
+  ASSERT_TRUE(synthetic.ok()) << synthetic.status();
+  ExamConfig exam_config;
+  exam_config.num_questions = 32;
+  exam_config.seed = 7;
+  auto exam = GenerateExam(exam_config);
+  ASSERT_TRUE(exam.ok()) << exam.status();
+
+  Accu base;
+  const std::vector<std::pair<std::string, const Dataset*>> datasets = {
+      {"synthetic_coverage60_seed13", &synthetic->dataset},
+      {"exam32_seed7", &exam->dataset}};
+  std::string actual;
+  for (const auto& [data_name, data] : datasets) {
+    for (ClusteringBackend backend :
+         {ClusteringBackend::kKMeans, ClusteringBackend::kAgglomerative}) {
+      for (bool sparse : {false, true}) {
+        TdacOptions opts;
+        opts.base = &base;
+        opts.backend = backend;
+        opts.sparse_aware = sparse;
+        auto report = Tdac(opts).DiscoverWithReport(*data);
+        ASSERT_TRUE(report.ok()) << report.status();
+        std::ostringstream out;
+        out << "[" << data_name << " "
+            << (backend == ClusteringBackend::kKMeans ? "kmeans"
+                                                      : "agglomerative")
+            << (sparse ? " sparse" : " dense") << "]\npartition "
+            << report->partition.ToString() << "\nchosen_k "
+            << report->chosen_k << " silhouette "
+            << HexDouble(report->silhouette) << "\nsilhouette_by_k";
+        for (const auto& [k, score] : report->silhouette_by_k) {
+          out << ' ' << k << ':' << HexDouble(score);
+        }
+        const std::string result =
+            SerializeTruthDiscoveryResult(report->result);
+        out << "\nresult " << result.size() << " bytes fnv1a64 "
+            << testutil::Fnv1a64Hex(result) << '\n';
+        actual += out.str();
+      }
+    }
+  }
+  testutil::ExpectMatchesGolden(
+      std::string(TDAC_GOLDEN_DIR) + "/tdac_characterization.txt", actual);
 }
 
 TEST(TdacTest, MaxKLimitsSweep) {
