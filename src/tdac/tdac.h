@@ -52,7 +52,7 @@ struct TdacOptions {
   bool sparse_aware = false;
 
   /// Parallel-computation extension (paper conclusion, perspective (ii)):
-  /// the k sweep, the sparse distance matrix, and the per-group base runs
+  /// the distance matrix rows, the k sweep, and the per-group base runs
   /// fan out over the shared thread pool. 0 means the process default
   /// (`TDAC_THREADS` env override, else hardware concurrency); 1 forces
   /// the exact serial path. Results are bit-identical at every thread
@@ -153,19 +153,26 @@ class Tdac : public TruthDiscovery {
       const DatasetLike& data, const RunGuard& guard) const override;
 
  private:
-  /// One pass of Algorithm 1. With `reference == nullptr` the reference
-  /// truth comes from running the base algorithm on the whole dataset (the
-  /// paper's buildTruthVectors); otherwise the supplied predictions are
-  /// used (refinement rounds). Group restrictions are zero-copy views
-  /// served by `cache`, which is shared across refinement rounds so a
-  /// re-derived group never rebuilds its view. `round` namespaces the
-  /// checkpoint slots (refinement round number; 0 for the first pass).
+  /// TD-OC (tdac/tdoc.h) runs this same pipeline on the object axis.
+  friend class Tdoc;
+  Tdac(TdacOptions options, PartitionAxis axis);
+
+  /// One pass of Algorithm 1 over the items of `axis_`. With
+  /// `reference == nullptr` the reference truth comes from running the base
+  /// algorithm on the whole dataset (the paper's buildTruthVectors);
+  /// otherwise the supplied predictions are used (refinement rounds). Group
+  /// restrictions are zero-copy views served by `cache`, which is shared
+  /// across refinement rounds so a re-derived group never rebuilds its
+  /// view. `round` namespaces the checkpoint slots (refinement round
+  /// number; 0 for the first pass). On the object axis the report's
+  /// `partition` holds object ids.
   [[nodiscard]]
   Result<TdacReport> RunPass(const DatasetLike& data, RestrictionCache* cache,
                              const GroundTruth* reference,
                              const RunGuard& guard, int round) const;
 
   TdacOptions options_;
+  PartitionAxis axis_;
   std::string name_;
 };
 

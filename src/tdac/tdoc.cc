@@ -1,128 +1,34 @@
 #include "tdac/tdoc.h"
 
-#include <algorithm>
-#include <sstream>
+#include <utility>
 
-#include "common/checkpoint.h"
 #include "common/logging.h"
-#include "data/dataset_view.h"
-#include "data/soa_mode.h"
 
 namespace tdac {
 
 namespace {
 
-int CompactLabels(std::vector<int>* assignment, int k) {
-  std::vector<int> remap(static_cast<size_t>(k), -1);
-  int next = 0;
-  for (int& a : *assignment) {
-    if (remap[static_cast<size_t>(a)] < 0) {
-      remap[static_cast<size_t>(a)] = next++;
-    }
-    a = remap[static_cast<size_t>(a)];
-  }
-  return next;
-}
-
-/// Serialized form of the (serial) sweep loop's running state, snapshot
-/// after each completed candidate k.
-std::string SerializeTdocSweep(int next_k, bool have_best, int best_k,
-                               double best_score, int non_converged,
-                               const std::vector<std::pair<int, double>>& by_k,
-                               const std::vector<int>& best_assignment) {
-  std::ostringstream out;
-  out << next_k << ' ' << (have_best ? 1 : 0) << ' ' << best_k << ' '
-      << HexDouble(best_score) << ' ' << non_converged << '\n';
-  out << by_k.size();
-  for (const auto& [k, score] : by_k) out << ' ' << k << ' ' << HexDouble(score);
-  out << '\n' << best_assignment.size();
-  for (int a : best_assignment) out << ' ' << a;
-  out << '\n';
-  return out.str();
-}
-
-bool ParseTdocSweep(const std::string& payload, int* next_k, bool* have_best,
-                    int* best_k, double* best_score, int* non_converged,
-                    std::vector<std::pair<int, double>>* by_k,
-                    std::vector<int>* best_assignment) {
-  std::istringstream in(payload);
-  int have = 0;
-  std::string hex;
-  if (!(in >> *next_k >> have >> *best_k >> hex >> *non_converged)) {
-    return false;
-  }
-  Result<double> score = ParseHexDouble(hex);
-  if (!score.ok()) return false;
-  *have_best = have != 0;
-  *best_score = score.value();
-  size_t n = 0;
-  if (!(in >> n)) return false;
-  by_k->clear();
-  for (size_t i = 0; i < n; ++i) {
-    int k = 0;
-    if (!(in >> k >> hex)) return false;
-    Result<double> s = ParseHexDouble(hex);
-    if (!s.ok()) return false;
-    by_k->emplace_back(k, s.value());
-  }
-  if (!(in >> n)) return false;
-  best_assignment->assign(n, 0);
-  for (size_t i = 0; i < n; ++i) {
-    if (!(in >> (*best_assignment)[i])) return false;
-  }
-  return true;
-}
-
-/// Serialized form of the (serial) group-merge loop's accumulators,
-/// snapshot after each cleanly completed group.
-std::string SerializeTdocGroups(size_t next_group,
-                                const std::vector<double>& trust_weighted,
-                                const std::vector<double>& trust_claims,
-                                const TruthDiscoveryResult& merged) {
-  std::ostringstream out;
-  out << next_group << ' ' << trust_weighted.size();
-  for (size_t s = 0; s < trust_weighted.size(); ++s) {
-    out << ' ' << HexDouble(trust_weighted[s]) << ' '
-        << HexDouble(trust_claims[s]);
-  }
-  out << '\n' << EncodeToken(SerializeTruthDiscoveryResult(merged)) << '\n';
-  return out.str();
-}
-
-bool ParseTdocGroups(const std::string& payload, size_t* next_group,
-                     std::vector<double>* trust_weighted,
-                     std::vector<double>* trust_claims,
-                     TruthDiscoveryResult* merged) {
-  std::istringstream in(payload);
-  size_t n = 0;
-  if (!(in >> *next_group >> n) || n != trust_weighted->size()) return false;
-  for (size_t s = 0; s < n; ++s) {
-    std::string w_hex;
-    std::string c_hex;
-    if (!(in >> w_hex >> c_hex)) return false;
-    Result<double> w = ParseHexDouble(w_hex);
-    Result<double> c = ParseHexDouble(c_hex);
-    if (!w.ok() || !c.ok()) return false;
-    (*trust_weighted)[s] = w.value();
-    (*trust_claims)[s] = c.value();
-  }
-  std::string token;
-  if (!(in >> token)) return false;
-  Result<std::string> serialized = DecodeToken(token);
-  if (!serialized.ok()) return false;
-  Result<TruthDiscoveryResult> parsed =
-      DeserializeTruthDiscoveryResult(serialized.value());
-  if (!parsed.ok()) return false;
-  *merged = parsed.MoveValue();
-  return true;
+/// The TD-AC options TD-OC's pass reads; the rest keep their defaults
+/// (k-means backend, dense distances, process default thread count, no
+/// refinement).
+TdacOptions PassOptions(const TdocOptions& options) {
+  TDAC_CHECK(options.base != nullptr) << "Tdoc requires a base algorithm";
+  TdacOptions pass;
+  pass.base = options.base;
+  pass.kmeans = options.kmeans;
+  pass.silhouette_metric = options.silhouette_metric;
+  pass.min_k = options.min_k;
+  pass.max_k = options.max_k;
+  pass.checkpointer = options.checkpointer;
+  pass.checkpoint_prefix = options.checkpoint_prefix;
+  return pass;
 }
 
 }  // namespace
 
-Tdoc::Tdoc(TdocOptions options) : options_(options) {
-  TDAC_CHECK(options_.base != nullptr) << "Tdoc requires a base algorithm";
-  name_ = "TD-OC(F=" + std::string(options_.base->name()) + ")";
-}
+Tdoc::Tdoc(TdocOptions options)
+    : options_(std::move(options)),
+      pass_(PassOptions(options_), PartitionAxis::kObjects) {}
 
 Result<TruthDiscoveryResult> Tdoc::DiscoverGuarded(
     const DatasetLike& data, const RunGuard& guard) const {
@@ -136,354 +42,15 @@ Result<TdocReport> Tdoc::DiscoverWithReport(const DatasetLike& data) const {
 
 Result<TdocReport> Tdoc::DiscoverWithReport(const DatasetLike& data,
                                             const RunGuard& guard) const {
-  if (data.num_claims() == 0) {
-    return Status::InvalidArgument("TD-OC: empty dataset");
-  }
+  TDAC_ASSIGN_OR_RETURN(TdacReport pass,
+                        pass_.DiscoverWithReport(data, guard));
   TdocReport report;
-  const std::vector<ObjectId> objects = data.ActiveObjects();
-  const int num_objects = static_cast<int>(objects.size());
-
-  auto fall_back = [&]() -> Result<TdocReport> {
-    TDAC_ASSIGN_OR_RETURN(report.result, options_.base->Discover(data, guard));
-    report.groups = {objects};
-    report.chosen_k = 1;
-    report.fell_back_to_base = true;
-    report.result.iterations = 1;
-    return std::move(report);
-  };
-  if (num_objects < 3) return fall_back();
-
-  Checkpointer* ckpt = options_.checkpointer;
-  const bool ckpt_on = ckpt != nullptr && ckpt->enabled();
-  std::string ctx;
-  if (ckpt_on) {
-    std::ostringstream ctx_out;
-    ctx_out << name_ << " fp=" << std::hex << DatasetFingerprint(data)
-            << std::dec << " min_k=" << options_.min_k
-            << " max_k=" << options_.max_k
-            << " seed=" << options_.kmeans.seed;
-    ctx = ctx_out.str();
-  }
-  const std::string ref_slot = options_.checkpoint_prefix + ".reference";
-  const std::string sweep_slot = options_.checkpoint_prefix + ".sweep";
-  const std::string groups_slot = options_.checkpoint_prefix + ".groups";
-  const auto remove_slots = [&]() -> Status {
-    if (!ckpt_on) return Status::OK();
-    TDAC_RETURN_NOT_OK(ckpt->Remove(ref_slot));
-    TDAC_RETURN_NOT_OK(ckpt->Remove(sweep_slot));
-    TDAC_RETURN_NOT_OK(ckpt->Remove(groups_slot));
-    return Status::OK();
-  };
-
-  // Reference truth from the base algorithm, then per-object truth vectors
-  // over (attribute, source) pairs.
-  TruthDiscoveryResult reference;
-  bool restored_reference = false;
-  if (ckpt_on) {
-    TDAC_ASSIGN_OR_RETURN(std::optional<std::string> stored,
-                          ckpt->LoadForResume(ref_slot));
-    if (stored) {
-      if (auto payload = MatchCheckpointContext(ctx, *stored)) {
-        Result<TruthDiscoveryResult> parsed =
-            DeserializeTruthDiscoveryResult(*payload);
-        if (parsed.ok()) {
-          reference = parsed.MoveValue();
-          restored_reference = true;
-        } else {
-          TDAC_LOG_WARNING << name_ << ": reference checkpoint payload "
-                           << "unusable (" << parsed.status().message()
-                           << "); recomputing";
-        }
-      }
-    }
-  }
-  if (!restored_reference) {
-    TDAC_ASSIGN_OR_RETURN(reference, options_.base->Discover(data, guard));
-    if (ckpt_on && !reference.degraded()) {
-      TDAC_RETURN_NOT_OK(ckpt->StoreNow(
-          ref_slot, BindCheckpointContext(
-                        ctx, SerializeTruthDiscoveryResult(reference))));
-    }
-  }
-  const size_t num_sources = static_cast<size_t>(data.num_sources());
-  const size_t dim =
-      static_cast<size_t>(data.num_attributes()) * num_sources;
-  std::vector<FeatureVector> vectors(objects.size(), FeatureVector(dim, 0.0));
-  std::vector<int> row_of(static_cast<size_t>(data.num_objects()), -1);
-  for (size_t r = 0; r < objects.size(); ++r) {
-    row_of[static_cast<size_t>(objects[r])] = static_cast<int>(r);
-  }
-  if (SoaKernelsEnabled()) {
-    // Columnar fill (the object-axis transpose of BuildTruthVectors):
-    // resolve the reference value to a dictionary id once per item, then
-    // compare int32 ids per claim. kInvalidId (absent/NaN reference)
-    // matches no claim, exactly like the legacy truth-pointer miss.
-    const Dataset& storage = data.storage();
-    const std::vector<int32_t>& sources = storage.claim_sources();
-    const std::vector<int32_t>& value_ids = storage.claim_value_ids();
-    const ValueDict& dict = storage.value_dict();
-    for (uint64_t key : data.DataItems()) {
-      const ObjectId o = ObjectFromKey(key);
-      const AttributeId a = AttributeFromKey(key);
-      const int r = row_of[static_cast<size_t>(o)];
-      if (r < 0) continue;
-      const Value* truth = reference.predicted.Get(o, a);
-      const ValueId truth_id =
-          truth != nullptr ? dict.Find(*truth) : kInvalidId;
-      const size_t col_base = static_cast<size_t>(a) * num_sources;
-      FeatureVector& row = vectors[static_cast<size_t>(r)];
-      for (int32_t idx : data.ClaimsOn(o, a)) {
-        const auto i = static_cast<size_t>(idx);
-        if (value_ids[i] == truth_id) {
-          row[col_base + static_cast<size_t>(sources[i])] = 1.0;
-        }
-      }
-    }
-  } else {
-    for (int32_t id : data.claim_ids()) {
-      // lint: claim-value-ok (legacy reference path for the SoA fill above)
-      const Claim& c = data.claim(static_cast<size_t>(id));
-      const int r = row_of[static_cast<size_t>(c.object)];
-      if (r < 0) continue;
-      const Value* truth = reference.predicted.Get(c.object, c.attribute);
-      if (truth != nullptr && *truth == c.value) {
-        const size_t col = static_cast<size_t>(c.attribute) * num_sources +
-                           static_cast<size_t>(c.source);
-        vectors[static_cast<size_t>(r)][col] = 1.0;
-      }
-    }
-  }
-
-  // Sweep k.
-  const int lo = std::max(2, options_.min_k);
-  const int hi =
-      std::min(options_.max_k > 0 ? options_.max_k : num_objects - 1,
-               num_objects - 1);
-  bool have_best = false;
-  std::vector<int> best_assignment;
-  int best_k = 0;
-  int kmeans_non_converged = 0;
-  int start_k = lo;
-  const std::string sweep_ctx = ctx + " phase=sweep lo=" + std::to_string(lo) +
-                                " hi=" + std::to_string(hi);
-  if (ckpt_on) {
-    TDAC_ASSIGN_OR_RETURN(std::optional<std::string> stored,
-                          ckpt->LoadForResume(sweep_slot));
-    if (stored) {
-      if (auto payload = MatchCheckpointContext(sweep_ctx, *stored)) {
-        if (!ParseTdocSweep(*payload, &start_k, &have_best, &best_k,
-                            &report.silhouette, &kmeans_non_converged,
-                            &report.silhouette_by_k, &best_assignment)) {
-          TDAC_LOG_WARNING << name_ << ": sweep checkpoint payload unusable; "
-                           << "restarting the sweep";
-          start_k = lo;
-          have_best = false;
-          best_k = 0;
-          report.silhouette = 0.0;
-          kmeans_non_converged = 0;
-          report.silhouette_by_k.clear();
-          best_assignment.clear();
-        }
-      }
-    }
-  }
-  std::optional<StopReason> sweep_trip;
-  int next_k = start_k;
-  for (int k = start_k; k <= hi; ++k) {
-    sweep_trip = guard.ShouldStop();
-    if (sweep_trip) break;
-    KMeansOptions kopts = options_.kmeans;
-    kopts.k = k;
-    auto kmeans_result = KMeans(vectors, kopts);
-    if (kmeans_result.ok()) {
-      if (!kmeans_result.value().converged) ++kmeans_non_converged;
-      std::vector<int> assignment =
-          std::move(kmeans_result.value().assignment);
-      int effective_k = CompactLabels(&assignment, k);
-      if (effective_k >= 2) {
-        auto sil = Silhouette(vectors, assignment, effective_k,
-                              options_.silhouette_metric);
-        if (sil.ok()) {
-          const double score = sil.value().partition_score;
-          report.silhouette_by_k.emplace_back(k, score);
-          if (!have_best || score > report.silhouette) {
-            have_best = true;
-            report.silhouette = score;
-            best_assignment = assignment;
-            best_k = effective_k;
-          }
-        }
-      }
-    }
-    next_k = k + 1;
-    if (ckpt_on) {
-      TDAC_RETURN_NOT_OK(ckpt->MaybeStore(sweep_slot, [&] {
-        return BindCheckpointContext(
-            sweep_ctx,
-            SerializeTdocSweep(next_k, have_best, best_k, report.silhouette,
-                               kmeans_non_converged, report.silhouette_by_k,
-                               best_assignment));
-      }));
-    }
-  }
-  if (ckpt_on && sweep_trip) {
-    // Final checkpoint on a Deadline/Cancelled stop: every k completed so
-    // far, so --resume continues the sweep right here.
-    TDAC_RETURN_NOT_OK(ckpt->StoreNow(
-        sweep_slot,
-        BindCheckpointContext(
-            sweep_ctx,
-            SerializeTdocSweep(next_k, have_best, best_k, report.silhouette,
-                               kmeans_non_converged, report.silhouette_by_k,
-                               best_assignment))));
-  }
-  if (kmeans_non_converged > 0) {
-    TDAC_LOG_WARNING << name_ << ": k-means hit max_iterations without "
-                     << "converging for " << kmeans_non_converged
-                     << " sweep candidates (raise kmeans.max_iterations?)";
-  }
-  if (!have_best) {
-    // Every k failed (or the guard tripped before any candidate finished):
-    // the reference run is the best-so-far answer — no need to re-run it.
-    report.result = std::move(reference);
-    report.groups = {objects};
-    report.chosen_k = 1;
-    report.fell_back_to_base = true;
-    report.result.iterations = 1;
-    if (auto stop = guard.ShouldStop()) {
-      report.result.stop_reason =
-          CombineStopReasons(report.result.stop_reason, *stop);
-      report.result.converged = false;
-    }
-    if (!report.result.degraded()) TDAC_RETURN_NOT_OK(remove_slots());
-    return report;
-  }
-
-  report.chosen_k = best_k;
-  report.groups.assign(static_cast<size_t>(best_k), {});
-  for (size_t r = 0; r < objects.size(); ++r) {
-    report.groups[static_cast<size_t>(best_assignment[r])].push_back(
-        objects[r]);
-  }
-
-  // Run the base algorithm per object group and merge. The accumulators
-  // (merged result + trust sums) are snapshot after each cleanly completed
-  // group; a group cut short by the guard is never persisted, so a resume
-  // recomputes it and lands on the uninterrupted run's bytes.
-  TruthDiscoveryResult& merged = report.result;
-  merged.iterations = 1;
-  merged.converged = true;
-  std::vector<double> trust_weighted(num_sources, 0.0);
-  std::vector<double> trust_claims(num_sources, 0.0);
-  size_t start_group = 0;
-  std::string groups_ctx;
-  if (ckpt_on) {
-    std::ostringstream gctx;
-    gctx << ctx << " phase=groups k=" << best_k << " assign=";
-    for (size_t r = 0; r < best_assignment.size(); ++r) {
-      if (r > 0) gctx << ',';
-      gctx << best_assignment[r];
-    }
-    groups_ctx = gctx.str();
-    TDAC_ASSIGN_OR_RETURN(std::optional<std::string> stored,
-                          ckpt->LoadForResume(groups_slot));
-    if (stored) {
-      if (auto payload = MatchCheckpointContext(groups_ctx, *stored)) {
-        if (!ParseTdocGroups(*payload, &start_group, &trust_weighted,
-                             &trust_claims, &merged)) {
-          TDAC_LOG_WARNING << name_ << ": groups checkpoint payload "
-                           << "unusable; recomputing every group";
-          start_group = 0;
-          trust_weighted.assign(num_sources, 0.0);
-          trust_claims.assign(num_sources, 0.0);
-          merged = TruthDiscoveryResult{};
-          merged.iterations = 1;
-          merged.converged = true;
-        }
-      }
-    }
-  }
-  std::optional<StopReason> trip;
-  // The serialized accumulators as of the last *cleanly* completed group —
-  // what a Deadline/Cancelled trip stores as the final checkpoint. A group
-  // the guard cut short mid-run is merged into this process's best-so-far
-  // answer but never into this snapshot, so a resume recomputes it.
-  std::string last_clean_state;
-  if (ckpt_on) {
-    last_clean_state = SerializeTdocGroups(start_group, trust_weighted,
-                                           trust_claims, merged);
-  }
-  bool dirty = false;
-  for (size_t g = start_group; g < report.groups.size(); ++g) {
-    const auto& group = report.groups[g];
-    trip = guard.ShouldStop();
-    if (trip) break;
-    const DatasetView restricted(data, DatasetView::ObjectAxis{}, group);
-    if (restricted.num_claims() > 0) {
-      TDAC_ASSIGN_OR_RETURN(TruthDiscoveryResult partial,
-                            options_.base->Discover(restricted, guard));
-      merged.predicted.MergeFrom(partial.predicted);
-      // Groups restrict disjoint object sets, so per-group confidence maps
-      // carry disjoint item keys; key-wise insertion commutes.
-      // lint: unordered-ok (disjoint keys across groups)
-      for (auto& [key, conf] : partial.confidence) {
-        merged.confidence[key] = conf;
-      }
-      merged.converged = merged.converged && partial.converged;
-      merged.stop_reason =
-          CombineStopReasons(merged.stop_reason, partial.stop_reason);
-      std::vector<double> counts(num_sources, 0.0);
-      // Only the source id is needed: stream the storage column.
-      const std::vector<int32_t>& sources =
-          restricted.storage().claim_sources();
-      for (int32_t id : restricted.claim_ids()) {
-        counts[static_cast<size_t>(sources[static_cast<size_t>(id)])] += 1.0;
-      }
-      for (size_t s = 0; s < num_sources; ++s) {
-        trust_weighted[s] += partial.source_trust.empty()
-                                 ? 0.0
-                                 : partial.source_trust[s] * counts[s];
-        trust_claims[s] += counts[s];
-      }
-      if (partial.degraded()) {
-        dirty = true;
-        continue;
-      }
-    }
-    if (ckpt_on && !dirty) {
-      last_clean_state =
-          SerializeTdocGroups(g + 1, trust_weighted, trust_claims, merged);
-      TDAC_RETURN_NOT_OK(ckpt->MaybeStore(groups_slot, [&] {
-        return BindCheckpointContext(groups_ctx, last_clean_state);
-      }));
-    }
-  }
-  if (ckpt_on && (trip || dirty)) {
-    TDAC_RETURN_NOT_OK(ckpt->StoreNow(
-        groups_slot, BindCheckpointContext(groups_ctx, last_clean_state)));
-  }
-  merged.source_trust.assign(num_sources, 0.0);
-  for (size_t s = 0; s < num_sources; ++s) {
-    if (trust_claims[s] > 0) {
-      merged.source_trust[s] = trust_weighted[s] / trust_claims[s];
-    }
-  }
-  if (trip) {
-    // Fill items of the skipped groups from the reference truth so the
-    // degraded result still covers every data item.
-    for (uint64_t key : reference.predicted.SortedKeys()) {
-      const ObjectId o = ObjectFromKey(key);
-      const AttributeId a = AttributeFromKey(key);
-      if (merged.predicted.Has(o, a)) continue;
-      merged.predicted.Set(o, a, *reference.predicted.Get(o, a));
-      auto it = reference.confidence.find(key);
-      merged.confidence[key] = it != reference.confidence.end() ? it->second
-                                                                : 0.0;
-    }
-    merged.stop_reason = CombineStopReasons(merged.stop_reason, *trip);
-    merged.converged = false;
-  }
-  if (!merged.degraded()) TDAC_RETURN_NOT_OK(remove_slots());
+  report.groups = pass.partition.groups();
+  report.chosen_k = pass.chosen_k;
+  report.silhouette = pass.silhouette;
+  report.silhouette_by_k = std::move(pass.silhouette_by_k);
+  report.fell_back_to_base = pass.fell_back_to_base;
+  report.result = std::move(pass.result);
   return report;
 }
 

@@ -8,10 +8,9 @@
 #include "clustering/kmeans.h"
 #include "clustering/silhouette.h"
 #include "td/truth_discovery.h"
+#include "tdac/tdac.h"
 
 namespace tdac {
-
-class Checkpointer;
 
 /// \brief Options for TD-OC.
 struct TdocOptions {
@@ -31,8 +30,8 @@ struct TdocOptions {
   int max_k = 8;
 
   /// Durable checkpoint/resume (docs/checkpointing.md). Not owned; null
-  /// disables. Slots: `<checkpoint_prefix>.{reference,sweep,groups}`. Only
-  /// clean (un-tripped) state is persisted, so a resumed run is
+  /// disables. Slots: `<checkpoint_prefix>.r0.{reference,sweep,groups}`.
+  /// Only clean (un-tripped) state is persisted, so a resumed run is
   /// bit-identical to an uninterrupted one.
   Checkpointer* checkpointer = nullptr;
   std::string checkpoint_prefix = "tdoc";
@@ -62,11 +61,16 @@ struct TdocReport {
 /// of *objects* (e.g. geographic regions) rather than attributes — and does
 /// nothing for the attribute-correlated setting TD-AC targets, which the
 /// `bench_partitioning_axes` bench demonstrates.
+///
+/// It is TD-AC's pass run on the object axis: the same reference run,
+/// parallel sweep, batched checkpoints, group runs and trust merge, at the
+/// process default thread count. Results are bit-identical at every
+/// thread count.
 class Tdoc : public TruthDiscovery {
  public:
   explicit Tdoc(TdocOptions options);
 
-  std::string_view name() const override { return name_; }
+  std::string_view name() const override { return pass_.name(); }
 
   [[nodiscard]]
   Result<TdocReport> DiscoverWithReport(const DatasetLike& data) const;
@@ -87,7 +91,7 @@ class Tdoc : public TruthDiscovery {
 
  private:
   TdocOptions options_;
-  std::string name_;
+  Tdac pass_;  // object-axis
 };
 
 }  // namespace tdac

@@ -6,12 +6,15 @@
 namespace tdac {
 namespace {
 
-/// Legacy build: one GroundTruth hash lookup and one Value comparison per
-/// claim. Kept as the differential reference for the columnar path.
+/// Legacy attribute-axis build: one GroundTruth hash lookup and one Value
+/// comparison per claim. Kept as the differential reference for the
+/// columnar path.
 void FillTruthVectorsLegacy(const DatasetLike& data,
                             const GroundTruth& reference,
                             const std::vector<int>& row_of,
-                            size_t num_sources, TruthVectorMatrix* matrix) {
+                            size_t num_sources,
+                            std::vector<FeatureVector>* vectors,
+                            std::vector<std::vector<uint8_t>>* masks) {
   for (int32_t id : data.claim_ids()) {
     // lint: claim-value-ok (legacy reference path for the SoA fill below)
     const Claim& c = data.claim(static_cast<size_t>(id));
@@ -19,25 +22,50 @@ void FillTruthVectorsLegacy(const DatasetLike& data,
     if (r < 0) continue;
     const size_t col = static_cast<size_t>(c.object) * num_sources +
                        static_cast<size_t>(c.source);
-    matrix->masks[static_cast<size_t>(r)][col] = 1;
+    (*masks)[static_cast<size_t>(r)][col] = 1;
     const Value* truth = reference.Get(c.object, c.attribute);
     if (truth != nullptr && *truth == c.value) {
-      matrix->vectors[static_cast<size_t>(r)][col] = 1.0;
+      (*vectors)[static_cast<size_t>(r)][col] = 1.0;
     }
   }
 }
 
-/// Columnar build: resolve the reference value to a dictionary id once per
-/// data item (`ValueDict::Find`), then stream that item's claims comparing
-/// int32 ids against it — no per-claim hashing, no Value comparisons. A
-/// reference value absent from the dictionary (or NaN, which nothing
-/// compares equal to) yields kInvalidId, which no claim id matches —
-/// exactly the legacy "no truth hit" outcome. The cells written are the
-/// same idempotent 1-writes as the legacy fill, so the matrix is
-/// bit-identical.
-void FillTruthVectorsSoa(const DatasetLike& data, const GroundTruth& reference,
-                         const std::vector<int>& row_of, size_t num_sources,
-                         TruthVectorMatrix* matrix) {
+}  // namespace
+
+void FillTruthVectors(const DatasetLike& data, const GroundTruth& reference,
+                      PartitionAxis axis, const std::vector<int32_t>& items,
+                      std::vector<FeatureVector>* vectors,
+                      std::vector<std::vector<uint8_t>>* masks) {
+  const bool by_attribute = axis == PartitionAxis::kAttributes;
+  const size_t num_sources = static_cast<size_t>(data.num_sources());
+  const size_t dim = static_cast<size_t>(by_attribute ? data.num_objects()
+                                                      : data.num_attributes()) *
+                     num_sources;
+  vectors->assign(items.size(), FeatureVector(dim, 0.0));
+  masks->assign(items.size(), std::vector<uint8_t>(dim, 0));
+
+  // Row index per item id for O(1) scatter.
+  std::vector<int> row_of(static_cast<size_t>(by_attribute
+                                                  ? data.num_attributes()
+                                                  : data.num_objects()),
+                          -1);
+  for (size_t r = 0; r < items.size(); ++r) {
+    row_of[static_cast<size_t>(items[r])] = static_cast<int>(r);
+  }
+  if (by_attribute && !SoaKernelsEnabled()) {
+    FillTruthVectorsLegacy(data, reference, row_of, num_sources, vectors,
+                           masks);
+    return;
+  }
+
+  // Columnar build: resolve the reference value to a dictionary id once per
+  // data item (`ValueDict::Find`), then stream that item's claims comparing
+  // int32 ids against it — no per-claim hashing, no Value comparisons. A
+  // reference value absent from the dictionary (or NaN, which nothing
+  // compares equal to) yields kInvalidId, which no claim id matches —
+  // exactly the legacy "no truth hit" outcome. The cells written are the
+  // same idempotent 1-writes as the legacy fill, so the matrix is
+  // bit-identical.
   const Dataset& storage = data.storage();
   const std::vector<int32_t>& sources = storage.claim_sources();
   const std::vector<int32_t>& value_ids = storage.claim_value_ids();
@@ -45,23 +73,22 @@ void FillTruthVectorsSoa(const DatasetLike& data, const GroundTruth& reference,
   for (uint64_t key : data.DataItems()) {
     const ObjectId o = ObjectFromKey(key);
     const AttributeId a = AttributeFromKey(key);
-    const int r = row_of[static_cast<size_t>(a)];
+    const int r = row_of[static_cast<size_t>(by_attribute ? a : o)];
     if (r < 0) continue;
     const Value* truth = reference.Get(o, a);
     const ValueId truth_id = truth != nullptr ? dict.Find(*truth) : kInvalidId;
-    const size_t row_base = static_cast<size_t>(o) * num_sources;
-    std::vector<uint8_t>& mask_row = matrix->masks[static_cast<size_t>(r)];
-    FeatureVector& vec_row = matrix->vectors[static_cast<size_t>(r)];
+    const size_t col_base =
+        static_cast<size_t>(by_attribute ? o : a) * num_sources;
+    std::vector<uint8_t>& mask_row = (*masks)[static_cast<size_t>(r)];
+    FeatureVector& vec_row = (*vectors)[static_cast<size_t>(r)];
     for (int32_t idx : data.ClaimsOn(o, a)) {
       const auto i = static_cast<size_t>(idx);
-      const size_t col = row_base + static_cast<size_t>(sources[i]);
+      const size_t col = col_base + static_cast<size_t>(sources[i]);
       mask_row[col] = 1;
       if (value_ids[i] == truth_id) vec_row[col] = 1.0;
     }
   }
 }
-
-}  // namespace
 
 Result<TruthVectorMatrix> BuildTruthVectors(const DatasetLike& data,
                                             const GroundTruth& reference) {
@@ -70,23 +97,8 @@ Result<TruthVectorMatrix> BuildTruthVectors(const DatasetLike& data,
   }
   TruthVectorMatrix matrix;
   matrix.attributes = data.ActiveAttributes();
-  const size_t num_sources = static_cast<size_t>(data.num_sources());
-  const size_t dim = static_cast<size_t>(data.num_objects()) * num_sources;
-  matrix.vectors.assign(matrix.attributes.size(), FeatureVector(dim, 0.0));
-  matrix.masks.assign(matrix.attributes.size(),
-                      std::vector<uint8_t>(dim, 0));
-
-  // Row index per attribute id for O(1) scatter.
-  std::vector<int> row_of(static_cast<size_t>(data.num_attributes()), -1);
-  for (size_t r = 0; r < matrix.attributes.size(); ++r) {
-    row_of[static_cast<size_t>(matrix.attributes[r])] = static_cast<int>(r);
-  }
-
-  if (SoaKernelsEnabled()) {
-    FillTruthVectorsSoa(data, reference, row_of, num_sources, &matrix);
-  } else {
-    FillTruthVectorsLegacy(data, reference, row_of, num_sources, &matrix);
-  }
+  FillTruthVectors(data, reference, PartitionAxis::kAttributes,
+                   matrix.attributes, &matrix.vectors, &matrix.masks);
   return matrix;
 }
 

@@ -31,6 +31,21 @@ struct TruthVectorMatrix {
   }
 };
 
+/// \brief The axis a partition pass clusters: TD-AC groups attributes (the
+/// paper's Algorithm 1), TD-OC groups objects (the conclusion's comparison
+/// with object partitioning, reference [13]).
+enum class PartitionAxis { kAttributes, kObjects };
+
+/// Fills the truth vectors of `items`, ids on `axis`, row r for items[r]:
+/// one coordinate per (other-axis id, source) pair in other-axis-major
+/// order, valued 1 where that source's claim on the item matches
+/// `reference` (Eq. 1). `masks` marks the coordinates that carry a claim.
+/// Both outputs are resized to items.size() rows.
+void FillTruthVectors(const DatasetLike& data, const GroundTruth& reference,
+                      PartitionAxis axis, const std::vector<int32_t>& items,
+                      std::vector<FeatureVector>* vectors,
+                      std::vector<std::vector<uint8_t>>* masks);
+
 /// Builds the truth-vector matrix for all active attributes of `data`,
 /// against an explicit reference truth.
 [[nodiscard]]
