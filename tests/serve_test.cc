@@ -27,6 +27,7 @@
 #include "serve/engine.h"
 #include "serve/protocol.h"
 #include "serve/result_cache.h"
+#include "test_util.h"
 
 namespace tdac {
 namespace {
@@ -225,7 +226,7 @@ class ServeEngineTest : public ::testing::Test {
     config->num_objects = 30;
     auto data = GenerateSynthetic(*config);
     ASSERT_TRUE(data.ok()) << data.status();
-    claims_path_ = testing::TempDir() + "/serve_engine_claims.csv";
+    claims_path_ = scratch_.path() + "/claims.csv";
     ASSERT_TRUE(SaveDataset(data->dataset, claims_path_).ok());
   }
 
@@ -237,6 +238,7 @@ class ServeEngineTest : public ::testing::Test {
     return request;
   }
 
+  testutil::ScratchDir scratch_;
   std::string claims_path_;
 };
 
