@@ -4,20 +4,28 @@
 
 namespace tdac {
 
-Result<ExperimentRow> RunExperiment(const TruthDiscovery& algorithm,
-                                    const Dataset& data,
-                                    const GroundTruth& gold,
-                                    const RunGuard& guard) {
+ExperimentRow MakeExperimentRow(const TruthDiscovery& algorithm,
+                                const TruthDiscoveryResult& result,
+                                double seconds, const Dataset& data,
+                                const GroundTruth& gold) {
   ExperimentRow row;
   row.algorithm = std::string(algorithm.name());
-  WallTimer timer;
-  TDAC_ASSIGN_OR_RETURN(TruthDiscoveryResult result,
-                        algorithm.Discover(data, guard));
-  row.seconds = timer.ElapsedSeconds();
+  row.seconds = seconds;
   row.iterations = result.iterations;
   row.stop_reason = result.stop_reason;
   row.metrics = Evaluate(data, result.predicted, gold);
   return row;
+}
+
+Result<ExperimentRow> RunExperiment(const TruthDiscovery& algorithm,
+                                    const Dataset& data,
+                                    const GroundTruth& gold,
+                                    const RunGuard& guard) {
+  WallTimer timer;
+  TDAC_ASSIGN_OR_RETURN(TruthDiscoveryResult result,
+                        algorithm.Discover(data, guard));
+  return MakeExperimentRow(algorithm, result, timer.ElapsedSeconds(), data,
+                           gold);
 }
 
 Result<std::vector<ExperimentRow>> RunExperiments(

@@ -30,6 +30,14 @@ struct ExperimentRow {
   bool degraded() const { return IsDegraded(stop_reason); }
 };
 
+/// The row of a run that already happened: `algorithm` produced `result`
+/// on `data` in `seconds` of wall clock; evaluated against `gold`.
+[[nodiscard]]
+ExperimentRow MakeExperimentRow(const TruthDiscovery& algorithm,
+                                const TruthDiscoveryResult& result,
+                                double seconds, const Dataset& data,
+                                const GroundTruth& gold);
+
 /// Runs `algorithm` on `data`, times it, and evaluates against `gold`.
 /// An active `guard` is threaded through the run; a guarded row that
 /// tripped is still evaluated (best-so-far result) but labeled degraded.

@@ -25,11 +25,13 @@
 #include <iostream>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "common/checkpoint.h"
 #include "common/io.h"
 #include "common/run_guard.h"
+#include "common/timer.h"
 #include "data/dataset_io.h"
 #include "data/profile.h"
 #include "eval/experiment.h"
@@ -280,20 +282,27 @@ int CmdRun(const Flags& flags) {
   std::signal(SIGINT, HandleStopSignal);
   std::signal(SIGTERM, HandleStopSignal);
   const tdac::RunGuard guard(budget, &g_interrupt);
-  tdac::StopReason worst = tdac::StopReason::kConverged;
 
+  std::optional<tdac::GroundTruth> truth;
   if (flags.Has("truth")) {
-    auto truth = tdac::LoadGroundTruth(flags.Get("truth"), *dataset);
-    if (!truth.ok()) Die(truth.status());
-    auto row = tdac::RunExperiment(*algorithm, *dataset, *truth, guard);
-    if (!row.ok()) Die(row.status());
-    worst = tdac::CombineStopReasons(worst, row->stop_reason);
-    tdac::PrintPerformanceTable(dataset->Summary(), {*row}, std::cout);
+    auto loaded = tdac::LoadGroundTruth(flags.Get("truth"), *dataset);
+    if (!loaded.ok()) Die(loaded.status());
+    truth = std::move(loaded).value();
   }
 
+  // One run feeds the metrics table and every output file, so the deadline
+  // and the iteration budget are spent on it alone.
+  tdac::WallTimer timer;
   auto result = algorithm->Discover(*dataset, guard);
+  const double seconds = timer.ElapsedSeconds();
   if (!result.ok()) Die(result.status());
-  worst = tdac::CombineStopReasons(worst, result->stop_reason);
+  if (truth) {
+    tdac::PrintPerformanceTable(
+        dataset->Summary(),
+        {tdac::MakeExperimentRow(*algorithm, *result, seconds, *dataset,
+                                 *truth)},
+        std::cout);
+  }
   if (flags.Has("trust-out")) {
     Status s = tdac::SaveSourceTrust(result->source_trust, *dataset,
                                      flags.Get("trust-out"));
@@ -306,13 +315,13 @@ int CmdRun(const Flags& flags) {
     if (!s.ok()) Die(s);
     std::cout << "resolved " << result->predicted.size() << " data items -> "
               << flags.Get("out") << "\n";
-  } else if (!flags.Has("truth")) {
+  } else if (!truth) {
     std::cout << "resolved " << result->predicted.size()
               << " data items (use --out=FILE to write them)\n";
   }
-  if (tdac::IsDegraded(worst)) {
+  if (result->degraded()) {
     std::cerr << "run degraded: stopped early ("
-              << tdac::StopReasonToString(worst)
+              << tdac::StopReasonToString(result->stop_reason)
               << "); outputs hold the best result found so far\n";
     return 3;
   }
