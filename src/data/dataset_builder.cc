@@ -78,7 +78,7 @@ Status DatasetBuilder::AddClaim(const std::string& source,
 }
 
 Result<Dataset> DatasetBuilder::Build() {
-  if (dataset_.claims_.empty()) {
+  if (dataset_.num_claims() == 0) {
     return Status::FailedPrecondition("cannot build an empty dataset");
   }
   dataset_.BuildIndexes();

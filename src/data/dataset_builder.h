@@ -29,8 +29,9 @@ class DatasetBuilder {
   ObjectId FindObject(const std::string& name) const;
   AttributeId FindAttribute(const std::string& name) const;
 
-  /// Records a claim. Fails with AlreadyExists if this (source, object,
-  /// attribute) already has a claim, and with InvalidArgument on bad ids.
+  /// Records a claim: interns its value and appends it to the columns.
+  /// Fails with AlreadyExists if this (source, object, attribute) already
+  /// has a claim, and with InvalidArgument on bad ids.
   [[nodiscard]]
   Status AddClaim(SourceId source, ObjectId object, AttributeId attribute,
                   Value value);
@@ -40,11 +41,11 @@ class DatasetBuilder {
   Status AddClaim(const std::string& source, const std::string& object,
                   const std::string& attribute, Value value);
 
-  size_t num_claims() const { return dataset_.claims_.size(); }
+  size_t num_claims() const { return dataset_.num_claims(); }
 
   /// Finalizes the dataset and resets the builder. Fails when empty. The
-  /// returned store is frozen (`Dataset::frozen()`): its indexes and
-  /// columnar mirror are built once here, and any later append aborts.
+  /// returned store is frozen (`Dataset::frozen()`): its indexes are built
+  /// once here, and any later append aborts.
   [[nodiscard]] Result<Dataset> Build();
 
  private:

@@ -31,7 +31,8 @@ Status SaveDataset(const Dataset& dataset, const std::string& path);
 std::string GroundTruthToCsv(const GroundTruth& truth, const Dataset& dataset);
 
 /// Parses truth-file CSV, resolving names against `dataset`. Rows naming
-/// unknown objects/attributes fail with NotFound.
+/// unknown objects/attributes fail with NotFound; a second row for one
+/// (object, attribute) fails with AlreadyExists.
 [[nodiscard]] Result<GroundTruth> GroundTruthFromCsv(const std::string& text,
                                                      const Dataset& dataset);
 
@@ -46,7 +47,8 @@ std::string SourceTrustToCsv(const std::vector<double>& trust,
                              const Dataset& dataset);
 
 /// Parses a trust CSV back into a vector indexed by `dataset`'s source ids;
-/// sources absent from the file keep 0. Unknown names fail with NotFound.
+/// sources absent from the file keep 0. Unknown names fail with NotFound;
+/// a second row for one source fails with AlreadyExists.
 [[nodiscard]]
 Result<std::vector<double>> SourceTrustFromCsv(const std::string& text,
                                                const Dataset& dataset);

@@ -21,12 +21,12 @@ inline const std::vector<int32_t>& EmptyClaimIndexList() {
 /// `DatasetView` (zero-copy restriction of a parent).
 ///
 /// Everything a truth-discovery algorithm consumes goes through this
-/// interface: claim iteration (`claim_ids()` + `claim()`), the per-item
-/// conflict index (`DataItems()` + `ClaimsOn()`), the per-source index
-/// (`ClaimsBySource()`), and the id-space counts. Claim ids are indices
-/// into the *storage* dataset's claim array, so they are stable across
-/// every view of the same storage and a view's `ClaimsOn` can return the
-/// storage's index lists by reference without copying.
+/// interface: claim iteration (`claim_ids()` over the `storage()` columns),
+/// the per-item conflict index (`DataItems()` + `ClaimsOn()`), the
+/// per-source index (`ClaimsBySource()`), and the id-space counts. Claim
+/// ids are indices into the *storage* dataset's claim columns, so they are
+/// stable across every view of the same storage and a view's `ClaimsOn`
+/// can return the storage's index lists by reference without copying.
 ///
 /// Id spaces (sources / objects / attributes) are always the storage's:
 /// restricting never renumbers, so predictions computed on a restriction
@@ -40,9 +40,11 @@ class DatasetLike {
   virtual int num_attributes() const = 0;
   virtual size_t num_claims() const = 0;
 
-  /// The claim with storage index `index`. Valid for every id appearing in
-  /// `claim_ids()`, `ClaimsOn()`, or `ClaimsBySource()`.
-  virtual const Claim& claim(size_t index) const = 0;
+  /// The claim with storage index `index`, assembled from the storage
+  /// columns (its Value materialized from the dictionary). Valid for every
+  /// id appearing in `claim_ids()`, `ClaimsOn()`, or `ClaimsBySource()`.
+  /// Loops should read the columns instead.
+  Claim claim(size_t index) const;
 
   /// Storage indices of every claim in this dataset/view, in ascending
   /// (original claim) order.
@@ -69,11 +71,6 @@ class DatasetLike {
 
   /// Objects with at least one claim, ascending.
   std::vector<ObjectId> ActiveObjects() const;
-
-  /// The value `source` claims for (object, attribute), or nullptr when the
-  /// source does not cover that data item.
-  const Value* ValueOf(SourceId source, ObjectId object,
-                       AttributeId attribute) const;
 };
 
 /// Order-sensitive 64-bit fingerprint of a dataset/view: the id-space

@@ -93,16 +93,7 @@ const std::vector<int32_t>& DatasetView::ClaimsBySource(
 }
 
 Dataset DatasetView::Materialize() const {
-  Dataset out;
-  out.source_names_ = storage_->source_names();
-  out.object_names_ = storage_->object_names();
-  out.attribute_names_ = storage_->attribute_names();
-  out.claims_.reserve(claim_ids_.size());
-  for (int32_t id : claim_ids_) {
-    out.claims_.push_back(storage_->claim(static_cast<size_t>(id)));
-  }
-  out.BuildIndexes();
-  return out;
+  return storage_->CopyClaims(claim_ids_);
 }
 
 RestrictionCache::RestrictionCache(const DatasetLike* parent, size_t capacity)

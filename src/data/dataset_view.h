@@ -16,14 +16,15 @@ namespace tdac {
 /// \brief A zero-copy, immutable view of a parent `DatasetLike` restricted
 /// to an attribute or object subset.
 ///
-/// Where `Dataset::RestrictToAttributes` copies every kept claim (values
-/// included), re-copies all three name tables, and rebuilds the item and
-/// source indexes, a view only records which ids survive and filters the
-/// parent's *index* vectors (4-byte claim ids). In particular `ClaimsOn`
-/// returns the storage dataset's per-item index list by reference: every
-/// claim on a data item shares that item's object and attribute, so the
-/// list is either kept verbatim or dropped entirely — never partially
-/// filtered. The per-source index is filtered lazily on first use.
+/// Where `Dataset::RestrictToAttributes` copies every kept claim's columns,
+/// re-interns its values, re-copies all three name tables, and rebuilds the
+/// item and source indexes, a view only records which ids survive and
+/// filters the parent's *index* vectors (4-byte claim ids). In particular
+/// `ClaimsOn` returns the storage dataset's per-item index list by
+/// reference: every claim on a data item shares that item's object and
+/// attribute, so the list is either kept verbatim or dropped entirely —
+/// never partially filtered. The per-source index is filtered lazily on
+/// first use.
 ///
 /// Restriction composes: the parent may itself be a `DatasetView`, and the
 /// construction cost is proportional to the *parent's* size, not the
@@ -58,9 +59,6 @@ class DatasetView final : public DatasetLike {
   int num_attributes() const override { return storage_->num_attributes(); }
   size_t num_claims() const override { return claim_ids_.size(); }
 
-  const Claim& claim(size_t index) const override {
-    return storage_->claim(index);
-  }
   const std::vector<int32_t>& claim_ids() const override { return claim_ids_; }
 
   const std::vector<int32_t>& ClaimsOn(ObjectId object,

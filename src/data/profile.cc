@@ -1,11 +1,9 @@
 #include "data/profile.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "common/string_util.h"
 #include "common/table_printer.h"
-#include "data/value.h"
 
 namespace tdac {
 
@@ -27,17 +25,28 @@ DatasetProfile ProfileDataset(const Dataset& data) {
   size_t decisive = 0;
   size_t claims_total = 0;
   size_t distinct_total = 0;
+  const std::vector<int32_t>& value_ids = data.claim_value_ids();
+  std::vector<int32_t> item_values;  // one item's value ids, sorted
   for (uint64_t key : data.DataItems()) {
     const auto& claim_indices =
         data.ClaimsOn(ObjectFromKey(key), AttributeFromKey(key));
     claims_total += claim_indices.size();
     p.max_claims_per_item = std::max(p.max_claims_per_item,
                                      claim_indices.size());
-    std::unordered_map<Value, size_t, ValueHash> counts;
+    // Equal ids are equal Values, so each run of one id is one distinct
+    // value and its length is that value's claim count.
+    item_values.clear();
     for (int32_t idx : claim_indices) {
-      ++counts[data.claim(static_cast<size_t>(idx)).value];
+      item_values.push_back(value_ids[static_cast<size_t>(idx)]);
     }
-    const size_t distinct = counts.size();
+    std::sort(item_values.begin(), item_values.end());
+    size_t distinct = 0;
+    size_t top = 0;
+    for (size_t i = 0, j = 0; i < item_values.size(); i = j) {
+      while (j < item_values.size() && item_values[j] == item_values[i]) ++j;
+      ++distinct;
+      top = std::max(top, j - i);
+    }
     distinct_total += distinct;
     p.max_distinct_values_per_item =
         std::max(p.max_distinct_values_per_item, distinct);
@@ -45,9 +54,6 @@ DatasetProfile ProfileDataset(const Dataset& data) {
     ++p.distinct_value_histogram[bucket];
     if (distinct >= 2) {
       ++conflicted;
-      size_t top = 0;
-      // lint: unordered-ok (max of size_t is order-independent)
-      for (const auto& [value, count] : counts) top = std::max(top, count);
       if (2 * top > claim_indices.size()) ++decisive;
     }
   }

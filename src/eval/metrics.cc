@@ -1,5 +1,7 @@
 #include "eval/metrics.h"
 
+#include "data/dataset.h"
+
 namespace tdac {
 
 PerformanceMetrics MetricsFromCounts(const ConfusionCounts& counts) {
@@ -24,37 +26,40 @@ PerformanceMetrics Evaluate(const DatasetLike& data,
   ConfusionCounts counts;
   size_t items_correct = 0;
   size_t items_evaluated = 0;
-
-  // Item-level accuracy.
+  const Dataset& storage = data.storage();
+  const std::vector<int32_t>& value_ids = storage.claim_value_ids();
   for (uint64_t key : data.DataItems()) {
     ObjectId o = ObjectFromKey(key);
     AttributeId a = AttributeFromKey(key);
+    const std::vector<int32_t>& claims = data.ClaimsOn(o, a);
     const Value* p = predicted.Get(o, a);
     const Value* g = gold.Get(o, a);
-    if (p == nullptr || g == nullptr) continue;
-    ++items_evaluated;
-    if (*p == *g) ++items_correct;
-  }
-
-  // Claim-level confusion.
-  for (int32_t id : data.claim_ids()) {
-    const Claim& c = data.claim(static_cast<size_t>(id));
-    const Value* p = predicted.Get(c.object, c.attribute);
-    const Value* g = gold.Get(c.object, c.attribute);
     if (p == nullptr || g == nullptr) {
-      ++counts.skipped_claims;
+      counts.skipped_claims += claims.size();
       continue;
     }
-    const bool predicted_positive = (c.value == *p);
-    const bool actually_positive = (c.value == *g);
-    if (predicted_positive && actually_positive) {
-      ++counts.tp;
-    } else if (predicted_positive && !actually_positive) {
-      ++counts.fp;
-    } else if (!predicted_positive && actually_positive) {
-      ++counts.fn;
-    } else {
-      ++counts.tn;
+    // Item-level accuracy.
+    ++items_evaluated;
+    if (*p == *g) ++items_correct;
+
+    // Claim-level confusion. Both sides resolve to dictionary ids once per
+    // item (kInvalidId, which no claim carries, when absent); id equality
+    // is Value equality.
+    const ValueId predicted_id = storage.value_dict().Find(*p);
+    const ValueId gold_id = storage.value_dict().Find(*g);
+    for (int32_t idx : claims) {
+      const ValueId value = value_ids[static_cast<size_t>(idx)];
+      const bool predicted_positive = value == predicted_id;
+      const bool actually_positive = value == gold_id;
+      if (predicted_positive && actually_positive) {
+        ++counts.tp;
+      } else if (predicted_positive && !actually_positive) {
+        ++counts.fp;
+      } else if (!predicted_positive && actually_positive) {
+        ++counts.fn;
+      } else {
+        ++counts.tn;
+      }
     }
   }
 

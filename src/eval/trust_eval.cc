@@ -56,11 +56,20 @@ std::vector<double> EmpiricalSourceAccuracy(const Dataset& data,
                                             const GroundTruth& gold) {
   std::vector<double> correct(static_cast<size_t>(data.num_sources()), 0.0);
   std::vector<double> total(static_cast<size_t>(data.num_sources()), 0.0);
-  for (const Claim& c : data.claims()) {
-    const Value* g = gold.Get(c.object, c.attribute);
+  const std::vector<int32_t>& sources = data.claim_sources();
+  const std::vector<int32_t>& value_ids = data.claim_value_ids();
+  for (uint64_t key : data.DataItems()) {
+    const ObjectId o = ObjectFromKey(key);
+    const AttributeId a = AttributeFromKey(key);
+    const Value* g = gold.Get(o, a);
     if (g == nullptr) continue;
-    total[static_cast<size_t>(c.source)] += 1.0;
-    if (*g == c.value) correct[static_cast<size_t>(c.source)] += 1.0;
+    // One dictionary lookup per item; id equality is Value equality.
+    const ValueId truth = data.value_dict().Find(*g);
+    for (int32_t idx : data.ClaimsOn(o, a)) {
+      const auto s = static_cast<size_t>(sources[static_cast<size_t>(idx)]);
+      total[s] += 1.0;
+      if (value_ids[static_cast<size_t>(idx)] == truth) correct[s] += 1.0;
+    }
   }
   std::vector<double> accuracy(static_cast<size_t>(data.num_sources()), -1.0);
   for (size_t s = 0; s < accuracy.size(); ++s) {

@@ -109,11 +109,12 @@ TEST(DatasetTest, ClaimsBySource) {
   }
 }
 
-TEST(DatasetTest, ValueOfFindsClaimOrNull) {
+TEST(DatasetTest, ClaimReadsTheStoredValue) {
   Dataset d = Table1Dataset();
-  const Value* v = d.ValueOf(0, 0, 0);  // Source1, FB, Q1
-  ASSERT_NE(v, nullptr);
-  EXPECT_EQ(*v, Value("Algeria"));
+  // Source1's claim on (FB, Q1).
+  const Claim c = d.claim(static_cast<size_t>(d.ClaimsOn(0, 0)[0]));
+  EXPECT_EQ(c.source, 0);
+  EXPECT_EQ(c.value, Value("Algeria"));
 }
 
 TEST(DatasetTest, FullCoverageDcrIs100) {

@@ -111,10 +111,11 @@ TEST(DatasetViewTest, ViewOfViewComposes) {
   DatasetView inner(outer, std::vector<AttributeId>{1});
   ExpectViewMatchesCopy(inner, d.RestrictToAttributes({1}));
   // Claim ids are storage indices at every depth.
+  EXPECT_EQ(&inner.storage(), &d);
   for (int32_t id : inner.claim_ids()) {
     EXPECT_EQ(inner.claim(static_cast<size_t>(id)).attribute, 1);
-    EXPECT_EQ(&inner.claim(static_cast<size_t>(id)),
-              &d.claim(static_cast<size_t>(id)));
+    EXPECT_EQ(inner.claim(static_cast<size_t>(id)),
+              d.claim(static_cast<size_t>(id)));
   }
   // Mixed-axis nesting: objects within an attribute restriction.
   DatasetView nested(outer, DatasetView::ObjectAxis{}, {0});

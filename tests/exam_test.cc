@@ -82,7 +82,8 @@ TEST(ExamTest, FilledAnswersAreFalse) {
   ASSERT_GT(df->dataset.num_claims(), ds->dataset.num_claims());
   auto rate = [](const ExamData& d) {
     size_t correct = 0;
-    for (const Claim& c : d.dataset.claims()) {
+    for (int32_t id : d.dataset.claim_ids()) {
+      const Claim c = d.dataset.claim(static_cast<size_t>(id));
       if (c.value == *d.truth.Get(c.object, c.attribute)) ++correct;
     }
     return static_cast<double>(correct) /

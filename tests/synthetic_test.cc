@@ -83,7 +83,8 @@ TEST(SyntheticTest, ReliabilityOneMeansAlwaysTrue) {
   config.reliability_levels = {1.0};
   auto data = GenerateSynthetic(config);
   ASSERT_TRUE(data.ok());
-  for (const Claim& c : data->dataset.claims()) {
+  for (int32_t id : data->dataset.claim_ids()) {
+    const Claim c = data->dataset.claim(static_cast<size_t>(id));
     EXPECT_EQ(c.value, *data->truth.Get(c.object, c.attribute));
   }
 }
@@ -96,7 +97,8 @@ TEST(SyntheticTest, ReliabilityZeroMeansNeverTrue) {
   config.reliability_levels = {0.0};
   auto data = GenerateSynthetic(config);
   ASSERT_TRUE(data.ok());
-  for (const Claim& c : data->dataset.claims()) {
+  for (int32_t id : data->dataset.claim_ids()) {
+    const Claim c = data->dataset.claim(static_cast<size_t>(id));
     EXPECT_NE(c.value, *data->truth.Get(c.object, c.attribute));
   }
 }
@@ -113,7 +115,8 @@ TEST(SyntheticTest, EmpiricalAccuracyTracksReliability) {
   // Every (source, group) cell has reliability 0.7; the empirical rate of
   // true claims should be close.
   size_t correct = 0;
-  for (const Claim& c : data->dataset.claims()) {
+  for (int32_t id : data->dataset.claim_ids()) {
+    const Claim c = data->dataset.claim(static_cast<size_t>(id));
     if (c.value == *data->truth.Get(c.object, c.attribute)) ++correct;
   }
   double rate =

@@ -189,7 +189,7 @@ TEST(ValueDictTest, ArenaGrowthKeepsInternedStringsFindable) {
 }
 
 // ---------------------------------------------------------------------------
-// Dataset columnar mirror + freeze contract
+// Dataset columns + freeze contract
 // ---------------------------------------------------------------------------
 
 Dataset SmallDataset() {
@@ -205,15 +205,20 @@ Dataset SmallDataset() {
   return b.Build().MoveValue();
 }
 
-TEST(DatasetColumnsTest, ColumnsMirrorTheClaimList) {
+TEST(DatasetColumnsTest, ColumnsHoldTheClaimsAsAdded) {
   Dataset d = SmallDataset();
   ASSERT_TRUE(d.frozen());
   ASSERT_EQ(d.claim_sources().size(), d.num_claims());
   ASSERT_EQ(d.claim_value_ids().size(), d.num_claims());
   ASSERT_EQ(d.claim_items().size(), d.num_claims());
   ASSERT_EQ(d.claim_value_ranks().size(), d.num_claims());
+  const std::vector<Claim> added = {{0, 0, 0, Value("x")},
+                                    {1, 0, 0, Value("y")},
+                                    {0, 1, 0, Value("x")}};
+  ASSERT_EQ(d.num_claims(), added.size());
   for (size_t i = 0; i < d.num_claims(); ++i) {
-    const Claim& c = d.claim(i);
+    const Claim& c = added[i];
+    EXPECT_EQ(d.claim(i), c);
     EXPECT_EQ(d.claim_sources()[i], c.source);
     EXPECT_EQ(d.claim_objects()[i], c.object);
     EXPECT_EQ(d.claim_attributes()[i], c.attribute);
@@ -233,11 +238,13 @@ TEST(DatasetColumnsTest, RestrictionRebuildsConsistentColumns) {
   Dataset restricted = d.RestrictToObjects({0});
   ASSERT_TRUE(restricted.frozen());
   ASSERT_EQ(restricted.num_claims(), 2u);
+  const std::vector<Claim> kept = {{0, 0, 0, Value("x")},
+                                   {1, 0, 0, Value("y")}};
   for (size_t i = 0; i < restricted.num_claims(); ++i) {
-    const Claim& c = restricted.claim(i);
-    EXPECT_EQ(restricted.claim_sources()[i], c.source);
+    EXPECT_EQ(restricted.claim(i), kept[i]);
+    EXPECT_EQ(restricted.claim_sources()[i], kept[i].source);
     EXPECT_EQ(restricted.value_dict().ValueAt(restricted.claim_value_ids()[i]),
-              c.value);
+              kept[i].value);
   }
 }
 
@@ -290,7 +297,7 @@ TEST(DatasetFreezeDeathTest, BuilderIsReusableAfterBuild) {
   ASSERT_TRUE(b.AddClaim(0, 0, 0, Value(2)).ok());
   auto second = b.Build();
   ASSERT_TRUE(second.ok());
-  EXPECT_FALSE(second->claims().empty());
+  EXPECT_EQ(second->num_claims(), 1u);
 }
 
 }  // namespace
