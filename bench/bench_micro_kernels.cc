@@ -217,8 +217,8 @@ const tdac::GeneratedData& HundredSources() {
   return data;
 }
 
-// Pins the kernel path for one benchmark run and restores the default
-// (environment-driven) setting afterwards.
+// Pins the kernel path for one benchmark run and restores the previous
+// setting afterwards.
 class KernelPathGuard {
  public:
   explicit KernelPathGuard(bool soa) : was_(tdac::SoaKernelsEnabled()) {

@@ -12,6 +12,7 @@
 #include "eval/metrics.h"
 #include "td/majority_vote.h"
 #include "td/registry.h"
+#include "td/truth_discovery.h"
 
 namespace tdac {
 namespace {
@@ -20,7 +21,7 @@ namespace {
 // about a generated scenario must be measurable from the dataset, and
 // everything the spec promises (skew shape, coverage, adversarial
 // structure, planted truth) must show up in the report. These run under
-// serial, TDAC_THREADS=8, and TDAC_SOA=0 registrations (tests/CMakeLists).
+// serial and TDAC_THREADS=8 registrations (tests/CMakeLists).
 
 ScenarioSpec SmallSpec() {
   ScenarioSpec spec;
@@ -28,6 +29,29 @@ ScenarioSpec SmallSpec() {
   spec.num_attributes = 4;
   spec.num_sources = 12;
   spec.seed = 20260808;
+  return spec;
+}
+
+// A cell where every source is perfectly reliable.
+ScenarioSpec OracleSpec(AdversaryMode adversary) {
+  ScenarioSpec spec = SmallSpec();
+  spec.name = "oracle";
+  spec.adversary = adversary;
+  spec.reliable_accuracy = 1.0;
+  spec.unreliable_accuracy = 1.0;
+  return spec;
+}
+
+constexpr AdversaryMode kOracleAdversaries[] = {
+    AdversaryMode::kNone, AdversaryMode::kCopyRing,
+    AdversaryMode::kNearDuplicate};
+
+// A small copy-ring cell the whole registry runs on.
+ScenarioSpec RegistrySmokeSpec() {
+  ScenarioSpec spec = SmallSpec();
+  spec.name = "registry-smoke";
+  spec.num_objects = 12;
+  spec.adversary = AdversaryMode::kCopyRing;
   return spec;
 }
 
@@ -84,9 +108,9 @@ TEST(ScenarioGenerateTest, DeterministicInSeedAndSensitiveToIt) {
   auto b = GenerateScenario(spec);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
-  ASSERT_EQ(a->dataset.claims().size(), b->dataset.claims().size());
-  for (size_t i = 0; i < a->dataset.claims().size(); ++i) {
-    EXPECT_EQ(a->dataset.claims()[i], b->dataset.claims()[i]);
+  ASSERT_EQ(a->dataset.num_claims(), b->dataset.num_claims());
+  for (size_t i = 0; i < a->dataset.num_claims(); ++i) {
+    EXPECT_EQ(a->dataset.claim(i), b->dataset.claim(i));
   }
   EXPECT_EQ(a->truth, b->truth);
   EXPECT_EQ(a->report.ToJson(), b->report.ToJson());
@@ -152,7 +176,8 @@ TEST(ScenarioRoundTripTest, ReportMatchesSpecAcrossTheMatrix) {
     EXPECT_EQ(generated->truth.size(),
               static_cast<size_t>(spec.num_objects) *
                   static_cast<size_t>(spec.num_attributes));
-    for (const Claim& claim : data.claims()) {
+    for (int32_t id : data.claim_ids()) {
+      const Claim claim = data.claim(static_cast<size_t>(id));
       ASSERT_NE(generated->truth.Get(claim.object, claim.attribute), nullptr);
     }
 
@@ -198,7 +223,8 @@ TEST(ScenarioRoundTripTest, ReportMatchesSpecAcrossTheMatrix) {
       EXPECT_GT(report.near_duplicate_items, 0);
       // Every claim is a string within `near_duplicate_edits` substitutions
       // of its item's planted truth.
-      for (const Claim& claim : data.claims()) {
+      for (int32_t id : data.claim_ids()) {
+        const Claim claim = data.claim(static_cast<size_t>(id));
         ASSERT_TRUE(claim.value.is_string());
         const Value* item_truth =
             generated->truth.Get(claim.object, claim.attribute);
@@ -230,7 +256,8 @@ TEST(ScenarioRoundTripTest, UltraSparseKeepsFloors) {
   ASSERT_TRUE(generated.ok());
   for (int64_t c : generated->report.claims_per_source) EXPECT_GE(c, 1);
   std::map<uint64_t, int> per_item;
-  for (const Claim& claim : generated->dataset.claims()) {
+  for (int32_t id : generated->dataset.claim_ids()) {
+    const Claim claim = generated->dataset.claim(static_cast<size_t>(id));
     ++per_item[ObjectAttrKey(claim.object, claim.attribute)];
   }
   EXPECT_EQ(per_item.size(), static_cast<size_t>(spec.num_objects) *
@@ -243,18 +270,12 @@ TEST(ScenarioRoundTripTest, UltraSparseKeepsFloors) {
 // With every source perfectly reliable the planted truth is recoverable by
 // the simplest oracle there is: unanimous majority vote.
 TEST(ScenarioRoundTripTest, OracleRecoversPlantedTruth) {
-  for (AdversaryMode adversary :
-       {AdversaryMode::kNone, AdversaryMode::kCopyRing,
-        AdversaryMode::kNearDuplicate}) {
+  for (AdversaryMode adversary : kOracleAdversaries) {
     SCOPED_TRACE(ToString(adversary));
-    ScenarioSpec spec = SmallSpec();
-    spec.name = "oracle";
-    spec.adversary = adversary;
-    spec.reliable_accuracy = 1.0;
-    spec.unreliable_accuracy = 1.0;
-    auto generated = GenerateScenario(spec);
+    auto generated = GenerateScenario(OracleSpec(adversary));
     ASSERT_TRUE(generated.ok());
-    for (const Claim& claim : generated->dataset.claims()) {
+    for (int32_t id : generated->dataset.claim_ids()) {
+      const Claim claim = generated->dataset.claim(static_cast<size_t>(id));
       EXPECT_EQ(claim.value,
                 *generated->truth.Get(claim.object, claim.attribute));
     }
@@ -268,35 +289,43 @@ TEST(ScenarioRoundTripTest, OracleRecoversPlantedTruth) {
   }
 }
 
-// The scenario datasets run bit-identically down the SoA and legacy kernel
-// paths (the same contract the differential suite pins for the synthetic
-// generators).
+// Every registered algorithm runs bit-identically down the SoA and legacy
+// kernel paths on each cell the oracle and registry tests run kernels on,
+// plus a noisy near-duplicate cell (the contract the differential suite
+// pins for the synthetic generators).
 TEST(ScenarioGenerateTest, SoaAndLegacyKernelPathsAgree) {
-  ScenarioSpec spec = SmallSpec();
-  spec.name = "soa-vs-legacy";
-  spec.adversary = AdversaryMode::kNearDuplicate;
-  auto generated = GenerateScenario(spec);
-  ASSERT_TRUE(generated.ok());
-  MajorityVote mv;
-  const bool initial_mode = SoaKernelsEnabled();
-  SetSoaKernelsEnabled(false);
-  auto legacy = mv.Discover(generated->dataset);
-  SetSoaKernelsEnabled(true);
-  auto soa = mv.Discover(generated->dataset);
-  SetSoaKernelsEnabled(initial_mode);
-  ASSERT_TRUE(legacy.ok());
-  ASSERT_TRUE(soa.ok());
-  EXPECT_EQ(legacy->predicted, soa->predicted);
+  std::vector<ScenarioSpec> cells;
+  for (AdversaryMode adversary : kOracleAdversaries) {
+    cells.push_back(OracleSpec(adversary));
+  }
+  cells.push_back(RegistrySmokeSpec());
+  ScenarioSpec noisy = SmallSpec();
+  noisy.name = "soa-vs-legacy";
+  noisy.adversary = AdversaryMode::kNearDuplicate;
+  cells.push_back(noisy);
+  for (const ScenarioSpec& spec : cells) {
+    auto generated = GenerateScenario(spec);
+    ASSERT_TRUE(generated.ok()) << generated.status();
+    for (const std::string& name : RegisteredAlgorithms()) {
+      SCOPED_TRACE(spec.name + "/" + ToString(spec.adversary) + " " + name);
+      auto algorithm = MakeAlgorithm(name);
+      ASSERT_TRUE(algorithm.ok());
+      SetSoaKernelsEnabled(false);
+      auto legacy = (*algorithm)->Discover(generated->dataset);
+      SetSoaKernelsEnabled(true);
+      auto soa = (*algorithm)->Discover(generated->dataset);
+      ASSERT_TRUE(legacy.ok()) << legacy.status();
+      ASSERT_TRUE(soa.ok()) << soa.status();
+      EXPECT_EQ(SerializeTruthDiscoveryResult(*legacy),
+                SerializeTruthDiscoveryResult(*soa));
+    }
+  }
 }
 
 // Every registered algorithm completes on a scenario dataset (smoke-level:
 // one adversarial cell, small scale).
 TEST(ScenarioGenerateTest, FullRegistryRunsOnAdversarialCell) {
-  ScenarioSpec spec = SmallSpec();
-  spec.name = "registry-smoke";
-  spec.num_objects = 12;
-  spec.adversary = AdversaryMode::kCopyRing;
-  auto generated = GenerateScenario(spec);
+  auto generated = GenerateScenario(RegistrySmokeSpec());
   ASSERT_TRUE(generated.ok());
   for (const std::string& name : RegisteredAlgorithms()) {
     SCOPED_TRACE(name);
