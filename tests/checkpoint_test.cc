@@ -16,22 +16,14 @@
 #include "common/csv.h"
 #include "common/io.h"
 #include "common/random.h"
+#include "test_util.h"
 
 namespace tdac {
 namespace {
 
 class CheckpointTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    dir_ = ::testing::TempDir() + "checkpoint_test_" +
-           ::testing::UnitTest::GetInstance()->current_test_info()->name();
-    ASSERT_TRUE(EnsureDirectory(dir_).ok());
-    auto leftover = ListDirFiles(dir_);
-    ASSERT_TRUE(leftover.ok()) << leftover.status();
-    for (const std::string& f : leftover.value()) {
-      ASSERT_TRUE(RemoveFile(dir_ + "/" + f).ok());
-    }
-  }
+  void SetUp() override { dir_ = scratch_.path(); }
 
   std::string Path(const std::string& name) const { return dir_ + "/" + name; }
 
@@ -66,6 +58,7 @@ class CheckpointTest : public ::testing::Test {
     ASSERT_TRUE(WriteFile(path, text).ok());
   }
 
+  testutil::ScratchDir scratch_;
   std::string dir_;
 };
 

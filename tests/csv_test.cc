@@ -1,9 +1,10 @@
 #include "common/csv.h"
 
-#include <cstdio>
 #include <string>
 
 #include <gtest/gtest.h>
+
+#include "test_util.h"
 
 namespace tdac {
 namespace {
@@ -106,7 +107,8 @@ TEST(CsvParseTest, CustomDelimiter) {
 }
 
 TEST(CsvFileTest, WriteReadRoundTrip) {
-  const std::string path = testing::TempDir() + "/tdac_csv_test.csv";
+  testutil::ScratchDir scratch;
+  const std::string path = scratch.path() + "/tdac_csv_test.csv";
   CsvWriter w;
   w.WriteRow({"h1", "h2"});
   w.WriteRow({"1", "two, three"});
@@ -115,7 +117,6 @@ TEST(CsvFileTest, WriteReadRoundTrip) {
   ASSERT_TRUE(rows.ok());
   ASSERT_EQ(rows->size(), 2u);
   EXPECT_EQ((*rows)[1][1], "two, three");
-  std::remove(path.c_str());
 }
 
 TEST(CsvFileTest, MissingFileFails) {

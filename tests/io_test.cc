@@ -11,23 +11,15 @@
 #include <gtest/gtest.h>
 
 #include "common/csv.h"
+#include "test_util.h"
 
 namespace tdac {
 namespace {
 
-/// Fresh per-test scratch directory under the build tree's cwd.
+/// Fresh per-test scratch directory (testutil::ScratchDir).
 class IoTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    dir_ = ::testing::TempDir() + "io_test_" +
-           ::testing::UnitTest::GetInstance()->current_test_info()->name();
-    ASSERT_TRUE(EnsureDirectory(dir_).ok());
-    auto leftover = ListDirFiles(dir_);
-    ASSERT_TRUE(leftover.ok()) << leftover.status();
-    for (const std::string& f : leftover.value()) {
-      ASSERT_TRUE(RemoveFile(dir_ + "/" + f).ok());
-    }
-  }
+  void SetUp() override { dir_ = scratch_.path(); }
 
   std::string Path(const std::string& name) const { return dir_ + "/" + name; }
 
@@ -37,6 +29,7 @@ class IoTest : public ::testing::Test {
     return text.ok() ? text.value() : std::string();
   }
 
+  testutil::ScratchDir scratch_;
   std::string dir_;
 };
 

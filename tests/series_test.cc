@@ -1,10 +1,9 @@
 #include "eval/series.h"
 
-#include <cstdio>
-
 #include <gtest/gtest.h>
 
 #include "common/csv.h"
+#include "test_util.h"
 
 namespace tdac {
 namespace {
@@ -58,14 +57,13 @@ TEST(FigureSeriesTest, GnuplotReferencesEveryColumn) {
 TEST(FigureSeriesTest, WriteToCreatesBothFiles) {
   FigureSeries fig("series_test_fig", "x", "y");
   fig.Add("s", "a", 0.1);
-  std::string dir = testing::TempDir();
+  testutil::ScratchDir scratch;
+  const std::string& dir = scratch.path();
   ASSERT_TRUE(fig.WriteTo(dir).ok());
   auto csv = ReadFileToString(dir + "/series_test_fig.csv");
   auto gp = ReadFileToString(dir + "/series_test_fig.gp");
   EXPECT_TRUE(csv.ok());
   EXPECT_TRUE(gp.ok());
-  std::remove((dir + "/series_test_fig.csv").c_str());
-  std::remove((dir + "/series_test_fig.gp").c_str());
 }
 
 TEST(FigureSeriesTest, WriteToBadDirFails) {

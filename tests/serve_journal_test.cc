@@ -15,6 +15,7 @@
 #include "gtest/gtest.h"
 #include "serve/journal.h"
 #include "serve/protocol.h"
+#include "test_util.h"
 
 namespace tdac {
 namespace {
@@ -38,13 +39,7 @@ ServeResponse MakeResponse(const std::string& id) {
 
 class RequestJournalTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    path_ = testing::TempDir() + "/journal_" +
-            ::testing::UnitTest::GetInstance()->current_test_info()->name() +
-            ".log";
-    (void)RemoveFile(path_);
-    (void)RemoveFile(AtomicWriteTempPath(path_));
-  }
+  void SetUp() override { path_ = scratch_.path() + "/journal.log"; }
 
   std::unique_ptr<RequestJournal> OpenOrDie(JournalReplay* replay) {
     auto journal = RequestJournal::Open(path_, replay);
@@ -52,6 +47,7 @@ class RequestJournalTest : public ::testing::Test {
     return journal.MoveValue();
   }
 
+  testutil::ScratchDir scratch_;
   std::string path_;
 };
 

@@ -18,8 +18,6 @@
 // under the deterministic thread pool. CI additionally runs it under ASan
 // and TSan via the sanitizer matrix (scripts/check.sh).
 
-#include <unistd.h>
-
 #include <cctype>
 #include <string>
 #include <tuple>
@@ -28,7 +26,6 @@
 #include <gtest/gtest.h>
 
 #include "common/checkpoint.h"
-#include "common/io.h"
 #include "common/random.h"
 #include "data/dataset.h"
 #include "data/dataset_builder.h"
@@ -40,6 +37,7 @@
 #include "td/registry.h"
 #include "td/truth_discovery.h"
 #include "tdac/tdac.h"
+#include "test_util.h"
 
 namespace tdac {
 namespace {
@@ -366,9 +364,8 @@ TEST(SoaFaultCorpusEquivalenceTest, PathsAgreeOnEveryCorruptionMode) {
 // ---------------------------------------------------------------------------
 
 TEST(SoaCheckpointEquivalenceTest, ResumedSoaRunMatchesLegacyUninterrupted) {
-  const std::string dir = ::testing::TempDir() + "soa_equivalence_" +
-                          std::to_string(::getpid());
-  ASSERT_TRUE(EnsureDirectory(dir).ok());
+  testutil::ScratchDir scratch;
+  const std::string& dir = scratch.path();
 
   SyntheticConfig config;
   config.num_objects = 20;

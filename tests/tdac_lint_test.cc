@@ -61,7 +61,8 @@ int CountFindings(const LintRun& run, const std::string& file,
                   const std::string& rule) {
   int n = 0;
   for (const std::string& line : run.lines) {
-    if (line.find(file) != std::string::npos &&
+    // Anchored at the start: messages may name other files.
+    if (line.rfind(file + ":", 0) == 0 &&
         line.find("[" + rule + "]") != std::string::npos) {
       ++n;
     }
@@ -187,6 +188,33 @@ TEST_F(TdacLintTest, ClaimValueRule) {
   // Same-line and line-above reasoned waivers: clean.
   EXPECT_EQ(CountFindings(run, "src/td/claim_value_waived.cc", "claim-value"),
             0)
+      << run.output;
+  // The rule covers every .cc under src/, readers outside the kernel
+  // directories included; the columnar read beside the row read is clean.
+  EXPECT_EQ(
+      CountFindings(run, "src/eval/claim_value_violation.cc", "claim-value"),
+      1)
+      << run.output;
+  EXPECT_TRUE(HasFindingAt(run, "src/eval/claim_value_violation.cc", 30,
+                           "claim-value"))
+      << run.output;
+}
+
+TEST_F(TdacLintTest, ScratchPathRule) {
+  const LintRun& run = CorpusRun();
+  // testing::TempDir() and ::testing::TempDir(); the waived mkdtemp
+  // template and the mention in a comment are clean.
+  EXPECT_EQ(
+      CountFindings(run, "tests/scratch_path_violation.cc", "scratch-path"), 2)
+      << run.output;
+  EXPECT_TRUE(HasFindingAt(run, "tests/scratch_path_violation.cc", 7,
+                           "scratch-path"))
+      << run.output;
+  EXPECT_TRUE(HasFindingAt(run, "tests/scratch_path_violation.cc", 11,
+                           "scratch-path"))
+      << run.output;
+  // tests/test_util.h is ScratchDir's home and may call TempDir().
+  EXPECT_EQ(CountFindings(run, "tests/test_util.h", "scratch-path"), 0)
       << run.output;
 }
 
@@ -341,12 +369,13 @@ TEST_F(TdacLintTest, JsonFormatCleanFileHasZeroCount) {
       << run.output;
 }
 
-TEST_F(TdacLintTest, ListRulesPrintsAllTen) {
+TEST_F(TdacLintTest, ListRulesPrintsAllEleven) {
   LintRun run = RunLint(TDAC_LINT_FIXTURES, {"--list-rules"});
   EXPECT_EQ(run.exit_code, 0) << run.output;
   for (const char* rule :
        {"nodiscard", "unordered", "random", "throw", "claim-value", "guard",
-        "atomic-io", "frozen-store", "hot-path-alloc", "stale-waiver"}) {
+        "atomic-io", "frozen-store", "hot-path-alloc", "scratch-path",
+        "stale-waiver"}) {
     EXPECT_NE(run.output.find(rule), std::string::npos)
         << rule << "\n" << run.output;
   }
@@ -355,6 +384,7 @@ TEST_F(TdacLintTest, ListRulesPrintsAllTen) {
 TEST_F(TdacLintTest, DiffModeReportsOnlyChangedLines) {
   // Build a throwaway git repo: one committed violation, then a second
   // one added on top. --diff HEAD must report only the new line.
+  // lint: scratch-path-ok (mkdtemp template, unique by construction)
   std::string tmpl = ::testing::TempDir() + "tdac_lint_diff_XXXXXX";
   std::vector<char> buf(tmpl.begin(), tmpl.end());
   buf.push_back('\0');

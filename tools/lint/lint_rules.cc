@@ -217,30 +217,49 @@ void CheckThrow(const FileScan& scan, std::vector<Finding>* findings) {
 }
 
 // ---------------------------------------------------------------------------
-// Rule: claim-value — kernel loops read the columnar store, not Claim rows
+// Rule: claim-value — library code reads the columnar store, not Claims
 // ---------------------------------------------------------------------------
 
 void CheckClaimValue(const FileScan& scan, std::vector<Finding>* findings) {
-  if (!EndsWith(scan.rel_path, ".cc")) return;
-  if (!StartsWith(scan.rel_path, "src/td/") &&
-      !StartsWith(scan.rel_path, "src/tdac/")) {
+  if (!EndsWith(scan.rel_path, ".cc") || !StartsWith(scan.rel_path, "src/")) {
     return;
   }
   const std::vector<Token>& t = scan.tokens;
   for (size_t i = 0; i + 2 < t.size(); ++i) {
-    // `<expr> . claim (` or `<expr> -> claim (` — the row-struct accessor.
-    // num_claims()/claims()/claim_sources() tokenize differently, so the
-    // exact-token match cannot false-positive on them.
+    // `<expr> . claim (` or `<expr> -> claim (` — the materializing
+    // accessor. num_claims()/claim_ids()/claim_sources() tokenize
+    // differently, so the exact-token match cannot false-positive on them.
     if (t[i].text != "." && t[i].text != "->") continue;
     if (t[i + 1].text != "claim" || t[i + 2].text != "(") continue;
     const int line = t[i + 1].line;
     if (Waived(scan, line, "claim-value-ok")) continue;
     findings->push_back(
         {scan.rel_path, line, Rule::kClaimValue,
-         "'claim(i)' materializes a whole Claim (Value included) inside "
-         "kernel code; read the columnar store (claim_sources(), "
+         "'claim(i)' materializes a whole Claim (Value included) per "
+         "call; read the columnar store (claim_sources(), "
          "claim_value_ids(), claim_items()) instead, or waive a reference "
          "path with // lint: claim-value-ok (reason)"});
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Rule: scratch-path — tests build scratch paths with testutil::ScratchDir
+// ---------------------------------------------------------------------------
+
+void CheckScratchPath(const FileScan& scan, std::vector<Finding>* findings) {
+  if (!StartsWith(scan.rel_path, "tests/")) return;
+  if (scan.rel_path == "tests/test_util.h") return;  // ScratchDir's home
+  const std::vector<Token>& t = scan.tokens;
+  for (size_t i = 0; i + 1 < t.size(); ++i) {
+    if (t[i].text != "TempDir" || t[i + 1].text != "(") continue;
+    const int line = t[i].line;
+    if (Waived(scan, line, "scratch-path-ok")) continue;
+    findings->push_back(
+        {scan.rel_path, line, Rule::kScratchPath,
+         "'TempDir()' builds a path that a `_threads8` twin running under "
+         "ctest -j shares; use testutil::ScratchDir (tests/test_util.h), or "
+         "waive a path unique by construction with "
+         "// lint: scratch-path-ok (reason)"});
   }
 }
 
@@ -536,7 +555,7 @@ const std::vector<RuleInfo>& Registry() {
       {Rule::kThrow, "throw", "throw-ok",
        "no `throw` in public API headers (src/td, src/partition)"},
       {Rule::kClaimValue, "claim-value", "claim-value-ok",
-       "kernel loops read the columnar store, not Claim rows"},
+       "src/ reads the columnar store, not per-claim Claim copies"},
       {Rule::kGuard, "guard", "guard-ok",
        "fixpoint loops in src/td|tdac|partition consult their RunGuard"},
       {Rule::kAtomicIo, "atomic-io", "atomic-io-ok",
@@ -545,6 +564,8 @@ const std::vector<RuleInfo>& Registry() {
        "kernel code never mutates the frozen claim store"},
       {Rule::kHotPathAlloc, "hot-path-alloc", "hot-path-alloc-ok",
        "*Soa columnar kernels stay allocation-light"},
+      {Rule::kScratchPath, "scratch-path", "scratch-path-ok",
+       "tests take scratch paths from testutil::ScratchDir, not TempDir()"},
       {Rule::kStaleWaiver, "stale-waiver", nullptr,
        "every `<rule>-ok` waiver still suppresses a finding"},
   };
@@ -577,6 +598,7 @@ void RunRules(const FileScan& scan, const LintContext& context,
   CheckAtomicIo(scan, findings);
   CheckFrozenStore(scan, findings);
   CheckHotPathAlloc(scan, scopes, findings);
+  CheckScratchPath(scan, findings);
 }
 
 void AuditWaivers(const FileScan& scan, std::vector<Finding>* findings) {

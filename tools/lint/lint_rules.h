@@ -1,4 +1,4 @@
-// tdac_lint rule registry: the nine invariant rules plus the stale-waiver
+// tdac_lint rule registry: the ten invariant rules plus the stale-waiver
 // audit, over the FileScan/ScopeIndex layers.
 //
 // Each rule is a pure function of the scan (plus the cross-file context)
@@ -28,6 +28,7 @@ enum class Rule {
   kAtomicIo,
   kFrozenStore,
   kHotPathAlloc,
+  kScratchPath,
   kStaleWaiver,  // emitted by the audit, not a scan rule
 };
 

@@ -4,17 +4,18 @@
 // The library's headline guarantees (bit-identical results at any thread
 // count, no exceptions across the public API, reproducible randomness,
 // deadline-bounded loops, torn-write-free files, a frozen claim store,
-// allocation-light columnar kernels) rest on source-level conventions the
-// compiler cannot check by itself. This tool enforces them at token level
-// — no libclang, no build — so the check runs in milliseconds on the
-// whole tree and in CI's lint job, before any fixpoint loop ever runs.
+// allocation-light columnar kernels, per-test scratch paths) rest on
+// source-level conventions the compiler cannot check by itself. This tool
+// enforces them at token level — no libclang, no build — so the check runs
+// in milliseconds on the whole tree and in CI's lint job, before any
+// fixpoint loop ever runs.
 //
 // The engine is three passes (tools/lint/):
 //   lint_scan   blanks comments/strings/preprocessor lines, tokenizes,
 //               harvests `// lint: <rule>-ok` waivers
 //   lint_index  cross-file unordered-container names + per-file function
 //               scope index (the *Soa kernel extents)
-//   lint_rules  the nine rules (see docs/static_analysis.md for the full
+//   lint_rules  the ten rules (see docs/static_analysis.md for the full
 //               contract and `tdac_lint --list-rules` for one-liners)
 //
 // Usage:
