@@ -40,75 +40,75 @@ std::string_view StringArena::Add(std::string_view s) {
   return std::string_view(dst, s.size());
 }
 
+ValueDict::Entry ValueDict::EntryOf(const Value& v) {
+  Entry e;
+  e.kind = v.kind();
+  e.hash = v.Hash();
+  if (v.is_string()) {
+    e.str = v.AsString();
+  } else {
+    e.num = v.is_int() ? v.AsInt() : std::bit_cast<int64_t>(v.AsDouble());
+  }
+  return e;
+}
+
+bool ValueDict::IsNaN(const Entry& e) {
+  return e.kind == Value::Kind::kDouble &&
+         std::isnan(std::bit_cast<double>(e.num));
+}
+
+bool ValueDict::SameValue(const Entry& a, const Entry& b) {
+  if (a.kind != b.kind) return false;
+  if (a.kind == Value::Kind::kString) return a.str == b.str;
+  if (a.kind == Value::Kind::kInt) return a.num == b.num;
+  return std::bit_cast<double>(a.num) == std::bit_cast<double>(b.num);
+}
+
+size_t ValueDict::Probe(const Entry& e) const {
+  // Value::Hash hashes -0.0 as +0.0, so equal values share a chain.
+  const size_t mask = slots_.size() - 1;
+  size_t slot = static_cast<size_t>(e.hash ^ (e.hash >> 32)) & mask;
+  while (slots_[slot] != kInvalidId &&
+         !SameValue(entries_[static_cast<size_t>(slots_[slot])], e)) {
+    slot = (slot + 1) & mask;
+  }
+  return slot;
+}
+
+void ValueDict::Grow() {
+  slots_.assign(std::max<size_t>(16, 2 * slots_.size()), kInvalidId);
+  for (size_t id = 0; id < entries_.size(); ++id) {
+    if (IsNaN(entries_[id])) continue;
+    slots_[Probe(entries_[id])] = static_cast<ValueId>(id);
+  }
+}
+
 ValueId ValueDict::Intern(const Value& v) {
   TDAC_CHECK(!frozen_) << "ValueDict::Intern on a frozen dictionary";
   const ValueId next = static_cast<ValueId>(entries_.size());
-  switch (v.kind()) {
-    case Value::Kind::kString: {
-      const std::string& s = v.AsString();
-      auto it = string_ids_.find(std::string_view(s));
-      if (it != string_ids_.end()) return it->second;
-      Entry e;
-      e.kind = Value::Kind::kString;
-      e.str = arena_.Add(s);
-      entries_.push_back(e);
-      string_ids_.emplace(e.str, next);
-      return next;
-    }
-    case Value::Kind::kInt: {
-      auto [it, inserted] = int_ids_.emplace(v.AsInt(), next);
-      if (!inserted) return it->second;
-      Entry e;
-      e.kind = Value::Kind::kInt;
-      e.num = v.AsInt();
-      entries_.push_back(e);
-      return next;
-    }
-    case Value::Kind::kDouble: {
-      const double d = v.AsDouble();
-      Entry e;
-      e.kind = Value::Kind::kDouble;
-      e.num = static_cast<int64_t>(std::bit_cast<uint64_t>(d));
-      if (std::isnan(d)) {
-        // NaN != NaN under Value::operator==, so a NaN payload must never
-        // dedup: every occurrence is its own distinct value.
-        entries_.push_back(e);
-        return next;
-      }
-      // -0.0 == +0.0 under Value::operator==, so both spellings must map
-      // to one id: merge the sign bit out of the lookup key (the entry
-      // keeps the first-seen payload, which compares equal either way).
-      const double key = d == 0.0 ? 0.0 : d;
-      auto [it, inserted] = double_ids_.emplace(std::bit_cast<uint64_t>(key),
-                                                next);
-      if (!inserted) return it->second;
-      entries_.push_back(e);
-      return next;
-    }
+  Entry e = EntryOf(v);
+  if (IsNaN(e)) {
+    // NaN != NaN under Value::operator==, so a NaN payload must never
+    // dedup: every occurrence is its own distinct value.
+    entries_.push_back(e);
+    return next;
   }
-  TDAC_CHECK(false) << "ValueDict::Intern: unknown value kind";
-  return kInvalidId;
+  if (2 * (entries_.size() + 1) > slots_.size()) Grow();
+  const size_t slot = Probe(e);
+  // -0.0 and +0.0 land on one slot; the entry keeps the first-seen
+  // payload, which compares equal either way.
+  if (slots_[slot] != kInvalidId) return slots_[slot];
+  if (e.kind == Value::Kind::kString) e.str = arena_.Add(e.str);
+  entries_.push_back(e);
+  slots_[slot] = next;
+  return next;
 }
 
 ValueId ValueDict::Find(const Value& v) const {
-  switch (v.kind()) {
-    case Value::Kind::kString: {
-      auto it = string_ids_.find(std::string_view(v.AsString()));
-      return it == string_ids_.end() ? kInvalidId : it->second;
-    }
-    case Value::Kind::kInt: {
-      auto it = int_ids_.find(v.AsInt());
-      return it == int_ids_.end() ? kInvalidId : it->second;
-    }
-    case Value::Kind::kDouble: {
-      const double d = v.AsDouble();
-      if (std::isnan(d)) return kInvalidId;  // nothing compares == to NaN
-      const double key = d == 0.0 ? 0.0 : d;
-      auto it = double_ids_.find(std::bit_cast<uint64_t>(key));
-      return it == double_ids_.end() ? kInvalidId : it->second;
-    }
-  }
-  return kInvalidId;
+  const Entry e = EntryOf(v);
+  // Nothing compares == to NaN.
+  if (slots_.empty() || IsNaN(e)) return kInvalidId;
+  return slots_[Probe(e)];
 }
 
 Value ValueDict::ValueAt(ValueId id) const {
