@@ -1,6 +1,9 @@
 #ifndef TDAC_COMMON_CSV_H_
 #define TDAC_COMMON_CSV_H_
 
+#include <cstddef>
+#include <functional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -14,7 +17,7 @@ namespace tdac {
 ///
 /// Fields containing the delimiter, double quotes, or newlines are quoted;
 /// embedded quotes are doubled. Only '\n' record separators are produced;
-/// both "\r\n" and "\n" are accepted on input.
+/// "\r\n", "\n" and a bare "\r" are all accepted on input.
 class CsvWriter {
  public:
   explicit CsvWriter(char delimiter = ',') : delimiter_(delimiter) {}
@@ -30,25 +33,28 @@ class CsvWriter {
   std::string buffer_;
 };
 
-/// \brief A parsed CSV document with provenance: `rows[i]` began on
-/// physical 1-based line `row_lines[i]` of the input. Quoted fields may
-/// span lines, so row index and line number can diverge — error messages
-/// should always cite the line number, not the row index.
-struct CsvDocument {
-  std::vector<std::vector<std::string>> rows;
-  std::vector<size_t> row_lines;
-};
+/// Receives one CSV row: its fields, and the 1-based physical line the row
+/// began on. Quoted fields may span lines, so the line can run ahead of the
+/// row count — error messages should cite it, not the row index. `fields`
+/// is only valid during the call: the scanner reuses its buffers for the
+/// next row.
+using CsvRowFn =
+    std::function<Status(std::span<const std::string> fields, size_t line)>;
 
-/// Parses a full CSV document into rows of fields.
+/// Scans `text` row by row, calling `on_row` once per row as soon as the
+/// row ends; no document is built. CRLF counts as one row end and a bare CR
+/// ends a row too; quoted fields may span lines; a quote opens a field only
+/// at the field's start. A non-OK Status from `on_row` stops the scan and
+/// is returned. Text ending inside a quoted field fails with
+/// InvalidArgument naming the line the quote opened on.
+[[nodiscard]] Status ForEachCsvRow(std::string_view text, char delimiter,
+                                   const CsvRowFn& on_row);
+
+/// Parses a full CSV document into rows of fields (ForEachCsvRow,
+/// collected).
 [[nodiscard]]
 Result<std::vector<std::vector<std::string>>> ParseCsv(std::string_view text,
                                                        char delimiter = ',');
-
-/// Like ParseCsv but also records the 1-based starting line of each row,
-/// for ingestion errors that point at the offending input line.
-[[nodiscard]]
-Result<CsvDocument> ParseCsvWithLines(std::string_view text,
-                                      char delimiter = ',');
 
 /// Reads and parses a CSV file from disk.
 [[nodiscard]] Result<std::vector<std::vector<std::string>>> ReadCsvFile(
@@ -61,7 +67,8 @@ Result<CsvDocument> ParseCsvWithLines(std::string_view text,
 /// in tests.
 [[nodiscard]] Status WriteFile(const std::string& path, std::string_view text);
 
-/// Reads an entire file into a string.
+/// Reads an entire regular file into a string. Any other path — missing,
+/// unreadable, a directory, a FIFO — fails with IoError naming it.
 [[nodiscard]] Result<std::string> ReadFileToString(const std::string& path);
 
 }  // namespace tdac

@@ -1,8 +1,11 @@
 #ifndef TDAC_DATA_DATASET_BUILDER_H_
 #define TDAC_DATA_DATASET_BUILDER_H_
 
+#include <cstddef>
+#include <cstdint>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "common/result.h"
 #include "common/status.h"
@@ -49,11 +52,27 @@ class DatasetBuilder {
   [[nodiscard]] Result<Dataset> Build();
 
  private:
+  /// The slot of `claim_slots_` holding the claim (source, object,
+  /// attribute), whose ClaimHash is `hash`, else the empty slot where it
+  /// belongs.
+  size_t ProbeClaim(uint64_t hash, SourceId source, ObjectId object,
+                    AttributeId attribute) const;
+
+  /// Doubles `claim_slots_` and re-inserts every claim appended so far.
+  void GrowClaimSlots();
+
   Dataset dataset_;
   std::unordered_map<std::string, SourceId> source_ids_;
   std::unordered_map<std::string, ObjectId> object_ids_;
   std::unordered_map<std::string, AttributeId> attribute_ids_;
-  std::unordered_map<uint64_t, std::unordered_map<int32_t, char>> seen_;
+  // The duplicate check: the set of (item key, source) pairs claimed so
+  // far, as one open-addressing table with linear probing. A slot holds
+  // the index of the claim that owns the pair (its key is read back from
+  // the columns) under the high half of the pair's hash, which settles
+  // almost every mismatch without touching the columns; all ones marks an
+  // empty slot. The power-of-two size stays at least twice the claim
+  // count. Flat, so a claim costs no heap node; Build() releases it.
+  std::vector<uint64_t> claim_slots_;
 };
 
 }  // namespace tdac

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <span>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 
@@ -54,11 +56,50 @@ Result<Value> ParseRowValue(const std::string& file_kind, size_t line,
   return value;
 }
 
+constexpr std::string_view kUtf8Bom = "\xEF\xBB\xBF";
+// Each file's header row, written by the savers and required by the
+// loaders.
+constexpr std::string_view kClaimHeader = "source,object,attribute,kind,value";
+constexpr std::string_view kTruthHeader = "object,attribute,kind,value";
+constexpr std::string_view kTrustHeader = "source,trust";
+
+/// Streams the records of a `file_kind` CSV to `on_record` in one pass:
+/// skips one leading UTF-8 byte-order mark, requires the first row to be
+/// exactly `header`, and hands over every later row, with its line, once
+/// it has as many fields as the header. A file without rows fails as
+/// `empty <file_kind>`.
+Status ForEachRecord(std::string_view text, const std::string& file_kind,
+                     std::string_view header, const CsvRowFn& on_record) {
+  if (text.starts_with(kUtf8Bom)) text.remove_prefix(kUtf8Bom.size());
+  const std::vector<std::string> expected = Split(header, ',');
+  bool header_seen = false;
+  TDAC_RETURN_NOT_OK(ForEachCsvRow(
+      text, ',', [&](std::span<const std::string> row, size_t line) {
+        if (!header_seen) {
+          header_seen = true;
+          if (std::ranges::equal(row, expected)) return Status::OK();
+          return AtLine(file_kind, line, "",
+                        Status::InvalidArgument("expected header " +
+                                                std::string(header)));
+        }
+        if (row.size() != expected.size()) {
+          return AtLine(file_kind, line, "",
+                        Status::InvalidArgument(
+                            "expected " + std::to_string(expected.size()) +
+                            " fields (" + std::string(header) + "), got " +
+                            std::to_string(row.size())));
+        }
+        return on_record(row, line);
+      }));
+  if (!header_seen) return Status::InvalidArgument("empty " + file_kind);
+  return Status::OK();
+}
+
 }  // namespace
 
 std::string DatasetToCsv(const Dataset& dataset) {
   CsvWriter w;
-  w.WriteRow({"source", "object", "attribute", "kind", "value"});
+  w.WriteRow(Split(kClaimHeader, ','));
   const ValueDict& dict = dataset.value_dict();
   for (size_t i = 0; i < dataset.num_claims(); ++i) {
     const ValueId value = dataset.claim_value_ids()[i];
@@ -71,23 +112,17 @@ std::string DatasetToCsv(const Dataset& dataset) {
 }
 
 Result<Dataset> DatasetFromCsv(const std::string& text) {
-  TDAC_ASSIGN_OR_RETURN(CsvDocument doc, ParseCsvWithLines(text));
-  if (doc.rows.empty()) return Status::InvalidArgument("empty claim CSV");
   DatasetBuilder builder;
-  for (size_t i = 1; i < doc.rows.size(); ++i) {
-    const auto& row = doc.rows[i];
-    const size_t line = doc.row_lines[i];
-    if (row.size() != 5) {
-      return Status::InvalidArgument(
-          "claim CSV line " + std::to_string(line) + ": expected 5 fields "
-          "(source,object,attribute,kind,value), got " +
-          std::to_string(row.size()));
-    }
-    TDAC_ASSIGN_OR_RETURN(Value value,
-                          ParseRowValue("claim CSV", line, row[3], row[4]));
-    Status added = builder.AddClaim(row[0], row[1], row[2], std::move(value));
-    if (!added.ok()) return AtLine("claim CSV", line, "", added);
-  }
+  TDAC_RETURN_NOT_OK(ForEachRecord(
+      text, "claim CSV", kClaimHeader,
+      [&builder](std::span<const std::string> row, size_t line) -> Status {
+        TDAC_ASSIGN_OR_RETURN(
+            Value value, ParseRowValue("claim CSV", line, row[3], row[4]));
+        Status added =
+            builder.AddClaim(row[0], row[1], row[2], std::move(value));
+        if (!added.ok()) return AtLine("claim CSV", line, "", added);
+        return Status::OK();
+      }));
   return builder.Build();
 }
 
@@ -103,7 +138,7 @@ Result<Dataset> LoadDataset(const std::string& path) {
 std::string GroundTruthToCsv(const GroundTruth& truth,
                              const Dataset& dataset) {
   CsvWriter w;
-  w.WriteRow({"object", "attribute", "kind", "value"});
+  w.WriteRow(Split(kTruthHeader, ','));
   for (uint64_t key : truth.SortedKeys()) {
     ObjectId o = ObjectFromKey(key);
     AttributeId a = AttributeFromKey(key);
@@ -116,9 +151,6 @@ std::string GroundTruthToCsv(const GroundTruth& truth,
 
 Result<GroundTruth> GroundTruthFromCsv(const std::string& text,
                                        const Dataset& dataset) {
-  TDAC_ASSIGN_OR_RETURN(CsvDocument doc, ParseCsvWithLines(text));
-  const auto& rows = doc.rows;
-  if (rows.empty()) return Status::InvalidArgument("empty truth CSV");
   std::unordered_map<std::string, ObjectId> objects;
   for (int o = 0; o < dataset.num_objects(); ++o) {
     objects[dataset.object_name(o)] = o;
@@ -128,34 +160,31 @@ Result<GroundTruth> GroundTruthFromCsv(const std::string& text,
     attributes[dataset.attribute_name(a)] = a;
   }
   GroundTruth truth;
-  for (size_t i = 1; i < rows.size(); ++i) {
-    const auto& row = rows[i];
-    const size_t line = doc.row_lines[i];
-    if (row.size() != 4) {
-      return Status::InvalidArgument(
-          "truth CSV line " + std::to_string(line) + ": expected 4 fields "
-          "(object,attribute,kind,value), got " + std::to_string(row.size()));
-    }
-    auto oit = objects.find(row[0]);
-    if (oit == objects.end()) {
-      return AtLine("truth CSV", line, "object",
-                    Status::NotFound("unknown object '" + row[0] + "'"));
-    }
-    auto ait = attributes.find(row[1]);
-    if (ait == attributes.end()) {
-      return AtLine("truth CSV", line, "attribute",
-                    Status::NotFound("unknown attribute '" + row[1] + "'"));
-    }
-    TDAC_ASSIGN_OR_RETURN(Value value,
-                          ParseRowValue("truth CSV", line, row[2], row[3]));
-    if (truth.Get(oit->second, ait->second) != nullptr) {
-      return AtLine("truth CSV", line, "",
-                    Status::AlreadyExists("duplicate truth for (object=" +
-                                          row[0] + ", attribute=" + row[1] +
-                                          ")"));
-    }
-    truth.Set(oit->second, ait->second, std::move(value));
-  }
+  TDAC_RETURN_NOT_OK(ForEachRecord(
+      text, "truth CSV", kTruthHeader,
+      [&](std::span<const std::string> row, size_t line) -> Status {
+        auto oit = objects.find(row[0]);
+        if (oit == objects.end()) {
+          return AtLine("truth CSV", line, "object",
+                        Status::NotFound("unknown object '" + row[0] + "'"));
+        }
+        auto ait = attributes.find(row[1]);
+        if (ait == attributes.end()) {
+          return AtLine(
+              "truth CSV", line, "attribute",
+              Status::NotFound("unknown attribute '" + row[1] + "'"));
+        }
+        TDAC_ASSIGN_OR_RETURN(
+            Value value, ParseRowValue("truth CSV", line, row[2], row[3]));
+        if (truth.Get(oit->second, ait->second) != nullptr) {
+          return AtLine("truth CSV", line, "",
+                        Status::AlreadyExists("duplicate truth for (object=" +
+                                              row[0] + ", attribute=" +
+                                              row[1] + ")"));
+        }
+        truth.Set(oit->second, ait->second, std::move(value));
+        return Status::OK();
+      }));
   return truth;
 }
 
@@ -167,7 +196,7 @@ Status SaveGroundTruth(const GroundTruth& truth, const Dataset& dataset,
 std::string SourceTrustToCsv(const std::vector<double>& trust,
                              const Dataset& dataset) {
   CsvWriter w;
-  w.WriteRow({"source", "trust"});
+  w.WriteRow(Split(kTrustHeader, ','));
   const size_t n = std::min(trust.size(),
                             static_cast<size_t>(dataset.num_sources()));
   for (size_t s = 0; s < n; ++s) {
@@ -180,41 +209,35 @@ std::string SourceTrustToCsv(const std::vector<double>& trust,
 
 Result<std::vector<double>> SourceTrustFromCsv(const std::string& text,
                                                const Dataset& dataset) {
-  TDAC_ASSIGN_OR_RETURN(CsvDocument doc, ParseCsvWithLines(text));
-  const auto& rows = doc.rows;
-  if (rows.empty()) return Status::InvalidArgument("empty trust CSV");
   std::unordered_map<std::string, SourceId> sources;
   for (int s = 0; s < dataset.num_sources(); ++s) {
     sources[dataset.source_name(s)] = s;
   }
   std::vector<double> trust(static_cast<size_t>(dataset.num_sources()), 0.0);
   std::vector<char> seen(trust.size(), 0);
-  for (size_t i = 1; i < rows.size(); ++i) {
-    const auto& row = rows[i];
-    const size_t line = doc.row_lines[i];
-    if (row.size() != 2) {
-      return Status::InvalidArgument(
-          "trust CSV line " + std::to_string(line) +
-          ": expected 2 fields (source,trust), got " +
-          std::to_string(row.size()));
-    }
-    auto it = sources.find(row[0]);
-    if (it == sources.end()) {
-      return AtLine("trust CSV", line, "source",
-                    Status::NotFound("unknown source '" + row[0] + "'"));
-    }
-    Result<Value> parsed = Value::FromTextChecked(Value::Kind::kDouble, row[1]);
-    if (!parsed.ok()) {
-      return AtLine("trust CSV", line, "trust", parsed.status());
-    }
-    if (seen[static_cast<size_t>(it->second)]) {
-      return AtLine("trust CSV", line, "source",
-                    Status::AlreadyExists("duplicate trust for source '" +
-                                          row[0] + "'"));
-    }
-    seen[static_cast<size_t>(it->second)] = 1;
-    trust[static_cast<size_t>(it->second)] = parsed.value().AsDouble();
-  }
+  TDAC_RETURN_NOT_OK(ForEachRecord(
+      text, "trust CSV", kTrustHeader,
+      [&](std::span<const std::string> row, size_t line) -> Status {
+        auto it = sources.find(row[0]);
+        if (it == sources.end()) {
+          return AtLine("trust CSV", line, "source",
+                        Status::NotFound("unknown source '" + row[0] + "'"));
+        }
+        Result<Value> parsed =
+            Value::FromTextChecked(Value::Kind::kDouble, row[1]);
+        if (!parsed.ok()) {
+          return AtLine("trust CSV", line, "trust", parsed.status());
+        }
+        const auto s = static_cast<size_t>(it->second);
+        if (seen[s]) {
+          return AtLine("trust CSV", line, "source",
+                        Status::AlreadyExists("duplicate trust for source '" +
+                                              row[0] + "'"));
+        }
+        seen[s] = 1;
+        trust[s] = parsed.value().AsDouble();
+        return Status::OK();
+      }));
   return trust;
 }
 

@@ -15,7 +15,16 @@ namespace tdac {
 ///
 /// Claim files have a header row `source,object,attribute,kind,value` where
 /// kind is `string` | `int` | `double`. Truth files have
-/// `object,attribute,kind,value` and resolve names against a dataset.
+/// `object,attribute,kind,value` and resolve names against a dataset;
+/// trust files have `source,trust`.
+///
+/// Loading is one streaming pass over the text (ForEachCsvRow): each row
+/// goes straight into the builder or the result, no document is built.
+/// One leading UTF-8 byte-order mark is skipped. The first row must then be
+/// exactly the file's header; anything else fails with InvalidArgument
+/// (`claim CSV line 1: expected header source,object,attribute,kind,value`)
+/// rather than silently dropping a headerless file's first record. Every
+/// error names the 1-based physical line of the row it blames.
 
 /// Renders `dataset` as claim-file CSV text.
 std::string DatasetToCsv(const Dataset& dataset);

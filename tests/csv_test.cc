@@ -1,6 +1,9 @@
 #include "common/csv.h"
 
+#include <span>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -125,38 +128,84 @@ TEST(CsvFileTest, MissingFileFails) {
   EXPECT_EQ(r.status().code(), StatusCode::kIoError);
 }
 
+TEST(CsvFileTest, DirectoryIsAnIoErrorNamingThePath) {
+  // A directory opens for reading on Linux and reads as nothing; it must
+  // not pass for an empty file.
+  testutil::ScratchDir scratch;
+  auto r = ReadFileToString(scratch.path());
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kIoError);
+  EXPECT_NE(r.status().message().find(scratch.path()), std::string::npos)
+      << r.status().message();
+}
+
+TEST(CsvFileTest, ReadsEveryByte) {
+  testutil::ScratchDir scratch;
+  const std::string path = scratch.path() + "/bytes.bin";
+  std::string bytes;
+  for (int i = 0; i < 70000; ++i) bytes += static_cast<char>(i * 7);
+  ASSERT_TRUE(WriteFile(path, bytes).ok());
+  auto r = ReadFileToString(path);
+  ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_EQ(*r, bytes);
+  ASSERT_TRUE(WriteFile(path, "").ok());
+  r = ReadFileToString(path);
+  ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_EQ(*r, "");
+}
+
+// ForEachCsvRow's `line` argument: the 1-based physical line each row
+// began on, which is what ingestion errors cite.
+
+/// Every row ForEachCsvRow hands out, with its line.
+struct ScannedRows {
+  std::vector<std::vector<std::string>> rows;
+  std::vector<size_t> lines;
+};
+
+Result<ScannedRows> Scan(std::string_view text) {
+  ScannedRows out;
+  TDAC_RETURN_NOT_OK(ForEachCsvRow(
+      text, ',', [&out](std::span<const std::string> fields, size_t line) {
+        out.rows.emplace_back(fields.begin(), fields.end());
+        out.lines.push_back(line);
+        return Status::OK();
+      }));
+  return out;
+}
+
 TEST(CsvLineTrackingTest, RowsRecordTheirStartingLine) {
-  auto doc = ParseCsvWithLines("h1,h2\na,b\nc,d\n");
+  auto doc = Scan("h1,h2\na,b\nc,d\n");
   ASSERT_TRUE(doc.ok());
   ASSERT_EQ(doc->rows.size(), 3u);
-  ASSERT_EQ(doc->row_lines.size(), 3u);
-  EXPECT_EQ(doc->row_lines[0], 1u);
-  EXPECT_EQ(doc->row_lines[1], 2u);
-  EXPECT_EQ(doc->row_lines[2], 3u);
+  ASSERT_EQ(doc->lines.size(), 3u);
+  EXPECT_EQ(doc->lines[0], 1u);
+  EXPECT_EQ(doc->lines[1], 2u);
+  EXPECT_EQ(doc->lines[2], 3u);
 }
 
 TEST(CsvLineTrackingTest, QuotedNewlinesAdvanceThePhysicalLine) {
   // Row 2 spans physical lines 2-3 (embedded newline); row 3 therefore
-  // starts on line 4, not 3 — exactly the divergence the line map exists
-  // to capture.
-  auto doc = ParseCsvWithLines("h\n\"multi\nline\"\nlast\n");
+  // starts on line 4, not 3 — exactly the divergence the line argument
+  // exists to capture.
+  auto doc = Scan("h\n\"multi\nline\"\nlast\n");
   ASSERT_TRUE(doc.ok());
   ASSERT_EQ(doc->rows.size(), 3u);
-  EXPECT_EQ(doc->row_lines[0], 1u);
-  EXPECT_EQ(doc->row_lines[1], 2u);
-  EXPECT_EQ(doc->row_lines[2], 4u);
+  EXPECT_EQ(doc->lines[0], 1u);
+  EXPECT_EQ(doc->lines[1], 2u);
+  EXPECT_EQ(doc->lines[2], 4u);
   EXPECT_EQ(doc->rows[1][0], "multi\nline");
 }
 
 TEST(CsvLineTrackingTest, CrlfCountsAsOneLine) {
-  auto doc = ParseCsvWithLines("h1,h2\r\na,b\r\nc,d\r\n");
+  auto doc = Scan("h1,h2\r\na,b\r\nc,d\r\n");
   ASSERT_TRUE(doc.ok());
   ASSERT_EQ(doc->rows.size(), 3u);
-  EXPECT_EQ(doc->row_lines[2], 3u);
+  EXPECT_EQ(doc->lines[2], 3u);
 }
 
 TEST(CsvLineTrackingTest, UnterminatedQuoteNamesItsOpeningLine) {
-  auto doc = ParseCsvWithLines("h\nok\n\"never closed\n");
+  auto doc = Scan("h\nok\n\"never closed\n");
   ASSERT_FALSE(doc.ok());
   EXPECT_NE(doc.status().message().find("line 3"), std::string::npos)
       << doc.status().message();
@@ -165,10 +214,47 @@ TEST(CsvLineTrackingTest, UnterminatedQuoteNamesItsOpeningLine) {
 TEST(CsvLineTrackingTest, ParseCsvDelegatesAndAgrees) {
   const std::string text = "a,b\n\"q,uoted\",2\n";
   auto plain = ParseCsv(text);
-  auto with_lines = ParseCsvWithLines(text);
+  auto scanned = Scan(text);
   ASSERT_TRUE(plain.ok());
-  ASSERT_TRUE(with_lines.ok());
-  EXPECT_EQ(*plain, with_lines->rows);
+  ASSERT_TRUE(scanned.ok());
+  EXPECT_EQ(*plain, scanned->rows);
+}
+
+TEST(CsvRowScanTest, ReusedBuffersHoldOnlyTheCurrentRow) {
+  // Field buffers are reused from row to row: a short row after a long
+  // one, and empty fields after full ones, must not see stale bytes.
+  auto doc = Scan("alpha,beta,gamma\nd\n,\n\"q\"\"\",\n");
+  ASSERT_TRUE(doc.ok());
+  ASSERT_EQ(doc->rows.size(), 4u);
+  EXPECT_EQ(doc->rows[0],
+            (std::vector<std::string>{"alpha", "beta", "gamma"}));
+  EXPECT_EQ(doc->rows[1], (std::vector<std::string>{"d"}));
+  EXPECT_EQ(doc->rows[2], (std::vector<std::string>{"", ""}));
+  EXPECT_EQ(doc->rows[3], (std::vector<std::string>{"q\"", ""}));
+}
+
+TEST(CsvRowScanTest, ErrorFromTheCallbackStopsTheScan) {
+  size_t calls = 0;
+  Status status = ForEachCsvRow(
+      "a\nb\nc\n", ',', [&calls](std::span<const std::string> fields,
+                                 size_t line) {
+        ++calls;
+        if (fields[0] == "b") {
+          return Status::InvalidArgument("stop at line " +
+                                         std::to_string(line));
+        }
+        return Status::OK();
+      });
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(status.message(), "stop at line 2");
+  EXPECT_EQ(calls, 2u);
+}
+
+TEST(CsvRowScanTest, QuoteOpensAFieldOnlyAtItsStart) {
+  auto doc = Scan("ab\"c,\"d\"e\n");
+  ASSERT_TRUE(doc.ok());
+  ASSERT_EQ(doc->rows.size(), 1u);
+  EXPECT_EQ(doc->rows[0], (std::vector<std::string>{"ab\"c", "de"}));
 }
 
 }  // namespace

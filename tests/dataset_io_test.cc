@@ -287,6 +287,78 @@ TEST(IngestionErrorsTest, DuplicateTrustRowIsRefused) {
             "'s1'");
 }
 
+// The first row must be the file's header. Before the loaders checked it,
+// a headerless file lost its first record without a word.
+
+TEST(IngestionErrorsTest, HeaderlessClaimFileIsRefused) {
+  auto r = DatasetFromCsv(
+      "s1,o1,a1,int,5\n"
+      "s2,o1,a1,int,5\n"
+      "s3,o1,a1,int,6\n");
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(r.status().message(),
+            "claim CSV line 1: expected header "
+            "source,object,attribute,kind,value");
+}
+
+TEST(IngestionErrorsTest, HeaderlessTruthFileIsRefused) {
+  Dataset d = SmallDataset();
+  auto r = GroundTruthFromCsv("o1,a1,string,red\no1,a2,int,7\n", d);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(r.status().message(),
+            "truth CSV line 1: expected header object,attribute,kind,value");
+}
+
+TEST(IngestionErrorsTest, HeaderlessTrustFileIsRefused) {
+  Dataset d = SmallDataset();
+  auto r = SourceTrustFromCsv("s1,0.5\ns2,0.25\n", d);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(r.status().message(),
+            "trust CSV line 1: expected header source,trust");
+}
+
+TEST(IngestionErrorsTest, HeaderWithAnExtraColumnIsRefused) {
+  auto r = DatasetFromCsv("source,object,attribute,kind,value,note\n");
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().message(),
+            "claim CSV line 1: expected header "
+            "source,object,attribute,kind,value");
+}
+
+TEST(DatasetIoTest, ByteOrderMarkIsSkipped) {
+  const Dataset d = SmallDataset();
+  const std::string csv = DatasetToCsv(d);
+  auto plain = DatasetFromCsv(csv);
+  auto with_bom = DatasetFromCsv("\xEF\xBB\xBF" + csv);
+  ASSERT_TRUE(plain.ok()) << plain.status();
+  ASSERT_TRUE(with_bom.ok()) << with_bom.status();
+  EXPECT_EQ(DatasetFingerprint(*with_bom), DatasetFingerprint(*plain));
+  EXPECT_EQ(with_bom->num_claims(), d.num_claims());
+
+  GroundTruth truth;
+  truth.Set(0, 0, Value("red"));
+  auto loaded_truth =
+      GroundTruthFromCsv("\xEF\xBB\xBF" + GroundTruthToCsv(truth, d), d);
+  ASSERT_TRUE(loaded_truth.ok()) << loaded_truth.status();
+  EXPECT_EQ(*loaded_truth, truth);
+  auto trust = SourceTrustFromCsv("\xEF\xBB\xBFsource,trust\ns2,0.5\n", d);
+  ASSERT_TRUE(trust.ok()) << trust.status();
+  EXPECT_DOUBLE_EQ((*trust)[1], 0.5);
+}
+
+TEST(DatasetIoTest, DirectoryPathIsAnIoError) {
+  // A directory used to read as an empty file ("empty claim CSV").
+  testutil::ScratchDir scratch;
+  auto r = LoadDataset(scratch.path());
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kIoError);
+  EXPECT_NE(r.status().message().find(scratch.path()), std::string::npos)
+      << r.status().message();
+}
+
 // The store keeps one spelling per distinct value, the first it saw, and
 // -0.0 == +0.0: a claim read as -0 after a claim read as 0 comes back, and
 // is saved, as 0 (and the other way round).

@@ -1,5 +1,7 @@
 #include "data/dataset.h"
 
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "data/dataset_builder.h"
@@ -58,6 +60,27 @@ TEST(DatasetBuilderTest, RejectsDuplicateClaim) {
   ASSERT_TRUE(b.AddClaim("s", "o", "a", Value(int64_t{1})).ok());
   Status dup = b.AddClaim("s", "o", "a", Value(int64_t{2}));
   EXPECT_EQ(dup.code(), StatusCode::kAlreadyExists);
+}
+
+TEST(DatasetBuilderTest, DuplicateCheckSurvivesGrowth) {
+  // Enough claims to grow the duplicate set several times over; each one
+  // must still be found afterwards, and a new triple still accepted.
+  DatasetBuilder b;
+  auto add = [&b](int s, int o, const char* a) {
+    return b.AddClaim("s" + std::to_string(s), "o" + std::to_string(o), a,
+                      Value(int64_t{o}));
+  };
+  for (int o = 0; o < 50; ++o) {
+    for (int s = 0; s < 20; ++s) ASSERT_TRUE(add(s, o, "a").ok());
+  }
+  for (int o = 0; o < 50; ++o) {
+    for (int s = 0; s < 20; ++s) {
+      EXPECT_EQ(add(s, o, "a").code(), StatusCode::kAlreadyExists)
+          << "s" << s << " o" << o;
+    }
+  }
+  EXPECT_TRUE(add(0, 0, "b").ok());
+  EXPECT_EQ(b.num_claims(), 1001u);
 }
 
 TEST(DatasetBuilderTest, RejectsBadIds) {

@@ -12,6 +12,7 @@
 #include "common/csv.h"
 #include "common/random.h"
 #include "data/dataset_builder.h"
+#include "data/dataset_io.h"
 #include "eval/metrics.h"
 #include "gen/synthetic.h"
 #include "partition/attribute_partition.h"
@@ -350,6 +351,139 @@ TEST_P(CsvFuzzTest, WriterOutputAlwaysParsesBack) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CsvFuzzTest,
                          ::testing::Range(uint64_t{1}, uint64_t{25}));
+
+// The streaming claim loader against the writer: seeded random claim sets
+// whose names and string values hold every byte CSV framing cares about
+// must load back into the same store, whatever the line endings.
+
+/// A random string over bytes that need quoting (comma, quote, CR, LF),
+/// an embedded NUL and non-ASCII UTF-8; empty strings included.
+std::string NastyString(Rng* rng, bool line_breaks) {
+  static const std::vector<std::string> kPieces = {
+      ",", "\"", std::string(1, '\0'), "\xc3\xa9", "\xe6\x9d\xb1", " ",
+      "a", "Z", "0", "\r", "\n", "\r\n"};
+  const size_t usable = line_breaks ? kPieces.size() : kPieces.size() - 3;
+  std::string out;
+  const size_t len = static_cast<size_t>(rng->NextBounded(6));
+  for (size_t i = 0; i < len; ++i) out += kPieces[rng->NextBounded(usable)];
+  return out;
+}
+
+Dataset RandomClaimSet(uint64_t seed, bool line_breaks) {
+  Rng rng(seed);
+  const int sources = static_cast<int>(1 + rng.NextBounded(5));
+  const int objects = static_cast<int>(1 + rng.NextBounded(6));
+  const int attributes = static_cast<int>(1 + rng.NextBounded(4));
+  auto name = [&](const char* prefix, int i) {
+    return prefix + std::to_string(i) + NastyString(&rng, line_breaks);
+  };
+  std::vector<std::string> source_names, object_names, attribute_names;
+  for (int i = 0; i < sources; ++i) source_names.push_back(name("s", i));
+  for (int i = 0; i < objects; ++i) object_names.push_back(name("o", i));
+  for (int i = 0; i < attributes; ++i) {
+    attribute_names.push_back(name("a", i));
+  }
+  DatasetBuilder builder;
+  for (int o = 0; o < objects; ++o) {
+    for (int a = 0; a < attributes; ++a) {
+      for (int s = 0; s < sources; ++s) {
+        if (builder.num_claims() > 0 && !rng.NextBernoulli(0.6)) continue;
+        Value value;
+        switch (rng.NextBounded(4)) {
+          case 0:
+            value = Value(rng.NextInt(-1000000, 1000000));
+            break;
+          case 1:
+            value = Value(rng.NextBernoulli(0.1) ? -0.0
+                                                 : rng.NextGaussian(0, 1e6));
+            break;
+          default:
+            value = Value(NastyString(&rng, line_breaks));
+        }
+        EXPECT_TRUE(builder
+                        .AddClaim(source_names[static_cast<size_t>(s)],
+                                  object_names[static_cast<size_t>(o)],
+                                  attribute_names[static_cast<size_t>(a)],
+                                  std::move(value))
+                        .ok());
+      }
+    }
+  }
+  return builder.Build().MoveValue();
+}
+
+/// Loads `text` and checks it yields `expected`'s fingerprint, name
+/// tables and claims.
+void ExpectLoadsAs(const std::string& text, const Dataset& expected,
+                   const std::string& context) {
+  auto loaded = DatasetFromCsv(text);
+  ASSERT_TRUE(loaded.ok()) << context << ": " << loaded.status();
+  EXPECT_EQ(DatasetFingerprint(*loaded), DatasetFingerprint(expected))
+      << context;
+  ASSERT_EQ(loaded->num_claims(), expected.num_claims()) << context;
+  ASSERT_EQ(loaded->num_sources(), expected.num_sources()) << context;
+  ASSERT_EQ(loaded->num_objects(), expected.num_objects()) << context;
+  ASSERT_EQ(loaded->num_attributes(), expected.num_attributes()) << context;
+  for (SourceId s = 0; s < expected.num_sources(); ++s) {
+    EXPECT_EQ(loaded->source_name(s), expected.source_name(s)) << context;
+  }
+  for (ObjectId o = 0; o < expected.num_objects(); ++o) {
+    EXPECT_EQ(loaded->object_name(o), expected.object_name(o)) << context;
+  }
+  for (AttributeId a = 0; a < expected.num_attributes(); ++a) {
+    EXPECT_EQ(loaded->attribute_name(a), expected.attribute_name(a))
+        << context;
+  }
+  for (size_t i = 0; i < expected.num_claims(); ++i) {
+    EXPECT_EQ(loaded->claim(i), expected.claim(i)) << context << " claim " << i;
+  }
+}
+
+class CsvLoaderRoundTripTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(CsvLoaderRoundTripTest, SaveThenLoadIsIdentity) {
+  const Dataset data = RandomClaimSet(GetParam(), /*line_breaks=*/true);
+  ExpectLoadsAs(DatasetToCsv(data), data, "as written");
+}
+
+TEST_P(CsvLoaderRoundTripTest, CrlfAndBomRoundTripWithoutLineBreaks) {
+  const Dataset data = RandomClaimSet(GetParam(), /*line_breaks=*/false);
+  const std::string text = DatasetToCsv(data);
+  std::string crlf;
+  for (char c : text) {
+    if (c == '\n') crlf += '\r';
+    crlf += c;
+  }
+  ExpectLoadsAs(text, data, "as written");
+  ExpectLoadsAs(crlf, data, "CRLF");
+  ExpectLoadsAs("\xEF\xBB\xBF" + text, data, "BOM");
+  ExpectLoadsAs("\xEF\xBB\xBF" + crlf, data, "BOM + CRLF");
+}
+
+TEST_P(CsvLoaderRoundTripTest, BadRowAfterMultiLineFieldNamesItsLine) {
+  Rng rng(GetParam());
+  DatasetBuilder builder;
+  ASSERT_TRUE(builder
+                  .AddClaim("s1", "o1", "a1",
+                            Value("first\nsecond\r\nthird" +
+                                  NastyString(&rng, /*line_breaks=*/true)))
+                  .ok());
+  ASSERT_TRUE(builder.AddClaim("s2", "o1", "a1", Value("plain")).ok());
+  std::string text = DatasetToCsv(builder.Build().MoveValue());
+  // The bad row starts on the physical line after the last newline.
+  const size_t line =
+      static_cast<size_t>(std::count(text.begin(), text.end(), '\n')) + 1;
+  text += rng.NextBernoulli(0.5) ? "s3,o1,a1,int,12x\n" : "s3,o1\n";
+  auto loaded = DatasetFromCsv(text);
+  ASSERT_FALSE(loaded.ok());
+  const std::string at = "claim CSV line " + std::to_string(line);
+  const std::string& message = loaded.status().message();
+  EXPECT_TRUE(message.starts_with(at + ",") || message.starts_with(at + ":"))
+      << message;
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CsvLoaderRoundTripTest,
+                         ::testing::Range(uint64_t{1}, uint64_t{41}));
 
 class ValueOrderPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
