@@ -21,6 +21,7 @@
 // rerunning the same command with --resume continues from where it
 // stopped.
 
+#include <charconv>
 #include <csignal>
 #include <iostream>
 #include <map>
@@ -69,6 +70,25 @@ struct Flags {
                   const std::string& fallback = "") const {
     auto it = values.find(key);
     return it == values.end() ? fallback : it->second;
+  }
+
+  /// The numeric flag `key`, or `fallback` when it is absent. The whole
+  /// value must parse: "abc", "4x" or an out-of-range number is a usage
+  /// error (exit 2) that names the flag.
+  template <typename T>
+  T Number(const std::string& key, T fallback) const {
+    auto it = values.find(key);
+    if (it == values.end()) return fallback;
+    const std::string& text = it->second;
+    T value{};
+    const auto [end, ec] =
+        std::from_chars(text.data(), text.data() + text.size(), value);
+    if (text.empty() || ec != std::errc() ||
+        end != text.data() + text.size()) {
+      std::cerr << "--" << key << ": not a number: '" << text << "'\n";
+      std::exit(2);
+    }
+    return value;
   }
 };
 
@@ -130,7 +150,7 @@ int CmdAlgorithms() {
 
 int CmdGenerate(const Flags& flags) {
   const std::string which = flags.Get("dataset");
-  const uint64_t seed = std::stoull(flags.Get("seed", "42"));
+  const auto seed = flags.Number<uint64_t>("seed", 42);
   const std::string out_claims = flags.Get("out-claims");
   const std::string out_truth = flags.Get("out-truth");
   if (which.empty() || out_claims.empty() || out_truth.empty()) Usage();
@@ -140,9 +160,7 @@ int CmdGenerate(const Flags& flags) {
   if (which == "ds1" || which == "ds2" || which == "ds3") {
     auto config = tdac::PaperSyntheticConfig(which[2] - '0', seed);
     if (!config.ok()) Die(config.status());
-    if (flags.Has("objects")) {
-      config->num_objects = std::stoi(flags.Get("objects"));
-    }
+    config->num_objects = flags.Number("objects", config->num_objects);
     auto data = tdac::GenerateSynthetic(*config);
     if (!data.ok()) Die(data.status());
     std::cout << "planted partition: " << data->planted.ToString() << "\n";
@@ -153,9 +171,7 @@ int CmdGenerate(const Flags& flags) {
     config.num_questions = std::stoi(which.substr(4));
     config.seed = seed;
     config.fill_missing = flags.Has("fill-missing");
-    if (flags.Has("range")) {
-      config.false_range = std::stoi(flags.Get("range"));
-    }
+    config.false_range = flags.Number("range", config.false_range);
     auto data = tdac::GenerateExam(config);
     if (!data.ok()) Die(data.status());
     dataset = std::move(data->dataset);
@@ -207,9 +223,8 @@ int CmdRun(const Flags& flags) {
   if (flags.Has("checkpoint-dir")) {
     tdac::CheckpointOptions ckpt_options;
     ckpt_options.dir = flags.Get("checkpoint-dir");
-    if (flags.Has("checkpoint-interval-ms")) {
-      ckpt_options.interval_ms = std::stod(flags.Get("checkpoint-interval-ms"));
-    }
+    ckpt_options.interval_ms =
+        flags.Number("checkpoint-interval-ms", ckpt_options.interval_ms);
     ckpt_options.resume = flags.Has("resume");
     Status s = tdac::EnsureDirectory(ckpt_options.dir);
     if (!s.ok()) Die(s);
@@ -232,23 +247,22 @@ int CmdRun(const Flags& flags) {
     // fan-out. Default: TDAC_THREADS env override, else hardware width.
     if (flags.Has("serial")) {
       options.threads = 1;
-    } else if (flags.Has("threads")) {
-      options.threads = std::stoi(flags.Get("threads"));
+    } else {
+      options.threads = flags.Number("threads", options.threads);
     }
     if (flags.Has("agglomerative")) {
       options.backend = tdac::ClusteringBackend::kAgglomerative;
     }
-    if (flags.Has("max-k")) options.max_k = std::stoi(flags.Get("max-k"));
-    if (flags.Has("refine")) {
-      options.refinement_rounds = std::stoi(flags.Get("refine"));
-    }
+    options.max_k = flags.Number("max-k", options.max_k);
+    options.refinement_rounds =
+        flags.Number("refine", options.refinement_rounds);
     options.checkpointer = checkpointer.get();
     tdac_algo = std::make_unique<tdac::Tdac>(options);
     algorithm = tdac_algo.get();
   } else if (flags.Has("tdoc")) {
     tdac::TdocOptions options;
     options.base = base->get();
-    if (flags.Has("max-k")) options.max_k = std::stoi(flags.Get("max-k"));
+    options.max_k = flags.Number("max-k", options.max_k);
     options.checkpointer = checkpointer.get();
     tdoc_algo = std::make_unique<tdac::Tdoc>(options);
     algorithm = tdoc_algo.get();
@@ -257,8 +271,8 @@ int CmdRun(const Flags& flags) {
     options.base = base->get();
     if (flags.Has("serial")) {
       options.threads = 1;
-    } else if (flags.Has("threads")) {
-      options.threads = std::stoi(flags.Get("threads"));
+    } else {
+      options.threads = flags.Number("threads", options.threads);
     }
     options.checkpointer = checkpointer.get();
     if (flags.Has("greedy")) {
@@ -273,12 +287,9 @@ int CmdRun(const Flags& flags) {
   // One guard spans the whole command: the deadline is wall-clock from
   // here, and Ctrl-C cancels whichever phase is running.
   tdac::RunBudget budget;
-  if (flags.Has("deadline-ms")) {
-    budget.deadline_ms = std::stod(flags.Get("deadline-ms"));
-  }
-  if (flags.Has("iteration-budget")) {
-    budget.max_total_iterations = std::stoll(flags.Get("iteration-budget"));
-  }
+  budget.deadline_ms = flags.Number("deadline-ms", budget.deadline_ms);
+  budget.max_total_iterations =
+      flags.Number("iteration-budget", budget.max_total_iterations);
   std::signal(SIGINT, HandleStopSignal);
   std::signal(SIGTERM, HandleStopSignal);
   const tdac::RunGuard guard(budget, &g_interrupt);
