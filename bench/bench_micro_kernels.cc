@@ -3,11 +3,14 @@
 // per claim volume. These are throughput sanity checks (the table benches
 // report end-to-end times).
 
+#include <malloc.h>
+
 #include <benchmark/benchmark.h>
 
 #include "clustering/kmeans.h"
 #include "clustering/silhouette.h"
 #include "common/random.h"
+#include "data/dataset_io.h"
 #include "data/dataset_view.h"
 #include "data/soa_mode.h"
 #include "gen/synthetic.h"
@@ -299,6 +302,60 @@ void BM_SoaDetectCopying(benchmark::State& state) {
                           static_cast<int64_t>(data.dataset.num_claims()));
 }
 BENCHMARK(BM_SoaDetectCopying);
+
+// --- Ingest -------------------------------------------------------------
+//
+// DatasetFromCsv over DS2 at 20k objects (1.2M claims), rendered to CSV
+// text once, outside the timing. Two counters: claims parsed and built per
+// second, and the heap bytes each built claim keeps — glibc heap in use
+// (mallinfo2 uordblks + hblkhd) with the built store alive, minus before
+// the load. The second is the measurement the serve engine's
+// kBytesPerClaim cites. CI runs `--benchmark_filter=BM_DatasetFromCsv` and
+// publishes the JSON as the ingest artifact.
+
+const std::string& Ds2TwentyThousandCsv() {
+  static const std::string csv = [] {
+    auto config = tdac::PaperSyntheticConfig(2, 42);
+    if (!config.ok()) std::abort();
+    config->num_objects = 20000;
+    auto data = tdac::GenerateSynthetic(*config);
+    if (!data.ok()) std::abort();
+    return tdac::DatasetToCsv(data->dataset);
+  }();
+  return csv;
+}
+
+size_t HeapInUse() {
+  const struct mallinfo2 info = mallinfo2();
+  return info.uordblks + info.hblkhd;
+}
+
+void BM_DatasetFromCsv(benchmark::State& state) {
+  const std::string& csv = Ds2TwentyThousandCsv();
+  size_t claims = 0;
+  double heap_bytes = 0.0;
+  for (auto _ : state) {
+    const size_t before = HeapInUse();
+    {
+      auto data = tdac::DatasetFromCsv(csv);
+      benchmark::DoNotOptimize(data);
+      state.PauseTiming();
+      if (!data.ok()) {
+        state.SkipWithError(data.status().ToString().c_str());
+        break;
+      }
+      claims = data->num_claims();
+      heap_bytes = static_cast<double>(HeapInUse() - before);
+    }  // the store is released untimed
+    state.ResumeTiming();
+  }
+  state.counters["claims_per_s"] = benchmark::Counter(
+      static_cast<double>(claims) * static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate);
+  state.counters["heap_bytes_per_claim"] =
+      claims == 0 ? 0.0 : heap_bytes / static_cast<double>(claims);
+}
+BENCHMARK(BM_DatasetFromCsv)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -132,7 +132,9 @@ Dataset SparseDataset(uint64_t seed) {
       }
     }
   }
-  if (added == 0) EXPECT_TRUE(b.AddClaim(0, 0, 0, Value(1.5)).ok());
+  if (added == 0) {
+    EXPECT_TRUE(b.AddClaim(0, 0, 0, Value(1.5)).ok());
+  }
   return b.Build().MoveValue();
 }
 
