@@ -9,11 +9,37 @@
 
 namespace tdac {
 
-const std::vector<int32_t>& Dataset::ClaimsOn(ObjectId object,
-                                              AttributeId attribute) const {
-  auto it = by_item_.find(ObjectAttrKey(object, attribute));
-  if (it == by_item_.end()) return EmptyClaimIndexList();
-  return it->second;
+namespace {
+
+/// The claim ids `ids`, stably sorted by their entries in `axis`, a claim
+/// column whose values lie in [0, count).
+std::vector<int32_t> CountingSortBy(const std::vector<int32_t>& ids,
+                                    const std::vector<int32_t>& axis,
+                                    size_t count) {
+  // next[v] is where the next id with axis value v goes.
+  std::vector<int32_t> next(count + 1, 0);
+  for (int32_t id : ids) {
+    ++next[static_cast<size_t>(axis[static_cast<size_t>(id)]) + 1];
+  }
+  for (size_t v = 0; v < count; ++v) next[v + 1] += next[v];
+  std::vector<int32_t> out(ids.size());
+  for (int32_t id : ids) {
+    int32_t& slot = next[static_cast<size_t>(axis[static_cast<size_t>(id)])];
+    out[static_cast<size_t>(slot++)] = id;
+  }
+  return out;
+}
+
+}  // namespace
+
+std::span<const int32_t> Dataset::ClaimsOn(ObjectId object,
+                                           AttributeId attribute) const {
+  const uint64_t key = ObjectAttrKey(object, attribute);
+  const auto it = std::lower_bound(items_.begin(), items_.end(), key);
+  if (it == items_.end() || *it != key) return {};
+  const auto row = static_cast<size_t>(it - items_.begin());
+  return {item_claims_.begin() + item_offsets_[row],
+          item_claims_.begin() + item_offsets_[row + 1]};
 }
 
 double Dataset::DataCoverageRate() const {
@@ -31,9 +57,11 @@ double Dataset::DataCoverageRate() const {
     double attributes = 0.0;
     for (; r < items_.size() && ObjectFromKey(items_[r]) == object; ++r) {
       attributes += 1.0;
-      for (int32_t idx : by_item_.find(items_[r])->second) {
-        ObjectId& last = counted_for[static_cast<size_t>(
-            claim_sources_[static_cast<size_t>(idx)])];
+      for (int32_t k = item_offsets_[r]; k < item_offsets_[r + 1]; ++k) {
+        const auto idx =
+            static_cast<size_t>(item_claims_[static_cast<size_t>(k)]);
+        ObjectId& last =
+            counted_for[static_cast<size_t>(claim_sources_[idx])];
         if (last != object) sources += 1.0;
         last = object;
       }
@@ -98,6 +126,7 @@ Dataset Dataset::CopyClaims(const std::vector<int32_t>& ids) const {
     out.claim_attributes_.push_back(claim_attributes_[i]);
     out.claim_value_ids_.push_back(mapped);
   }
+  // A subset of this store's unique claims repeats none of them.
   out.BuildIndexes();
   return out;
 }
@@ -124,34 +153,49 @@ void Dataset::CheckMutable(const char* op) const {
                        << " after Build — the store is frozen";
 }
 
-void Dataset::BuildIndexes() {
+int32_t Dataset::BuildIndexes() {
   // Each Dataset instance is indexed exactly once; the value dictionary is
   // ranked here and then frozen together with the columns.
   TDAC_CHECK(!frozen_) << "Dataset::BuildIndexes on a frozen store";
   const size_t n = num_claims();
-  by_source_.assign(source_names_.size(), {});
   claim_ids_.resize(n);
   std::iota(claim_ids_.begin(), claim_ids_.end(), 0);
   value_dict_.Freeze();
   claim_value_ranks_.resize(n);
   for (size_t i = 0; i < n; ++i) {
     claim_value_ranks_[i] = value_dict_.rank(claim_value_ids_[i]);
-    by_item_[ObjectAttrKey(claim_objects_[i], claim_attributes_[i])]
-        .push_back(static_cast<int32_t>(i));
-    by_source_[static_cast<size_t>(claim_sources_[i])].push_back(
-        static_cast<int32_t>(i));
   }
-  items_.reserve(by_item_.size());
-  // lint: unordered-ok (keys are sorted below)
-  for (const auto& [key, indices] : by_item_) items_.push_back(key);
-  std::sort(items_.begin(), items_.end());
+  // Sorting by attribute and then, stably, by object groups the claims by
+  // item in key order, ascending within each item.
+  item_claims_ = CountingSortBy(
+      CountingSortBy(claim_ids_, claim_attributes_, attribute_names_.size()),
+      claim_objects_, object_names_.size());
+  // One walk over the runs numbers the item rows, fills claim_items_ and
+  // finds repeats: a source whose last row is the current row claims the
+  // item twice, and as ids ascend within a run, the claim found is the
+  // later of the two. The smallest such id is the first repeat in AddClaim
+  // order.
   claim_items_.resize(n);
-  for (size_t r = 0; r < items_.size(); ++r) {
-    for (int32_t idx : by_item_.find(items_[r])->second) {
-      claim_items_[static_cast<size_t>(idx)] = static_cast<int32_t>(r);
+  std::vector<int32_t> last_row(source_names_.size(), kInvalidId);
+  int32_t repeat = kInvalidId;
+  for (size_t k = 0; k < n; ++k) {
+    const int32_t id = item_claims_[k];
+    const auto i = static_cast<size_t>(id);
+    const uint64_t key =
+        ObjectAttrKey(claim_objects_[i], claim_attributes_[i]);
+    if (items_.empty() || items_.back() != key) {
+      items_.push_back(key);
+      item_offsets_.push_back(static_cast<int32_t>(k));
     }
+    const auto row = static_cast<int32_t>(items_.size() - 1);
+    claim_items_[i] = row;
+    int32_t& last = last_row[static_cast<size_t>(claim_sources_[i])];
+    if (last == row && (repeat == kInvalidId || id < repeat)) repeat = id;
+    last = row;
   }
+  item_offsets_.push_back(static_cast<int32_t>(n));
   frozen_ = true;
+  return repeat;
 }
 
 }  // namespace tdac

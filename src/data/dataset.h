@@ -1,8 +1,8 @@
 #ifndef TDAC_DATA_DATASET_H_
 #define TDAC_DATA_DATASET_H_
 
+#include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "data/claim.h"
@@ -16,8 +16,8 @@ namespace tdac {
 ///
 /// A `Dataset` is the triplet (S, A, O) of the paper plus the observations:
 /// name tables for sources, objects, and attributes, and the claims with
-/// two indexes — by data item (object, attribute) and by source. Datasets are
-/// built with `DatasetBuilder`. Restricting to an attribute or object subset
+/// one index, by data item (object, attribute). Datasets are built with
+/// `DatasetBuilder`. Restricting to an attribute or object subset
 /// — how TD-AC runs a base algorithm per attribute cluster — is done either
 /// with a zero-copy `DatasetView` (preferred; see data/dataset_view.h) or by
 /// materializing a copy (`RestrictToAttributes` / `RestrictToObjects`); both
@@ -27,7 +27,7 @@ namespace tdac {
 /// int32 source/object/attribute/item columns plus a dictionary-encoded
 /// value column backed by a string arena (docs/data_layout.md). There is no
 /// row copy: `claim(i)` assembles a `Claim` from the columns on demand.
-/// `BuildIndexes` derives the indexes and freezes the store: a built
+/// `BuildIndexes` derives the item index and freezes the store: a built
 /// Dataset is immutable, and the builder's append hooks reject further
 /// mutation (`frozen()`).
 class Dataset : public DatasetLike {
@@ -98,14 +98,10 @@ class Dataset : public DatasetLike {
   bool frozen() const { return frozen_; }
 
   /// Storage indices of all claims about the data item
-  /// (object, attribute); empty when no source covers it.
-  const std::vector<int32_t>& ClaimsOn(ObjectId object,
-                                       AttributeId attribute) const override;
-
-  /// Indices of all claims made by `source`.
-  const std::vector<int32_t>& ClaimsBySource(SourceId source) const override {
-    return by_source_[static_cast<size_t>(source)];
-  }
+  /// (object, attribute), ascending; empty when no source covers it. Found
+  /// by binary search over DataItems().
+  std::span<const int32_t> ClaimsOn(ObjectId object,
+                                    AttributeId attribute) const override;
 
   /// Keys (see ObjectAttrKey) of every data item with at least one claim,
   /// in ascending key order (object-major).
@@ -121,7 +117,7 @@ class Dataset : public DatasetLike {
   /// A materialized dataset containing only claims whose attribute is in
   /// `attributes`. Name tables and id spaces are preserved. Prefer
   /// `DatasetView` for read-only restriction — it shares the parent's
-  /// storage and indexes instead of copying them.
+  /// storage and item index instead of copying them.
   Dataset RestrictToAttributes(const std::vector<AttributeId>& attributes) const;
 
   /// The object-axis analogue of RestrictToAttributes (used by the TD-OC
@@ -136,7 +132,11 @@ class Dataset : public DatasetLike {
   friend class DatasetView;   // Materialize() copies through CopyClaims
   friend class DatasetTestPeer;  // freeze-enforcement tests poke the guards
 
-  void BuildIndexes();
+  /// Ranks and freezes the dictionary, fills claim_value_ranks_ and builds
+  /// the item index. Returns the smallest claim index that repeats an
+  /// earlier claim's (source, object, attribute), or kInvalidId when every
+  /// claim is unique; the store is frozen either way.
+  int32_t BuildIndexes();
 
   /// The builder's only way to add a claim: interns the value and appends
   /// one row to every column. Aborts on a frozen store.
@@ -155,9 +155,11 @@ class Dataset : public DatasetLike {
   std::vector<std::string> object_names_;
   std::vector<std::string> attribute_names_;
 
-  std::unordered_map<uint64_t, std::vector<int32_t>> by_item_;
-  std::vector<std::vector<int32_t>> by_source_;
+  // The item index, in CSR form: row r of items_ holds the claims
+  // item_claims_[item_offsets_[r] .. item_offsets_[r + 1]), ascending.
   std::vector<uint64_t> items_;
+  std::vector<int32_t> item_offsets_;
+  std::vector<int32_t> item_claims_;
   std::vector<int32_t> claim_ids_;
   std::vector<int32_t> claim_objects_;
   std::vector<int32_t> claim_attributes_;

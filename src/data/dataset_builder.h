@@ -2,10 +2,8 @@
 #define TDAC_DATA_DATASET_BUILDER_H_
 
 #include <cstddef>
-#include <cstdint>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "common/result.h"
 #include "common/status.h"
@@ -17,7 +15,8 @@ namespace tdac {
 ///
 /// Names are interned: adding an existing name returns the existing id.
 /// Claims must be unique per (source, object, attribute) — the one-truth
-/// setting allows a source a single claim per data item.
+/// setting allows a source a single claim per data item. `Build()` checks
+/// this, in the pass that builds the item index.
 class DatasetBuilder {
  public:
   DatasetBuilder() = default;
@@ -33,8 +32,8 @@ class DatasetBuilder {
   AttributeId FindAttribute(const std::string& name) const;
 
   /// Records a claim: interns its value and appends it to the columns.
-  /// Fails with AlreadyExists if this (source, object, attribute) already
-  /// has a claim, and with InvalidArgument on bad ids.
+  /// Fails with InvalidArgument on bad ids. A repeated (source, object,
+  /// attribute) is accepted here and refused by Build().
   [[nodiscard]]
   Status AddClaim(SourceId source, ObjectId object, AttributeId attribute,
                   Value value);
@@ -46,33 +45,20 @@ class DatasetBuilder {
 
   size_t num_claims() const { return dataset_.num_claims(); }
 
-  /// Finalizes the dataset and resets the builder. Fails when empty. The
-  /// returned store is frozen (`Dataset::frozen()`): its indexes are built
-  /// once here, and any later append aborts.
-  [[nodiscard]] Result<Dataset> Build();
+  /// Finalizes the dataset and resets the builder. Fails when empty, and
+  /// with AlreadyExists when a claim repeats an earlier claim's (source,
+  /// object, attribute): the first such claim in AddClaim order is named,
+  /// and its index (0-based, in AddClaim order) goes to `*repeated_claim`
+  /// when that is given. The builder is reset on success and on a repeat.
+  /// The returned store is frozen (`Dataset::frozen()`): its indexes are
+  /// built once here, and any later append aborts.
+  [[nodiscard]] Result<Dataset> Build(size_t* repeated_claim = nullptr);
 
  private:
-  /// The slot of `claim_slots_` holding the claim (source, object,
-  /// attribute), whose ClaimHash is `hash`, else the empty slot where it
-  /// belongs.
-  size_t ProbeClaim(uint64_t hash, SourceId source, ObjectId object,
-                    AttributeId attribute) const;
-
-  /// Doubles `claim_slots_` and re-inserts every claim appended so far.
-  void GrowClaimSlots();
-
   Dataset dataset_;
   std::unordered_map<std::string, SourceId> source_ids_;
   std::unordered_map<std::string, ObjectId> object_ids_;
   std::unordered_map<std::string, AttributeId> attribute_ids_;
-  // The duplicate check: the set of (item key, source) pairs claimed so
-  // far, as one open-addressing table with linear probing. A slot holds
-  // the index of the claim that owns the pair (its key is read back from
-  // the columns) under the high half of the pair's hash, which settles
-  // almost every mismatch without touching the columns; all ones marks an
-  // empty slot. The power-of-two size stays at least twice the claim
-  // count. Flat, so a claim costs no heap node; Build() releases it.
-  std::vector<uint64_t> claim_slots_;
 };
 
 }  // namespace tdac

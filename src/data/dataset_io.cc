@@ -123,7 +123,21 @@ Result<Dataset> DatasetFromCsv(const std::string& text) {
         if (!added.ok()) return AtLine("claim CSV", line, "", added);
         return Status::OK();
       }));
-  return builder.Build();
+  size_t repeated = 0;
+  Result<Dataset> built = builder.Build(&repeated);
+  if (built.ok() || built.status().code() != StatusCode::kAlreadyExists) {
+    return built;
+  }
+  // Claim i is record i; only this error path looks for its line.
+  size_t record = 0;
+  size_t line_of_repeat = 0;
+  TDAC_RETURN_NOT_OK(ForEachRecord(
+      text, "claim CSV", kClaimHeader,
+      [&](std::span<const std::string>, size_t line) {
+        if (record++ == repeated) line_of_repeat = line;
+        return Status::OK();
+      }));
+  return AtLine("claim CSV", line_of_repeat, "", built.status());
 }
 
 Status SaveDataset(const Dataset& dataset, const std::string& path) {

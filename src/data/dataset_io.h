@@ -29,7 +29,11 @@ namespace tdac {
 /// Renders `dataset` as claim-file CSV text.
 std::string DatasetToCsv(const Dataset& dataset);
 
-/// Parses claim-file CSV text into a Dataset.
+/// Parses claim-file CSV text into a Dataset. A malformed row fails during
+/// the scan; a repeated (source, object, attribute) fails only once every
+/// row has been read, with AlreadyExists naming the line of its first
+/// repeat. So a malformed row anywhere in the file is reported before any
+/// repeat.
 [[nodiscard]] Result<Dataset> DatasetFromCsv(const std::string& text);
 
 [[nodiscard]]

@@ -2,6 +2,7 @@
 #define TDAC_DATA_DATASET_LIKE_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "data/claim.h"
@@ -11,22 +12,16 @@ namespace tdac {
 
 class Dataset;
 
-/// The shared empty claim-index list returned by lookups that miss.
-inline const std::vector<int32_t>& EmptyClaimIndexList() {
-  static const std::vector<int32_t>* empty = new std::vector<int32_t>();
-  return *empty;
-}
-
 /// \brief The read interface shared by `Dataset` (owning storage) and
 /// `DatasetView` (zero-copy restriction of a parent).
 ///
 /// Everything a truth-discovery algorithm consumes goes through this
 /// interface: claim iteration (`claim_ids()` over the `storage()` columns),
-/// the per-item conflict index (`DataItems()` + `ClaimsOn()`), the
-/// per-source index (`ClaimsBySource()`), and the id-space counts. Claim
-/// ids are indices into the *storage* dataset's claim columns, so they are
-/// stable across every view of the same storage and a view's `ClaimsOn`
-/// can return the storage's index lists by reference without copying.
+/// the per-item conflict index (`DataItems()` + `ClaimsOn()`), and the
+/// id-space counts. Claim ids are indices into the *storage* dataset's
+/// claim columns, so they are stable across every view of the same storage
+/// and a view's `ClaimsOn` can return a span of the storage's item index
+/// without copying.
 ///
 /// Id spaces (sources / objects / attributes) are always the storage's:
 /// restricting never renumbers, so predictions computed on a restriction
@@ -42,7 +37,7 @@ class DatasetLike {
 
   /// The claim with storage index `index`, assembled from the storage
   /// columns (its Value materialized from the dictionary). Valid for every
-  /// id appearing in `claim_ids()`, `ClaimsOn()`, or `ClaimsBySource()`.
+  /// id appearing in `claim_ids()` or `ClaimsOn()`.
   /// Loops should read the columns instead.
   Claim claim(size_t index) const;
 
@@ -50,13 +45,12 @@ class DatasetLike {
   /// (original claim) order.
   virtual const std::vector<int32_t>& claim_ids() const = 0;
 
-  /// Indices of all claims about the data item (object, attribute); empty
-  /// when no covered source claims it (or the item is restricted away).
-  virtual const std::vector<int32_t>& ClaimsOn(ObjectId object,
-                                               AttributeId attribute) const = 0;
-
-  /// Indices of all claims made by `source` (restricted to the view).
-  virtual const std::vector<int32_t>& ClaimsBySource(SourceId source) const = 0;
+  /// Indices of all claims about the data item (object, attribute), in
+  /// ascending order; empty when no covered source claims it (or the item
+  /// is restricted away). The span points into the storage's item index
+  /// and lives as long as the storage.
+  virtual std::span<const int32_t> ClaimsOn(ObjectId object,
+                                            AttributeId attribute) const = 0;
 
   /// Keys (see ObjectAttrKey) of every data item with at least one claim,
   /// in ascending key order (object-major).

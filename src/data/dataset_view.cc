@@ -62,34 +62,16 @@ void DatasetView::FilterClaimIds(const DatasetLike& parent,
   claim_ids_.resize(kept);
 }
 
-const std::vector<int32_t>& DatasetView::ClaimsOn(
-    ObjectId object, AttributeId attribute) const {
+std::span<const int32_t> DatasetView::ClaimsOn(ObjectId object,
+                                               AttributeId attribute) const {
   const int32_t axis_id = restrict_objects_ ? object : attribute;
   if (axis_id < 0 || static_cast<size_t>(axis_id) >= keep_.size() ||
       keep_[static_cast<size_t>(axis_id)] == 0) {
-    return EmptyClaimIndexList();
+    return {};
   }
   // Every claim on (object, attribute) shares this view's surviving axis
-  // id, so the parent's list is correct verbatim — no filtering, no copy.
+  // id, so the parent's span is correct verbatim — no filtering, no copy.
   return parent_->ClaimsOn(object, attribute);
-}
-
-const std::vector<int32_t>& DatasetView::ClaimsBySource(
-    SourceId source) const {
-  std::call_once(by_source_once_, [&]() {
-    const std::vector<int32_t>& axis = restrict_objects_
-                                           ? storage_->claim_objects()
-                                           : storage_->claim_attributes();
-    by_source_.assign(static_cast<size_t>(storage_->num_sources()), {});
-    for (size_t s = 0; s < by_source_.size(); ++s) {
-      for (int32_t id : parent_->ClaimsBySource(static_cast<SourceId>(s))) {
-        if (keep_[static_cast<size_t>(axis[static_cast<size_t>(id)])]) {
-          by_source_[s].push_back(id);
-        }
-      }
-    }
-  });
-  return by_source_[static_cast<size_t>(source)];
 }
 
 Dataset DatasetView::Materialize() const {

@@ -18,13 +18,12 @@ namespace tdac {
 ///
 /// Where `Dataset::RestrictToAttributes` copies every kept claim's columns,
 /// re-interns its values, re-copies all three name tables, and rebuilds the
-/// item and source indexes, a view only records which ids survive and
-/// filters the parent's *index* vectors (4-byte claim ids). In particular
-/// `ClaimsOn` returns the storage dataset's per-item index list by
-/// reference: every claim on a data item shares that item's object and
-/// attribute, so the list is either kept verbatim or dropped entirely —
-/// never partially filtered. The per-source index is filtered lazily on
-/// first use.
+/// item index, a view only records which ids survive and filters the
+/// parent's *index* vectors (4-byte claim ids). In particular `ClaimsOn`
+/// returns a span of the storage dataset's item index: every claim on a
+/// data item shares that item's object and attribute, so the item's claims
+/// are either kept verbatim or dropped entirely — never partially
+/// filtered.
 ///
 /// Restriction composes: the parent may itself be a `DatasetView`, and the
 /// construction cost is proportional to the *parent's* size, not the
@@ -36,9 +35,8 @@ namespace tdac {
 /// storage behind it) and must not outlive either. `RestrictionCache`
 /// below keeps its views alive as long as the cache itself.
 ///
-/// Thread safety: after construction a view is logically immutable and
-/// safe to read from any number of threads (the lazy per-source index is
-/// built under a once-latch).
+/// Thread safety: a view holds no mutable state; after construction it is
+/// safe to read from any number of threads.
 class DatasetView final : public DatasetLike {
  public:
   /// View of `parent` keeping only claims whose attribute is in
@@ -61,9 +59,8 @@ class DatasetView final : public DatasetLike {
 
   const std::vector<int32_t>& claim_ids() const override { return claim_ids_; }
 
-  const std::vector<int32_t>& ClaimsOn(ObjectId object,
-                                       AttributeId attribute) const override;
-  const std::vector<int32_t>& ClaimsBySource(SourceId source) const override;
+  std::span<const int32_t> ClaimsOn(ObjectId object,
+                                    AttributeId attribute) const override;
   const std::vector<uint64_t>& DataItems() const override { return items_; }
 
   const Dataset& storage() const override { return *storage_; }
@@ -87,10 +84,6 @@ class DatasetView final : public DatasetLike {
 
   std::vector<int32_t> claim_ids_;  // ascending storage claim indices
   std::vector<uint64_t> items_;     // surviving data items, ascending
-
-  /// Per-source claim index, filtered from the parent's on first use.
-  mutable std::once_flag by_source_once_;
-  mutable std::vector<std::vector<int32_t>> by_source_;
 };
 
 /// \brief A bounded per-parent cache of restriction views, so the repeated

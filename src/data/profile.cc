@@ -70,18 +70,13 @@ DatasetProfile ProfileDataset(const Dataset& data) {
         static_cast<double>(decisive) / static_cast<double>(conflicted);
   }
 
-  size_t min_claims = p.num_claims;
-  size_t max_claims = 0;
-  for (SourceId s = 0; s < data.num_sources(); ++s) {
-    size_t c = data.ClaimsBySource(s).size();
-    min_claims = std::min(min_claims, c);
-    max_claims = std::max(max_claims, c);
-  }
+  std::vector<size_t> per_source(static_cast<size_t>(data.num_sources()), 0);
+  for (int32_t s : data.claim_sources()) ++per_source[static_cast<size_t>(s)];
   if (data.num_sources() > 0) {
     p.mean_claims_per_source = static_cast<double>(p.num_claims) /
                                static_cast<double>(data.num_sources());
-    p.min_claims_per_source = min_claims;
-    p.max_claims_per_source = max_claims;
+    p.min_claims_per_source = std::ranges::min(per_source);
+    p.max_claims_per_source = std::ranges::max(per_source);
   }
   return p;
 }

@@ -31,7 +31,7 @@ PerformanceMetrics Evaluate(const DatasetLike& data,
   for (uint64_t key : data.DataItems()) {
     ObjectId o = ObjectFromKey(key);
     AttributeId a = AttributeFromKey(key);
-    const std::vector<int32_t>& claims = data.ClaimsOn(o, a);
+    const std::span<const int32_t> claims = data.ClaimsOn(o, a);
     const Value* p = predicted.Get(o, a);
     const Value* g = gold.Get(o, a);
     if (p == nullptr || g == nullptr) {

@@ -22,12 +22,13 @@ namespace {
 constexpr double kExpiredDeadlineMs = 1e-3;
 
 /// Flat per-claim cost estimate for the dataset LRU: the claim columns,
-/// the item and source indexes and the value dictionary, spread over the
-/// claims. Measured as the glibc heap in use (mallinfo2 uordblks + hblkhd)
-/// after DatasetFromCsv minus before it, on DS2 at 20k objects (1.2M
-/// claims, 352k distinct values): 100.0 MB, 83 bytes per claim. Coarse on
-/// purpose — eviction only needs big datasets to weigh proportionally more.
-constexpr size_t kBytesPerClaim = 83;
+/// the item index and the value dictionary, spread over the claims.
+/// Measured with bench_micro_kernels' BM_DatasetFromCsv as the glibc heap
+/// in use (mallinfo2 uordblks + hblkhd) after DatasetFromCsv minus before
+/// it, on DS2 at 20k objects (1.2M claims, 352k distinct values): 83.3 MB,
+/// 69.5 bytes per claim. Coarse on purpose — eviction only needs big
+/// datasets to weigh proportionally more.
+constexpr size_t kBytesPerClaim = 69;
 
 uint64_t MixHash(uint64_t h, uint64_t value) {
   h ^= value + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);

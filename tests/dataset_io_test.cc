@@ -263,6 +263,38 @@ TEST(IngestionErrorsTest, DuplicateClaimNamesItsLine) {
             "attribute=a1)");
 }
 
+TEST(IngestionErrorsTest, EarlierOfTwoDuplicatesIsNamed) {
+  // o2 is met first, so its item comes first in key order, but o1's repeat
+  // is on the earlier line.
+  const std::string csv =
+      "source,object,attribute,kind,value\n"
+      "s1,o2,a1,string,x\n"
+      "s1,o1,a1,string,y\n"
+      "s1,o1,a1,string,y\n"
+      "s1,o2,a1,string,x\n";
+  auto r = DatasetFromCsv(csv);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kAlreadyExists);
+  EXPECT_EQ(r.status().message(),
+            "claim CSV line 4: duplicate claim for (source=s1, object=o1, "
+            "attribute=a1)");
+}
+
+TEST(IngestionErrorsTest, MalformedRowOutranksEarlierDuplicate) {
+  // Rows are checked as they are read and repeats only once all are in,
+  // so a malformed row is reported even when a repeat comes before it.
+  const std::string csv =
+      "source,object,attribute,kind,value\n"
+      "s1,o1,a1,string,x\n"
+      "s1,o1,a1,string,x\n"
+      "s2,o1,a1,strung,y\n";
+  auto r = DatasetFromCsv(csv);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(r.status().message(),
+            "claim CSV line 4, field \"kind\": unknown value kind 'strung'");
+}
+
 TEST(IngestionErrorsTest, DuplicateTruthRowIsRefused) {
   Dataset d = SmallDataset();
   const std::string csv =

@@ -58,13 +58,23 @@ TEST(DatasetBuilderTest, FindReturnsInvalidForUnknown) {
 TEST(DatasetBuilderTest, RejectsDuplicateClaim) {
   DatasetBuilder b;
   ASSERT_TRUE(b.AddClaim("s", "o", "a", Value(int64_t{1})).ok());
-  Status dup = b.AddClaim("s", "o", "a", Value(int64_t{2}));
-  EXPECT_EQ(dup.code(), StatusCode::kAlreadyExists);
+  ASSERT_TRUE(b.AddClaim("s", "o", "a", Value(int64_t{2})).ok());
+  size_t repeated = 0;
+  auto built = b.Build(&repeated);
+  ASSERT_FALSE(built.ok());
+  EXPECT_EQ(built.status().code(), StatusCode::kAlreadyExists);
+  EXPECT_EQ(built.status().message(),
+            "duplicate claim for (source=s, object=o, attribute=a)");
+  EXPECT_EQ(repeated, 1u);
+  // A refused build resets the builder too.
+  EXPECT_EQ(b.num_claims(), 0u);
+  EXPECT_EQ(b.FindSource("s"), kInvalidId);
 }
 
 TEST(DatasetBuilderTest, DuplicateCheckSurvivesGrowth) {
-  // Enough claims to grow the duplicate set several times over; each one
-  // must still be found afterwards, and a new triple still accepted.
+  // Every claim repeated once, the repeats in reverse item order: Build()
+  // must name the first repeat in AddClaim order, not the first in item
+  // order, and must find it among a thousand others.
   DatasetBuilder b;
   auto add = [&b](int s, int o, const char* a) {
     return b.AddClaim("s" + std::to_string(s), "o" + std::to_string(o), a,
@@ -73,14 +83,18 @@ TEST(DatasetBuilderTest, DuplicateCheckSurvivesGrowth) {
   for (int o = 0; o < 50; ++o) {
     for (int s = 0; s < 20; ++s) ASSERT_TRUE(add(s, o, "a").ok());
   }
-  for (int o = 0; o < 50; ++o) {
-    for (int s = 0; s < 20; ++s) {
-      EXPECT_EQ(add(s, o, "a").code(), StatusCode::kAlreadyExists)
-          << "s" << s << " o" << o;
-    }
+  for (int o = 49; o >= 0; --o) {
+    for (int s = 19; s >= 0; --s) ASSERT_TRUE(add(s, o, "a").ok());
   }
-  EXPECT_TRUE(add(0, 0, "b").ok());
-  EXPECT_EQ(b.num_claims(), 1001u);
+  ASSERT_TRUE(add(0, 0, "b").ok());
+  EXPECT_EQ(b.num_claims(), 2001u);
+  size_t repeated = 0;
+  auto built = b.Build(&repeated);
+  ASSERT_FALSE(built.ok());
+  EXPECT_EQ(built.status().code(), StatusCode::kAlreadyExists);
+  EXPECT_EQ(built.status().message(),
+            "duplicate claim for (source=s19, object=o49, attribute=a)");
+  EXPECT_EQ(repeated, 1000u);
 }
 
 TEST(DatasetBuilderTest, RejectsBadIds) {
@@ -122,13 +136,6 @@ TEST(DatasetTest, ClaimsOnReturnsConflictSet) {
     const Claim& c = d.claim(static_cast<size_t>(idx));
     EXPECT_EQ(c.object, fb);
     EXPECT_EQ(c.attribute, q1);
-  }
-}
-
-TEST(DatasetTest, ClaimsBySource) {
-  Dataset d = Table1Dataset();
-  for (SourceId s = 0; s < d.num_sources(); ++s) {
-    EXPECT_EQ(d.ClaimsBySource(s).size(), 6u);
   }
 }
 

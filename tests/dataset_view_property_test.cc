@@ -2,13 +2,17 @@
 // every registered algorithm, `Discover(DatasetView)` must produce exactly
 // the same result — predicted values, confidences, trust, iteration count,
 // convergence flag — as running on a materialized copy of the same subset.
+// The item index all of them read through is checked against the claim
+// columns on the same random datasets.
 //
 // This suite is registered twice in tests/CMakeLists.txt: once with the
 // default thread count and once with TDAC_THREADS=8, so the shared
 // RestrictionCache inside Tdac/GroupRunner is also exercised under the
 // thread pool.
 
+#include <algorithm>
 #include <cctype>
+#include <span>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -134,6 +138,61 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return name + "_seed" + std::to_string(std::get<1>(info.param));
     });
+
+/// Checks the item index `data` reads through against the storage
+/// columns: for every (object, attribute) in the id space, ClaimsOn lists
+/// the ascending ids of `data`'s claims on it and is empty exactly when
+/// DataItems() lacks the item; every claim's claim_items() row holds its
+/// key.
+void ExpectItemIndexMatchesColumns(const DatasetLike& data) {
+  const Dataset& s = data.storage();
+  const std::vector<uint64_t>& items = data.DataItems();
+  for (ObjectId o = 0; o < data.num_objects(); ++o) {
+    for (AttributeId a = 0; a < data.num_attributes(); ++a) {
+      std::vector<int32_t> expected;
+      for (int32_t id : data.claim_ids()) {
+        const auto i = static_cast<size_t>(id);
+        if (s.claim_objects()[i] == o && s.claim_attributes()[i] == a) {
+          expected.push_back(id);
+        }
+      }
+      const std::span<const int32_t> on = data.ClaimsOn(o, a);
+      EXPECT_EQ(std::vector<int32_t>(on.begin(), on.end()), expected)
+          << "object " << o << ", attribute " << a;
+      EXPECT_EQ(std::binary_search(items.begin(), items.end(),
+                                   ObjectAttrKey(o, a)),
+                !expected.empty())
+          << "object " << o << ", attribute " << a;
+    }
+  }
+  for (int32_t id : data.claim_ids()) {
+    const auto i = static_cast<size_t>(id);
+    EXPECT_EQ(s.DataItems()[static_cast<size_t>(s.claim_items()[i])],
+              ObjectAttrKey(s.claim_objects()[i], s.claim_attributes()[i]))
+        << "claim " << id;
+  }
+}
+
+class ItemIndexPropertyTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(ItemIndexPropertyTest, ClaimsOnMatchesTheColumns) {
+  // RandomDataset adds claims source-major, so the index has to regroup
+  // them by item.
+  Dataset d = RandomDataset(GetParam());
+  ExpectItemIndexMatchesColumns(d);
+  DatasetView by_attribute(d, RandomSubset(d, GetParam()));
+  ExpectItemIndexMatchesColumns(by_attribute);
+  Rng rng(GetParam() + 100);
+  std::vector<ObjectId> objects;
+  for (ObjectId o = 0; o < d.num_objects(); ++o) {
+    if (rng.NextBernoulli(0.5)) objects.push_back(o);
+  }
+  DatasetView by_object(d, DatasetView::ObjectAxis{}, objects);
+  ExpectItemIndexMatchesColumns(by_object);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ItemIndexPropertyTest,
+                         ::testing::Range(uint64_t{0}, uint64_t{8}));
 
 class ViewOfViewBitIdentityTest : public ::testing::TestWithParam<uint64_t> {};
 

@@ -470,10 +470,13 @@ TEST_P(CsvLoaderRoundTripTest, BadRowAfterMultiLineFieldNamesItsLine) {
                   .ok());
   ASSERT_TRUE(builder.AddClaim("s2", "o1", "a1", Value("plain")).ok());
   std::string text = DatasetToCsv(builder.Build().MoveValue());
-  // The bad row starts on the physical line after the last newline.
+  // The bad row starts on the physical line after the last newline. It
+  // has a bad value, too few fields, or repeats the multi-line claim.
   const size_t line =
       static_cast<size_t>(std::count(text.begin(), text.end(), '\n')) + 1;
-  text += rng.NextBernoulli(0.5) ? "s3,o1,a1,int,12x\n" : "s3,o1\n";
+  const char* const bad_rows[] = {"s3,o1,a1,int,12x\n", "s3,o1\n",
+                                  "s1,o1,a1,int,5\n"};
+  text += bad_rows[rng.NextBounded(3)];
   auto loaded = DatasetFromCsv(text);
   ASSERT_FALSE(loaded.ok());
   const std::string at = "claim CSV line " + std::to_string(line);
