@@ -2,6 +2,8 @@
 
 #include <cctype>
 #include <cstdio>
+#include <cstdlib>
+#include <iostream>
 
 namespace tdac {
 
@@ -64,6 +66,11 @@ bool EqualsIgnoreCase(std::string_view a, std::string_view b) {
     }
   }
   return true;
+}
+
+void ExitNotANumber(std::string_view flag, std::string_view text) {
+  std::cerr << "--" << flag << ": not a number: '" << text << "'\n";
+  std::exit(2);
 }
 
 }  // namespace tdac

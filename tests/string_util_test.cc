@@ -63,5 +63,26 @@ TEST(EqualsIgnoreCaseTest, Basics) {
   EXPECT_FALSE(EqualsIgnoreCase("abc", "abd"));
 }
 
+TEST(ParseNumberTest, WholeStringOnly) {
+  int i = 7;
+  EXPECT_TRUE(ParseNumber("-42", &i));
+  EXPECT_EQ(i, -42);
+  for (const char* bad : {"", "4x", " 4", "4 ", "+4", "abc", "99999999999"}) {
+    EXPECT_FALSE(ParseNumber(bad, &i)) << bad;
+  }
+  EXPECT_EQ(i, -42);  // failures leave the target alone
+
+  size_t n = 3;
+  EXPECT_FALSE(ParseNumber("-1", &n));  // no wrap to 2^64-1
+  EXPECT_TRUE(ParseNumber("18446744073709551615", &n));
+  EXPECT_EQ(n, ~size_t{0});
+
+  double d = 0.0;
+  EXPECT_TRUE(ParseNumber("2.5e3", &d));
+  EXPECT_EQ(d, 2500.0);
+  EXPECT_FALSE(ParseNumber("5s", &d));
+  EXPECT_FALSE(ParseNumber(".", &d));
+}
+
 }  // namespace
 }  // namespace tdac

@@ -21,7 +21,6 @@
 // rerunning the same command with --resume continues from where it
 // stopped.
 
-#include <charconv>
 #include <csignal>
 #include <iostream>
 #include <map>
@@ -32,6 +31,7 @@
 #include "common/checkpoint.h"
 #include "common/io.h"
 #include "common/run_guard.h"
+#include "common/string_util.h"
 #include "common/timer.h"
 #include "data/dataset_io.h"
 #include "data/profile.h"
@@ -78,17 +78,8 @@ struct Flags {
   template <typename T>
   T Number(const std::string& key, T fallback) const {
     auto it = values.find(key);
-    if (it == values.end()) return fallback;
-    const std::string& text = it->second;
-    T value{};
-    const auto [end, ec] =
-        std::from_chars(text.data(), text.data() + text.size(), value);
-    if (text.empty() || ec != std::errc() ||
-        end != text.data() + text.size()) {
-      std::cerr << "--" << key << ": not a number: '" << text << "'\n";
-      std::exit(2);
-    }
-    return value;
+    if (it != values.end()) tdac::ParseNumberFlag(key, it->second, &fallback);
+    return fallback;
   }
 };
 

@@ -45,6 +45,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/string_util.h"
 #include "serve/engine.h"
 #include "serve/journal.h"
 #include "serve/protocol.h"
@@ -238,31 +239,27 @@ int main(int argc, char** argv) {
     if (arg.rfind("--", 0) != 0 || eq == std::string::npos) Usage();
     const std::string key = arg.substr(2, eq - 2);
     const std::string value = arg.substr(eq + 1);
-    try {
-      if (key == "workers") {
-        options.workers = std::stoi(value);
-      } else if (key == "queue-capacity") {
-        options.queue_capacity = std::stoi(value);
-      } else if (key == "result-cache-bytes") {
-        options.result_cache_bytes = std::stoul(value);
-      } else if (key == "dataset-cache-bytes") {
-        options.dataset_cache_bytes = std::stoul(value);
-      } else if (key == "restriction-cache") {
-        options.restriction_cache_capacity = std::stoul(value);
-      } else if (key == "default-deadline-ms") {
-        options.default_deadline_ms = std::stod(value);
-      } else if (key == "execution-delay-ms") {
-        options.execution_delay_ms = std::stod(value);
-      } else if (key == "max-line-bytes") {
-        max_line_bytes = std::stoul(value);
-      } else if (key == "journal") {
-        journal_path = value;
-      } else if (key == "checkpoint-dir") {
-        options.checkpoint_dir = value;
-      } else {
-        Usage();
-      }
-    } catch (const std::exception&) {
+    if (key == "workers") {
+      tdac::ParseNumberFlag(key, value, &options.workers);
+    } else if (key == "queue-capacity") {
+      tdac::ParseNumberFlag(key, value, &options.queue_capacity);
+    } else if (key == "result-cache-bytes") {
+      tdac::ParseNumberFlag(key, value, &options.result_cache_bytes);
+    } else if (key == "dataset-cache-bytes") {
+      tdac::ParseNumberFlag(key, value, &options.dataset_cache_bytes);
+    } else if (key == "restriction-cache") {
+      tdac::ParseNumberFlag(key, value, &options.restriction_cache_capacity);
+    } else if (key == "default-deadline-ms") {
+      tdac::ParseNumberFlag(key, value, &options.default_deadline_ms);
+    } else if (key == "execution-delay-ms") {
+      tdac::ParseNumberFlag(key, value, &options.execution_delay_ms);
+    } else if (key == "max-line-bytes") {
+      tdac::ParseNumberFlag(key, value, &max_line_bytes);
+    } else if (key == "journal") {
+      journal_path = value;
+    } else if (key == "checkpoint-dir") {
+      options.checkpoint_dir = value;
+    } else {
       Usage();
     }
   }

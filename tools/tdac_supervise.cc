@@ -53,6 +53,7 @@
 
 #include "common/io.h"
 #include "common/random.h"
+#include "common/string_util.h"
 
 namespace {
 
@@ -155,27 +156,23 @@ int main(int argc, char** argv) {
     if (arg.rfind("--", 0) != 0 || eq == std::string::npos) Usage();
     const std::string key = arg.substr(2, eq - 2);
     const std::string value = arg.substr(eq + 1);
-    try {
-      if (key == "backoff-initial-ms") {
-        options.backoff_initial_ms = std::stod(value);
-      } else if (key == "backoff-max-ms") {
-        options.backoff_max_ms = std::stod(value);
-      } else if (key == "backoff-factor") {
-        options.backoff_factor = std::stod(value);
-      } else if (key == "jitter-frac") {
-        options.jitter_frac = std::stod(value);
-      } else if (key == "seed") {
-        options.seed = std::stoull(value);
-      } else if (key == "stable-ms") {
-        options.stable_ms = std::stod(value);
-      } else if (key == "crash-loop-limit") {
-        options.crash_loop_limit = std::stoi(value);
-      } else if (key == "pid-file") {
-        options.pid_file = value;
-      } else {
-        Usage();
-      }
-    } catch (const std::exception&) {
+    if (key == "backoff-initial-ms") {
+      tdac::ParseNumberFlag(key, value, &options.backoff_initial_ms);
+    } else if (key == "backoff-max-ms") {
+      tdac::ParseNumberFlag(key, value, &options.backoff_max_ms);
+    } else if (key == "backoff-factor") {
+      tdac::ParseNumberFlag(key, value, &options.backoff_factor);
+    } else if (key == "jitter-frac") {
+      tdac::ParseNumberFlag(key, value, &options.jitter_frac);
+    } else if (key == "seed") {
+      tdac::ParseNumberFlag(key, value, &options.seed);
+    } else if (key == "stable-ms") {
+      tdac::ParseNumberFlag(key, value, &options.stable_ms);
+    } else if (key == "crash-loop-limit") {
+      tdac::ParseNumberFlag(key, value, &options.crash_loop_limit);
+    } else if (key == "pid-file") {
+      options.pid_file = value;
+    } else {
       Usage();
     }
   }
