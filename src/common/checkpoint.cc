@@ -1,5 +1,7 @@
 #include "common/checkpoint.h"
 
+#include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 
@@ -12,6 +14,18 @@ namespace tdac {
 namespace {
 
 constexpr std::string_view kMagic = "TDACCKPT";
+
+/// The line that binds a stored payload to the run that wrote it.
+std::string ContextLine(std::string_view context) {
+  return "CTX " + EncodeToken(context) + "\n";
+}
+
+/// Parses exactly `hex.size()` hex digits into `*value`.
+bool ParseHex(std::string_view hex, uint64_t* value) {
+  const char* end = hex.data() + hex.size();
+  const auto [stop, ec] = std::from_chars(hex.data(), end, *value, 16);
+  return !hex.empty() && ec == std::errc() && stop == end;
+}
 
 }  // namespace
 
@@ -80,7 +94,7 @@ std::string Checkpointer::SlotPath(const std::string& slot) const {
 }
 
 Result<std::optional<std::string>> Checkpointer::LoadForResume(
-    const std::string& slot) const {
+    const std::string& slot, std::string_view context) const {
   if (!enabled() || !options_.resume) return std::optional<std::string>();
   const std::string path = SlotPath(slot);
   const std::string prev = path + ".prev";
@@ -88,19 +102,26 @@ Result<std::optional<std::string>> Checkpointer::LoadForResume(
   const bool have_prev = FileExists(prev);
   if (!have_current && !have_prev) return std::optional<std::string>();
 
-  Status current_status = Status::OK();
+  // A valid snapshot resumes only the run that wrote it.
+  const auto bound = [&](std::string stored) -> std::optional<std::string> {
+    const std::string line = ContextLine(context);
+    if (stored.starts_with(line)) return stored.substr(line.size());
+    TDAC_LOG_WARNING << "checkpoint slot '" << slot
+                     << "': context mismatch (stored snapshot is from a "
+                     << "different run); ignoring it";
+    return std::nullopt;
+  };
   if (have_current) {
     Result<std::string> loaded = LoadCheckpoint(path);
-    if (loaded.ok()) return std::optional<std::string>(loaded.MoveValue());
-    current_status = loaded.status();
+    if (loaded.ok()) return bound(loaded.MoveValue());
     TDAC_LOG_WARNING << "checkpoint slot '" << slot
                      << "': current snapshot rejected ("
-                     << current_status.message()
+                     << loaded.status().message()
                      << "); falling back to last-good";
   }
   if (have_prev) {
     Result<std::string> loaded = LoadCheckpoint(prev);
-    if (loaded.ok()) return std::optional<std::string>(loaded.MoveValue());
+    if (loaded.ok()) return bound(loaded.MoveValue());
     TDAC_LOG_WARNING << "checkpoint slot '" << slot
                      << "': last-good snapshot also rejected ("
                      << loaded.status().message() << "); starting fresh";
@@ -113,7 +134,7 @@ Result<std::optional<std::string>> Checkpointer::LoadForResume(
 }
 
 Status Checkpointer::MaybeStore(
-    const std::string& slot,
+    const std::string& slot, std::string_view context,
     const std::function<std::string()>& payload_fn) {
   if (!enabled()) return Status::OK();
   const auto now = std::chrono::steady_clock::now();
@@ -126,10 +147,11 @@ Status Checkpointer::MaybeStore(
       if (elapsed_ms < options_.interval_ms) return Status::OK();
     }
   }
-  return StoreNow(slot, payload_fn());
+  return StoreNow(slot, context, payload_fn());
 }
 
 Status Checkpointer::StoreNow(const std::string& slot,
+                              std::string_view context,
                               std::string_view payload) {
   if (!enabled()) return Status::OK();
   const std::string path = SlotPath(slot);
@@ -139,7 +161,9 @@ Status Checkpointer::StoreNow(const std::string& slot,
   if (FileExists(path)) {
     TDAC_RETURN_NOT_OK(RenameFile(path, path + ".prev"));
   }
-  TDAC_RETURN_NOT_OK(SaveCheckpoint(path, payload));
+  std::string contents = ContextLine(context);
+  contents.append(payload.data(), payload.size());
+  TDAC_RETURN_NOT_OK(SaveCheckpoint(path, contents));
   std::lock_guard<std::mutex> lock(mu_);
   last_store_[slot] = std::chrono::steady_clock::now();
   return Status::OK();
@@ -154,26 +178,6 @@ Status Checkpointer::Remove(const std::string& slot) {
   std::lock_guard<std::mutex> lock(mu_);
   last_store_.erase(slot);
   return Status::OK();
-}
-
-std::string BindCheckpointContext(std::string_view context,
-                                  std::string_view payload) {
-  std::string out = "CTX " + EncodeToken(context) + "\n";
-  out.append(payload.data(), payload.size());
-  return out;
-}
-
-std::optional<std::string> MatchCheckpointContext(std::string_view context,
-                                                  std::string_view stored) {
-  const size_t newline = stored.find('\n');
-  const std::string expected = "CTX " + EncodeToken(context);
-  if (newline == std::string_view::npos ||
-      stored.substr(0, newline) != expected) {
-    TDAC_LOG_WARNING << "checkpoint context mismatch (stored snapshot is "
-                     << "from a different run); ignoring it";
-    return std::nullopt;
-  }
-  return std::string(stored.substr(newline + 1));
 }
 
 std::string EncodeToken(std::string_view raw) {
@@ -201,13 +205,8 @@ Result<std::string> DecodeToken(std::string_view token) {
       out += token[i];
       continue;
     }
-    if (i + 2 >= token.size()) {
-      return Status::InvalidArgument("malformed token escape in '" +
-                                     std::string(token) + "'");
-    }
-    unsigned value = 0;
-    if (std::sscanf(std::string(token.substr(i + 1, 2)).c_str(), "%02x",
-                    &value) != 1) {
+    uint64_t value = 0;
+    if (i + 2 >= token.size() || !ParseHex(token.substr(i + 1, 2), &value)) {
       return Status::InvalidArgument("malformed token escape in '" +
                                      std::string(token) + "'");
     }
@@ -227,19 +226,62 @@ std::string HexDouble(double value) {
 }
 
 Result<double> ParseHexDouble(std::string_view hex) {
-  if (hex.size() != 16) {
-    return Status::InvalidArgument("bad hex double '" + std::string(hex) +
-                                   "'");
-  }
-  unsigned long long bits = 0;
-  if (std::sscanf(std::string(hex).c_str(), "%llx", &bits) != 1) {
+  uint64_t bits = 0;
+  if (hex.size() != 16 || !ParseHex(hex, &bits)) {
     return Status::InvalidArgument("bad hex double '" + std::string(hex) +
                                    "'");
   }
   double value = 0.0;
-  const uint64_t b = bits;
-  std::memcpy(&value, &b, sizeof(value));
+  std::memcpy(&value, &bits, sizeof(value));
   return value;
+}
+
+std::optional<std::string_view> PayloadReader::Next() {
+  if (!ok()) return std::nullopt;
+  rest_.remove_prefix(std::min(rest_.find_first_not_of(" \n"), rest_.size()));
+  if (rest_.empty()) {
+    error_ = "payload ends early";
+    return std::nullopt;
+  }
+  const std::string_view field = rest_.substr(0, rest_.find_first_of(" \n"));
+  rest_.remove_prefix(field.size());
+  return field;
+}
+
+bool PayloadReader::Parse(std::string_view field, bool* value) {
+  if (field != "0" && field != "1") return false;
+  *value = field == "1";
+  return true;
+}
+
+bool PayloadReader::Parse(std::string_view field, double* value) {
+  Result<double> parsed = ParseHexDouble(field);
+  if (parsed.ok()) *value = parsed.value();
+  return parsed.ok();
+}
+
+bool PayloadReader::Parse(std::string_view field, std::string* value) {
+  Result<std::string> decoded = DecodeToken(field);
+  if (decoded.ok()) *value = decoded.MoveValue();
+  return decoded.ok();
+}
+
+size_t PayloadReader::Count() {
+  size_t count = 0;
+  *this >> count;
+  if (ok() && count > rest_.size()) {
+    error_ = "count " + std::to_string(count) + " exceeds the payload";
+    return 0;
+  }
+  return count;
+}
+
+Status PayloadReader::Finish() const {
+  if (ok() && rest_.find_first_not_of(" \n") == std::string_view::npos) {
+    return Status::OK();
+  }
+  return Status::InvalidArgument("malformed checkpoint payload: " +
+                                 (ok() ? "trailing bytes" : error_));
 }
 
 }  // namespace tdac

@@ -1,6 +1,7 @@
 #ifndef TDAC_COMMON_CHECKPOINT_H_
 #define TDAC_COMMON_CHECKPOINT_H_
 
+#include <charconv>
 #include <chrono>
 #include <cstdint>
 #include <functional>
@@ -8,10 +9,12 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <unordered_map>
 
 #include "common/result.h"
 #include "common/status.h"
+#include "common/string_util.h"
 
 namespace tdac {
 
@@ -71,6 +74,10 @@ struct CheckpointOptions {
 /// persisted, which is what makes a resumed run bit-identical to an
 /// uninterrupted one.
 ///
+/// Stores put `CTX <EncodeToken(context)>` ahead of the payload, where the
+/// context names the algorithm, the dataset fingerprint and the options that
+/// shape results; a load under another context ignores the slot.
+///
 /// All methods are safe to call concurrently, but the intended pattern is
 /// serial snapshots from the orchestrating thread at batch boundaries.
 class Checkpointer {
@@ -86,21 +93,22 @@ class Checkpointer {
   /// the current file if it validates, else the `.prev` fallback (with a
   /// warning logged naming the defect). Returns nullopt on a fresh start
   /// (resume off, no snapshot at all, or — with a warning — snapshots that
-  /// are all invalid; a corrupt checkpoint never aborts a run, it just
-  /// costs the progress it held).
+  /// are all invalid or the first valid one is from another `context`; a
+  /// corrupt checkpoint never aborts a run, it just costs its progress).
   [[nodiscard]] Result<std::optional<std::string>> LoadForResume(
-      const std::string& slot) const;
+      const std::string& slot, std::string_view context) const;
 
   /// Interval snapshot: when the slot's interval has elapsed (or on the
-  /// slot's first call with interval <= 0), materializes the payload via
-  /// `payload_fn` and stores it. `payload_fn` is not called otherwise.
+  /// slot's first call with interval <= 0), stores `payload_fn()` under
+  /// `context`. `payload_fn` is not called otherwise.
   [[nodiscard]] Status MaybeStore(
-      const std::string& slot,
+      const std::string& slot, std::string_view context,
       const std::function<std::string()>& payload_fn);
 
   /// Unconditional snapshot — the final checkpoint a Deadline/Cancelled
   /// stop writes before unwinding.
   [[nodiscard]] Status StoreNow(const std::string& slot,
+                                std::string_view context,
                                 std::string_view payload);
 
   /// Removes the slot's current, previous, and temp files — called on
@@ -116,19 +124,6 @@ class Checkpointer {
       last_store_;
 };
 
-/// Prefixes a checkpoint payload with a context line identifying the run
-/// that wrote it (algorithm name, dataset fingerprint, relevant options).
-/// MatchCheckpointContext strips the line again iff the context matches, so
-/// a slot left behind by a different run — another dataset, other sweep
-/// bounds, an earlier refinement round — is ignored instead of resumed.
-std::string BindCheckpointContext(std::string_view context,
-                                  std::string_view payload);
-
-/// Inverse of BindCheckpointContext: the inner payload when `stored`
-/// carries exactly `context`, nullopt (with a logged warning) otherwise.
-std::optional<std::string> MatchCheckpointContext(std::string_view context,
-                                                  std::string_view stored);
-
 /// Escapes an arbitrary byte string into a single whitespace-free token
 /// ('%', whitespace, and control bytes become %XX), so serialized state can
 /// be framed as space-separated fields on one line. Empty input encodes as
@@ -143,6 +138,92 @@ std::string EncodeToken(std::string_view raw);
 /// makes the bit-identical-resume contract self-evident.)
 std::string HexDouble(double value);
 [[nodiscard]] Result<double> ParseHexDouble(std::string_view hex);
+
+/// \brief Writes a checkpoint payload: records of fields separated by one
+/// space, each record ended by End() with '\n'. Integers are decimal, bools
+/// `0`/`1`, doubles HexDouble (bit-exact), and strings EncodeToken (so a
+/// string is always exactly one field).
+class PayloadWriter {
+ public:
+  template <typename T>
+    requires std::is_integral_v<T>
+  PayloadWriter& operator<<(T value) {
+    char buf[24];
+    const auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), value);
+    return Field(std::string_view(buf, static_cast<size_t>(end - buf)));
+  }
+  PayloadWriter& operator<<(bool value) { return Field(value ? "1" : "0"); }
+  PayloadWriter& operator<<(double value) { return Field(HexDouble(value)); }
+  PayloadWriter& operator<<(std::string_view value) {
+    return Field(EncodeToken(value));
+  }
+  PayloadWriter& operator<<(const char* value) {
+    return *this << std::string_view(value);
+  }
+
+  /// Ends the current record.
+  PayloadWriter& End() {
+    out_ += '\n';
+    return *this;
+  }
+
+  /// The payload written so far; leaves the writer empty.
+  std::string Take() { return std::move(out_); }
+
+ private:
+  PayloadWriter& Field(std::string_view text) {
+    if (!out_.empty() && out_.back() != '\n') out_ += ' ';
+    out_.append(text);
+    return *this;
+  }
+
+  std::string out_;
+};
+
+/// \brief Reads a payload PayloadWriter wrote, field by field. Errors are
+/// sticky: after the first bad field every read leaves its target alone and
+/// Finish() reports that field, so a payload that passed its CRC but is
+/// malformed costs the caller one Finish() check, never a crash.
+class PayloadReader {
+ public:
+  explicit PayloadReader(std::string_view payload) : rest_(payload) {}
+
+  /// Reads the next field into `value` (an integer, bool, double or
+  /// string, encoded as PayloadWriter writes it).
+  template <typename T>
+  PayloadReader& operator>>(T& value) {
+    std::optional<std::string_view> field = Next();
+    if (field && !Parse(*field, &value)) {
+      error_ = "bad field '" + std::string(*field) + "'";
+    }
+    return *this;
+  }
+
+  /// Reads an element count. Every element takes at least one byte, so a
+  /// count larger than the bytes left fails the read (and returns 0): no
+  /// payload can request a huge allocation.
+  size_t Count();
+
+  bool ok() const { return error_.empty(); }
+
+  /// OK when every read succeeded and the whole payload was consumed;
+  /// InvalidArgument naming the first defect otherwise.
+  [[nodiscard]] Status Finish() const;
+
+ private:
+  std::optional<std::string_view> Next();
+
+  template <typename T>
+  static bool Parse(std::string_view field, T* value) {
+    return ParseNumber(field, value);
+  }
+  static bool Parse(std::string_view field, bool* value);
+  static bool Parse(std::string_view field, double* value);
+  static bool Parse(std::string_view field, std::string* value);
+
+  std::string_view rest_;
+  std::string error_;
+};
 
 }  // namespace tdac
 

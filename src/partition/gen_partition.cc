@@ -18,34 +18,28 @@ namespace {
 std::string SerializeGenSearch(size_t explored, bool have_best,
                                double best_score,
                                const AttributePartition& best) {
-  std::ostringstream out;
-  out << explored << ' ' << (have_best ? 1 : 0) << ' ' << HexDouble(best_score)
-      << ' ' << EncodeToken(best.ToString()) << '\n';
-  return out.str();
+  PayloadWriter out;
+  (out << explored << have_best << best_score << best.ToString()).End();
+  return out.Take();
 }
 
-bool ParseGenSearch(const std::string& payload, size_t* explored,
-                    bool* have_best, double* best_score,
-                    AttributePartition* best) {
-  std::istringstream in(payload);
-  size_t n = 0;
-  int have = 0;
-  std::string hex;
-  std::string token;
-  if (!(in >> n >> have >> hex >> token)) return false;
-  Result<double> score = ParseHexDouble(hex);
-  if (!score.ok()) return false;
-  if (have != 0) {
-    Result<std::string> text = DecodeToken(token);
-    if (!text.ok()) return false;
-    Result<AttributePartition> parsed = AttributePartition::Parse(text.value());
-    if (!parsed.ok()) return false;
-    *best = parsed.MoveValue();
+/// Inverse of SerializeGenSearch; a restored best partition must cover
+/// exactly `attributes`.
+Status ParseGenSearch(std::string_view payload,
+                      const std::vector<AttributeId>& attributes,
+                      size_t* explored, bool* have_best, double* best_score,
+                      AttributePartition* best) {
+  PayloadReader in(payload);
+  std::string text;
+  in >> *explored >> *have_best >> *best_score >> text;
+  TDAC_RETURN_NOT_OK(in.Finish());
+  if (*have_best) {
+    TDAC_ASSIGN_OR_RETURN(*best, AttributePartition::Parse(text));
+    if (best->Attributes() != attributes) {
+      return Status::InvalidArgument("partition not over this dataset");
+    }
   }
-  *explored = n;
-  *have_best = have != 0;
-  *best_score = score.value();
-  return true;
+  return Status::OK();
 }
 
 }  // namespace
@@ -126,23 +120,23 @@ Result<GenPartitionReport> GenPartitionAlgorithm::DiscoverWithReport(
   SetPartitionEnumerator enumerator(n);
   if (ckpt_on) {
     TDAC_ASSIGN_OR_RETURN(std::optional<std::string> stored,
-                          ckpt->LoadForResume(slot));
+                          ckpt->LoadForResume(slot, ctx));
     if (stored) {
-      if (auto payload = MatchCheckpointContext(ctx, *stored)) {
-        size_t explored = 0;
-        if (ParseGenSearch(*payload, &explored, &have_best, &report.best_score,
-                           &report.best_partition)) {
-          for (size_t i = 0; i < explored; ++i) {
-            if (!enumerator.Next()) break;
-            ++report.partitions_explored;
-          }
-        } else {
-          TDAC_LOG_WARNING << name_ << ": search checkpoint payload "
-                           << "unusable; restarting the search";
-          have_best = false;
-          report.best_score = 0.0;
-          report.best_partition = AttributePartition();
+      size_t explored = 0;
+      const Status parsed =
+          ParseGenSearch(*stored, attributes, &explored, &have_best,
+                         &report.best_score, &report.best_partition);
+      if (parsed.ok()) {
+        for (size_t i = 0; i < explored; ++i) {
+          if (!enumerator.Next()) break;
+          ++report.partitions_explored;
         }
+      } else {
+        TDAC_LOG_WARNING << name_ << ": search checkpoint payload unusable ("
+                         << parsed.message() << "); restarting the search";
+        have_best = false;
+        report.best_score = 0.0;
+        report.best_partition = AttributePartition();
       }
     }
   }
@@ -198,19 +192,19 @@ Result<GenPartitionReport> GenPartitionAlgorithm::DiscoverWithReport(
       // but never let them reach a checkpoint.
       trip = guard.ShouldStop();
       if (trip) break;
-      last_clean = BindCheckpointContext(
-          ctx, SerializeGenSearch(report.partitions_explored, have_best,
-                                  report.best_score, report.best_partition));
+      last_clean = SerializeGenSearch(report.partitions_explored, have_best,
+                                      report.best_score,
+                                      report.best_partition);
       have_last_clean = true;
       TDAC_RETURN_NOT_OK(
-          ckpt->MaybeStore(slot, [&] { return last_clean; }));
+          ckpt->MaybeStore(slot, ctx, [&] { return last_clean; }));
     }
   }
   if (ckpt_on && trip && have_last_clean) {
     // Final checkpoint on a Deadline/Cancelled stop: the frontier as of the
     // last batch scored entirely under an untripped guard. (With no new
     // clean state the file on disk already holds the right frontier.)
-    TDAC_RETURN_NOT_OK(ckpt->StoreNow(slot, last_clean));
+    TDAC_RETURN_NOT_OK(ckpt->StoreNow(slot, ctx, last_clean));
   }
   if (!have_best) {
     // Tripped before any batch was scored: the single all-attributes group

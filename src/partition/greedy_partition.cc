@@ -20,31 +20,26 @@ namespace {
 /// a resume needs.
 std::string SerializeGreedySearch(const AttributePartition& current,
                                   double score, size_t explored, bool done) {
-  std::ostringstream out;
-  out << EncodeToken(current.ToString()) << ' ' << HexDouble(score) << ' '
-      << explored << ' ' << (done ? 1 : 0) << '\n';
-  return out.str();
+  PayloadWriter out;
+  (out << current.ToString() << score << explored << done).End();
+  return out.Take();
 }
 
-bool ParseGreedySearch(const std::string& payload, AttributePartition* current,
-                       double* score, size_t* explored, bool* done) {
-  std::istringstream in(payload);
-  std::string token;
-  std::string hex;
-  size_t n = 0;
-  int done_flag = 0;
-  if (!(in >> token >> hex >> n >> done_flag)) return false;
-  Result<std::string> text = DecodeToken(token);
-  if (!text.ok()) return false;
-  Result<AttributePartition> parsed = AttributePartition::Parse(text.value());
-  if (!parsed.ok()) return false;
-  Result<double> s = ParseHexDouble(hex);
-  if (!s.ok()) return false;
-  *current = parsed.MoveValue();
-  *score = s.value();
-  *explored = n;
-  *done = done_flag != 0;
-  return true;
+/// Inverse of SerializeGreedySearch; the restored partition must cover
+/// exactly `attributes`.
+Status ParseGreedySearch(std::string_view payload,
+                         const std::vector<AttributeId>& attributes,
+                         AttributePartition* current, double* score,
+                         size_t* explored, bool* done) {
+  PayloadReader in(payload);
+  std::string text;
+  in >> text >> *score >> *explored >> *done;
+  TDAC_RETURN_NOT_OK(in.Finish());
+  TDAC_ASSIGN_OR_RETURN(*current, AttributePartition::Parse(text));
+  if (current->Attributes() != attributes) {
+    return Status::InvalidArgument("partition not over this dataset");
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -111,16 +106,17 @@ Result<GenPartitionReport> GreedyPartitionAlgorithm::DiscoverWithReport(
   bool search_done = false;
   if (ckpt_on) {
     TDAC_ASSIGN_OR_RETURN(std::optional<std::string> stored,
-                          ckpt->LoadForResume(slot));
+                          ckpt->LoadForResume(slot, ctx));
     if (stored) {
-      if (auto payload = MatchCheckpointContext(ctx, *stored)) {
-        if (ParseGreedySearch(*payload, &current, &current_score,
-                              &report.partitions_explored, &search_done)) {
-          restored = true;
-        } else {
-          TDAC_LOG_WARNING << name_ << ": search checkpoint payload "
-                           << "unusable; restarting the search";
-        }
+      const Status parsed =
+          ParseGreedySearch(*stored, attributes, &current, &current_score,
+                            &report.partitions_explored, &search_done);
+      restored = parsed.ok();
+      if (!restored) {
+        TDAC_LOG_WARNING << name_ << ": search checkpoint payload unusable ("
+                         << parsed.message() << "); restarting the search";
+        report.partitions_explored = 0;
+        search_done = false;
       }
     }
   }
@@ -134,10 +130,9 @@ Result<GenPartitionReport> GreedyPartitionAlgorithm::DiscoverWithReport(
         runner.Score(current, options_.weighting, options_.oracle_truth));
     ++report.partitions_explored;
     if (ckpt_on && !guard.ShouldStop()) {
-      TDAC_RETURN_NOT_OK(ckpt->MaybeStore(slot, [&] {
-        return BindCheckpointContext(
-            ctx, SerializeGreedySearch(current, current_score,
-                                       report.partitions_explored, false));
+      TDAC_RETURN_NOT_OK(ckpt->MaybeStore(slot, ctx, [&] {
+        return SerializeGreedySearch(current, current_score,
+                                     report.partitions_explored, false);
       }));
     }
   }
@@ -215,22 +210,19 @@ Result<GenPartitionReport> GreedyPartitionAlgorithm::DiscoverWithReport(
           SerializeGreedySearch(current, current_score,
                                 report.partitions_explored, !improved);
       if (improved) {
-        TDAC_RETURN_NOT_OK(ckpt->MaybeStore(slot, [&] {
-          return BindCheckpointContext(ctx, last_clean_state);
-        }));
+        TDAC_RETURN_NOT_OK(
+            ckpt->MaybeStore(slot, ctx, [&] { return last_clean_state; }));
       } else {
         // The search just converged: store unconditionally so a crash
         // during the final aggregation resumes without re-running (and
         // re-counting) the last wave.
-        TDAC_RETURN_NOT_OK(ckpt->StoreNow(
-            slot, BindCheckpointContext(ctx, last_clean_state)));
+        TDAC_RETURN_NOT_OK(ckpt->StoreNow(slot, ctx, last_clean_state));
       }
     }
   }
   if (ckpt_on && trip) {
     // Final checkpoint on a Deadline/Cancelled stop.
-    TDAC_RETURN_NOT_OK(ckpt->StoreNow(
-        slot, BindCheckpointContext(ctx, last_clean_state)));
+    TDAC_RETURN_NOT_OK(ckpt->StoreNow(slot, ctx, last_clean_state));
   }
 
   report.best_partition = current;

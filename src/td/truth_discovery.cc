@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "common/checkpoint.h"
 #include "common/logging.h"
@@ -25,98 +24,76 @@ Result<TruthDiscoveryResult> TruthDiscovery::Discover(
 }
 
 std::string SerializeTruthDiscoveryResult(const TruthDiscoveryResult& result) {
-  std::ostringstream out;
-  out << "R " << result.iterations << ' ' << (result.converged ? 1 : 0) << ' '
-      << static_cast<int>(result.stop_reason) << '\n';
-  out << "T " << result.source_trust.size();
-  for (double trust : result.source_trust) out << ' ' << HexDouble(trust);
-  out << '\n';
+  PayloadWriter out;
+  (out << "R" << result.iterations << result.converged
+       << static_cast<int>(result.stop_reason))
+      .End();
+  out << "T" << result.source_trust.size();
+  for (double trust : result.source_trust) out << trust;
+  out.End();
   const std::vector<uint64_t> keys = result.predicted.SortedKeys();
-  out << "I " << keys.size() << '\n';
+  (out << "I" << keys.size()).End();
   for (uint64_t key : keys) {
     const Value* value =
         result.predicted.Get(ObjectFromKey(key), AttributeFromKey(key));
-    out << key << ' ' << static_cast<int>(value->kind()) << ' '
-        << EncodeToken(value->ToString()) << '\n';
+    (out << key << static_cast<int>(value->kind()) << value->ToString()).End();
   }
   std::vector<uint64_t> conf_keys;
   conf_keys.reserve(result.confidence.size());
   // lint: unordered-ok (keys collected then sorted before emission)
   for (const auto& [key, unused] : result.confidence) conf_keys.push_back(key);
   std::sort(conf_keys.begin(), conf_keys.end());
-  out << "C " << conf_keys.size() << '\n';
+  (out << "C" << conf_keys.size()).End();
   for (uint64_t key : conf_keys) {
-    out << key << ' ' << HexDouble(result.confidence.at(key)) << '\n';
+    (out << key << result.confidence.at(key)).End();
   }
-  return out.str();
+  return out.Take();
 }
 
 Result<TruthDiscoveryResult> DeserializeTruthDiscoveryResult(
     std::string_view payload) {
-  std::istringstream in{std::string(payload)};
   const auto malformed = [](const std::string& what) {
     return Status::InvalidArgument("malformed result payload: " + what);
   };
-
-  std::string tag;
-  int converged = 0;
-  int stop = 0;
+  PayloadReader in(payload);
   TruthDiscoveryResult result;
-  if (!(in >> tag) || tag != "R" || !(in >> result.iterations) ||
-      !(in >> converged) || !(in >> stop)) {
-    return malformed("bad R record");
-  }
-  if (stop < static_cast<int>(StopReason::kConverged) ||
-      stop > static_cast<int>(StopReason::kOverloaded)) {
-    return malformed("unknown stop reason " + std::to_string(stop));
-  }
-  result.converged = converged != 0;
-  result.stop_reason = static_cast<StopReason>(stop);
-
-  size_t trust_count = 0;
-  if (!(in >> tag) || tag != "T" || !(in >> trust_count)) {
-    return malformed("bad T record");
-  }
-  result.source_trust.reserve(trust_count);
-  for (size_t i = 0; i < trust_count; ++i) {
-    std::string hex;
-    if (!(in >> hex)) return malformed("short trust vector");
-    TDAC_ASSIGN_OR_RETURN(double trust, ParseHexDouble(hex));
-    result.source_trust.push_back(trust);
-  }
-
-  size_t item_count = 0;
-  if (!(in >> tag) || tag != "I" || !(in >> item_count)) {
-    return malformed("bad I record");
-  }
-  for (size_t i = 0; i < item_count; ++i) {
+  std::string tags[4];
+  int stop = 0;
+  in >> tags[0] >> result.iterations >> result.converged >> stop >> tags[1];
+  result.source_trust.resize(in.Count());
+  for (double& trust : result.source_trust) in >> trust;
+  in >> tags[2];
+  for (size_t i = in.Count(); i > 0 && in.ok(); --i) {
     uint64_t key = 0;
     int kind = 0;
-    std::string token;
-    if (!(in >> key >> kind >> token)) return malformed("short item list");
+    std::string text;
+    in >> key >> kind >> text;
     if (kind < static_cast<int>(Value::Kind::kString) ||
         kind > static_cast<int>(Value::Kind::kDouble)) {
       return malformed("unknown value kind " + std::to_string(kind));
     }
-    TDAC_ASSIGN_OR_RETURN(std::string text, DecodeToken(token));
     TDAC_ASSIGN_OR_RETURN(
         Value value,
         Value::FromTextChecked(static_cast<Value::Kind>(kind), text));
     result.predicted.Set(ObjectFromKey(key), AttributeFromKey(key),
                          std::move(value));
   }
-
-  size_t conf_count = 0;
-  if (!(in >> tag) || tag != "C" || !(in >> conf_count)) {
-    return malformed("bad C record");
-  }
-  for (size_t i = 0; i < conf_count; ++i) {
+  in >> tags[3];
+  for (size_t i = in.Count(); i > 0 && in.ok(); --i) {
     uint64_t key = 0;
-    std::string hex;
-    if (!(in >> key >> hex)) return malformed("short confidence list");
-    TDAC_ASSIGN_OR_RETURN(double conf, ParseHexDouble(hex));
+    double conf = 0.0;
+    in >> key >> conf;
     result.confidence[key] = conf;
   }
+  TDAC_RETURN_NOT_OK(in.Finish());
+  if (tags[0] != "R" || tags[1] != "T" || tags[2] != "I" || tags[3] != "C") {
+    return malformed("records out of order");
+  }
+  if (stop < static_cast<int>(StopReason::kConverged) ||
+      stop > static_cast<int>(StopReason::kOverloaded)) {
+    return malformed("unknown stop reason " + std::to_string(stop));
+  }
+  result.stop_reason = static_cast<StopReason>(stop);
   return result;
 }
 

@@ -38,79 +38,17 @@ struct SweepOutcome {
   bool kmeans_converged = true;
 };
 
-std::string SerializeSweepState(const std::vector<SweepOutcome>& outcomes,
-                                size_t done) {
-  std::ostringstream out;
-  out << done << '\n';
-  for (size_t i = 0; i < done; ++i) {
-    const SweepOutcome& o = outcomes[i];
-    out << (o.ok ? 1 : 0) << ' ' << (o.kmeans_converged ? 1 : 0) << ' '
-        << o.effective_k << ' ' << HexDouble(o.score) << ' '
-        << o.assignment.size();
-    for (int a : o.assignment) out << ' ' << a;
-    out << '\n';
+/// A result restored from a checkpoint, checked to fit `data`: the trust
+/// merge indexes a non-empty source_trust by source id.
+Result<TruthDiscoveryResult> RestoreResult(std::string_view payload,
+                                           const DatasetLike& data) {
+  TDAC_ASSIGN_OR_RETURN(TruthDiscoveryResult result,
+                        DeserializeTruthDiscoveryResult(payload));
+  if (!result.source_trust.empty() &&
+      result.source_trust.size() != static_cast<size_t>(data.num_sources())) {
+    return Status::InvalidArgument("trust vector does not fit the dataset");
   }
-  return out.str();
-}
-
-bool ParseSweepState(const std::string& payload,
-                     std::vector<SweepOutcome>* outcomes, size_t* done) {
-  std::istringstream in(payload);
-  size_t n = 0;
-  if (!(in >> n) || n > outcomes->size()) return false;
-  for (size_t i = 0; i < n; ++i) {
-    SweepOutcome o;
-    int ok = 0;
-    int converged = 0;
-    std::string hex;
-    size_t assign_size = 0;
-    if (!(in >> ok >> converged >> o.effective_k >> hex >> assign_size)) {
-      return false;
-    }
-    Result<double> score = ParseHexDouble(hex);
-    if (!score.ok()) return false;
-    o.ok = ok != 0;
-    o.kmeans_converged = converged != 0;
-    o.score = score.value();
-    o.assignment.resize(assign_size);
-    for (size_t j = 0; j < assign_size; ++j) {
-      if (!(in >> o.assignment[j])) return false;
-    }
-    (*outcomes)[i] = std::move(o);
-  }
-  *done = n;
-  return true;
-}
-
-std::string SerializeGroupsState(
-    const std::vector<Result<TruthDiscoveryResult>>& partials, size_t done) {
-  std::ostringstream out;
-  out << done << '\n';
-  for (size_t g = 0; g < done; ++g) {
-    out << EncodeToken(SerializeTruthDiscoveryResult(partials[g].value()))
-        << '\n';
-  }
-  return out.str();
-}
-
-bool ParseGroupsState(const std::string& payload, size_t num_groups,
-                      std::vector<Result<TruthDiscoveryResult>>* partials,
-                      size_t* done) {
-  std::istringstream in(payload);
-  size_t n = 0;
-  if (!(in >> n) || n > num_groups) return false;
-  for (size_t g = 0; g < n; ++g) {
-    std::string token;
-    if (!(in >> token)) return false;
-    Result<std::string> serialized = DecodeToken(token);
-    if (!serialized.ok()) return false;
-    Result<TruthDiscoveryResult> parsed =
-        DeserializeTruthDiscoveryResult(serialized.value());
-    if (!parsed.ok()) return false;
-    (*partials)[g] = parsed.MoveValue();
-  }
-  *done = n;
-  return true;
+  return result;
 }
 
 }  // namespace
@@ -276,19 +214,16 @@ Result<TdacReport> Tdac::RunPass(const DatasetLike& data,
     const std::string ref_slot = slot_prefix + ".reference";
     if (ckpt_on) {
       TDAC_ASSIGN_OR_RETURN(std::optional<std::string> stored,
-                            ckpt->LoadForResume(ref_slot));
+                            ckpt->LoadForResume(ref_slot, ctx));
       if (stored) {
-        if (auto payload = MatchCheckpointContext(ctx, *stored)) {
-          Result<TruthDiscoveryResult> parsed =
-              DeserializeTruthDiscoveryResult(*payload);
-          if (parsed.ok()) {
-            reference_result = parsed.MoveValue();
-            have_reference_result = true;
-          } else {
-            TDAC_LOG_WARNING << name_ << ": reference checkpoint payload "
-                             << "unusable (" << parsed.status().message()
-                             << "); recomputing";
-          }
+        Result<TruthDiscoveryResult> parsed = RestoreResult(*stored, data);
+        if (parsed.ok()) {
+          reference_result = parsed.MoveValue();
+          have_reference_result = true;
+        } else {
+          TDAC_LOG_WARNING << name_ << ": reference checkpoint payload "
+                           << "unusable (" << parsed.status().message()
+                           << "); recomputing";
         }
       }
     }
@@ -300,9 +235,7 @@ Result<TdacReport> Tdac::RunPass(const DatasetLike& data,
       // recomputed on resume, never resumed from.
       if (ckpt_on && !reference_result.degraded()) {
         TDAC_RETURN_NOT_OK(ckpt->StoreNow(
-            ref_slot,
-            BindCheckpointContext(
-                ctx, SerializeTruthDiscoveryResult(reference_result))));
+            ref_slot, ctx, SerializeTruthDiscoveryResult(reference_result)));
       }
     }
   }
@@ -371,6 +304,72 @@ Result<TdacReport> Tdac::RunPass(const DatasetLike& data,
     }
   }
 
+  // Sweep and groups share one batch-and-snapshot loop over tasks
+  // [done, total): run(i) fills task i's slot, check(i) is its status once
+  // its batch ended clean, and write/read encode and restore its record. A
+  // phase's payload is its count of finished tasks and then their records,
+  // so a resume restores that prefix and runs the rest. Checkpointing splits
+  // the phase into batches so there are serial points to snapshot at;
+  // without it the phase is one batch — exactly the pre-checkpoint
+  // execution. Only batches whose guard was still clean at the batch
+  // boundary are persisted; a batch the guard tripped inside is recomputed
+  // on resume, so resumed and uninterrupted runs agree bit for bit.
+  auto run_phase = [&](const std::string& phase, const std::string& phase_ctx,
+                       size_t total, auto run, auto check, auto write,
+                       auto read) -> Status {
+    const std::string slot = slot_prefix + "." + phase;
+    const size_t batch =
+        ckpt_on ? 4 * static_cast<size_t>(std::max(1, par.max_parallelism))
+                : total;
+    size_t done = 0;
+    if (ckpt_on) {
+      TDAC_ASSIGN_OR_RETURN(std::optional<std::string> stored,
+                            ckpt->LoadForResume(slot, phase_ctx));
+      if (stored) {
+        PayloadReader in(*stored);
+        const size_t n = in.Count();
+        Status parsed = n > total ? Status::InvalidArgument("too many records")
+                                  : Status::OK();
+        for (size_t i = 0; i < n && parsed.ok(); ++i) parsed = read(in, i);
+        if (parsed.ok()) parsed = in.Finish();
+        if (parsed.ok()) {
+          done = n;
+        } else {
+          TDAC_LOG_WARNING << name_ << ": " << phase
+                           << " checkpoint payload unusable ("
+                           << parsed.message() << "); recomputing it";
+        }
+      }
+    }
+    const auto payload = [&] {
+      PayloadWriter out;
+      (out << done).End();
+      for (size_t i = 0; i < done; ++i) write(out, i);
+      return out.Take();
+    };
+    std::optional<StopReason> trip;
+    while (done < total) {
+      const size_t begin = done;
+      const size_t count = std::min(batch, total - begin);
+      ParallelFor(count, [&](size_t i) { run(begin + i); }, par);
+      trip = guard.ShouldStop();
+      if (trip) break;
+      for (size_t i = begin; i < begin + count; ++i) {
+        TDAC_RETURN_NOT_OK(check(i));
+      }
+      done = begin + count;
+      if (ckpt_on) {
+        TDAC_RETURN_NOT_OK(ckpt->MaybeStore(slot, phase_ctx, payload));
+      }
+    }
+    if (ckpt_on && trip) {
+      // Final checkpoint on a Deadline/Cancelled stop: the clean prefix of
+      // the phase, so --resume picks up right here.
+      TDAC_RETURN_NOT_OK(ckpt->StoreNow(slot, phase_ctx, payload()));
+    }
+    return Status::OK();
+  };
+
   // Each candidate k's clustering + silhouette run is independent of every
   // other k (k-means re-seeds per call from options, the dendrogram cut is
   // read-only), so the sweep fans out over the pool. Per-k outcomes land
@@ -385,6 +384,7 @@ Result<TdacReport> Tdac::RunPass(const DatasetLike& data,
   auto run_sweep_k = [&](size_t idx) {
     const int k = lo + static_cast<int>(idx);
     SweepOutcome& out = outcomes[idx];
+    out = SweepOutcome{};
     std::vector<int> assignment;
     if (options_.backend == ClusteringBackend::kAgglomerative) {
       auto cut = dendrogram->CutToK(k);
@@ -408,58 +408,31 @@ Result<TdacReport> Tdac::RunPass(const DatasetLike& data,
     out.score = sil.value().partition_score;
     out.ok = true;
   };
-
-  // Checkpointing splits the sweep into batches so there are serial points
-  // to snapshot at; without it the whole sweep is one batch — exactly the
-  // pre-checkpoint execution. Only batches whose guard was still clean at
-  // the batch boundary are persisted; a batch the guard tripped inside is
-  // recomputed on resume, so resumed and uninterrupted runs agree bit for
-  // bit no matter where the kill landed.
-  const std::string sweep_slot = slot_prefix + ".sweep";
-  const std::string sweep_ctx = ctx + " phase=sweep lo=" + std::to_string(lo) +
-                                " hi=" + std::to_string(hi);
-  size_t sweep_done = 0;
-  if (ckpt_on) {
-    TDAC_ASSIGN_OR_RETURN(std::optional<std::string> stored,
-                          ckpt->LoadForResume(sweep_slot));
-    if (stored) {
-      if (auto payload = MatchCheckpointContext(sweep_ctx, *stored)) {
-        if (!ParseSweepState(*payload, &outcomes, &sweep_done)) {
-          TDAC_LOG_WARNING << name_
-                           << ": sweep checkpoint payload unusable; "
-                           << "restarting the sweep";
-          sweep_done = 0;
-          outcomes.assign(sweep_size, SweepOutcome{});
+  TDAC_RETURN_NOT_OK(run_phase(
+      "sweep",
+      ctx + " phase=sweep lo=" + std::to_string(lo) +
+          " hi=" + std::to_string(hi),
+      sweep_size, run_sweep_k, [](size_t) { return Status::OK(); },
+      [&](PayloadWriter& out, size_t i) {
+        const SweepOutcome& o = outcomes[i];
+        out << o.ok << o.kmeans_converged << o.effective_k << o.score
+            << o.assignment.size();
+        for (int a : o.assignment) out << a;
+        out.End();
+      },
+      [&](PayloadReader& in, size_t i) {
+        SweepOutcome o;
+        in >> o.ok >> o.kmeans_converged >> o.effective_k >> o.score;
+        o.assignment.resize(in.Count());
+        for (int& a : o.assignment) in >> a;
+        // A restored winner must still label every item.
+        if (in.ok() && o.ok && (o.assignment.size() != items.size() ||
+                                std::ranges::min(o.assignment) < 0)) {
+          return Status::InvalidArgument("assignment does not fit the items");
         }
-      }
-    }
-  }
-  const size_t sweep_batch =
-      ckpt_on ? std::max<size_t>(1, 4 * static_cast<size_t>(
-                                          std::max(1, par.max_parallelism)))
-              : std::max<size_t>(1, sweep_size);
-  std::optional<StopReason> sweep_trip;
-  while (sweep_done < sweep_size && !sweep_trip) {
-    const size_t begin = sweep_done;
-    const size_t count = std::min(sweep_batch, sweep_size - begin);
-    ParallelFor(count, [&](size_t i) { run_sweep_k(begin + i); }, par);
-    sweep_trip = guard.ShouldStop();
-    if (sweep_trip) break;
-    sweep_done = begin + count;
-    if (ckpt_on) {
-      TDAC_RETURN_NOT_OK(ckpt->MaybeStore(sweep_slot, [&] {
-        return BindCheckpointContext(
-            sweep_ctx, SerializeSweepState(outcomes, sweep_done));
+        if (in.ok()) outcomes[i] = std::move(o);
+        return Status::OK();
       }));
-    }
-  }
-  if (ckpt_on && sweep_trip) {
-    // Final checkpoint on a Deadline/Cancelled stop: the clean prefix of
-    // the sweep, so --resume picks up right here.
-    TDAC_RETURN_NOT_OK(ckpt->StoreNow(
-        sweep_slot, BindCheckpointContext(
-                        sweep_ctx, SerializeSweepState(outcomes, sweep_done))));
-  }
 
   bool have_best = false;
   std::vector<int> best_assignment;
@@ -523,65 +496,24 @@ Result<TdacReport> Tdac::RunPass(const DatasetLike& data,
 
   // The groups checkpoint is bound to the chosen partition: if a resume
   // lands on a different partition (e.g. after an option change) the slot
-  // is ignored and every group recomputes.
-  const std::string groups_slot = slot_prefix + ".groups";
-  const std::string groups_ctx =
-      ctx + " phase=groups partition=" + report.partition.ToString();
-  size_t groups_done = 0;
-  if (ckpt_on) {
-    TDAC_ASSIGN_OR_RETURN(std::optional<std::string> stored,
-                          ckpt->LoadForResume(groups_slot));
-    if (stored) {
-      if (auto payload = MatchCheckpointContext(groups_ctx, *stored)) {
-        if (ParseGroupsState(*payload, groups.size(), &partials,
-                             &groups_done)) {
-          // Restored groups still serve the trust merge below from their
-          // (cached, zero-copy) views.
-          for (size_t g = 0; g < groups_done; ++g) {
-            views[g] = restrict_to(groups[g]);
-          }
-        } else {
-          TDAC_LOG_WARNING << name_
-                           << ": groups checkpoint payload unusable; "
-                           << "recomputing every group";
-          groups_done = 0;
-          for (size_t g = 0; g < groups.size(); ++g) {
-            partials[g] = TruthDiscoveryResult{};
-          }
-        }
-      }
-    }
-  }
-  const size_t groups_batch =
-      ckpt_on ? std::max<size_t>(1, 4 * static_cast<size_t>(
-                                          std::max(1, par.max_parallelism)))
-              : std::max<size_t>(1, groups.size());
-  std::optional<StopReason> groups_trip;
-  while (groups_done < groups.size() && !groups_trip) {
-    const size_t begin = groups_done;
-    const size_t count = std::min(groups_batch, groups.size() - begin);
-    ParallelFor(
-        count, [&](size_t i) { partials[begin + i] = run_group(begin + i); },
-        par);
-    groups_trip = guard.ShouldStop();
-    if (groups_trip) break;
-    for (size_t i = 0; i < count; ++i) {
-      TDAC_RETURN_NOT_OK(partials[begin + i].status());
-    }
-    groups_done = begin + count;
-    if (ckpt_on) {
-      TDAC_RETURN_NOT_OK(ckpt->MaybeStore(groups_slot, [&] {
-        return BindCheckpointContext(
-            groups_ctx, SerializeGroupsState(partials, groups_done));
+  // is ignored and every group recomputes. Each record is one group's
+  // result as a single token.
+  TDAC_RETURN_NOT_OK(run_phase(
+      "groups", ctx + " phase=groups partition=" + report.partition.ToString(),
+      groups.size(), [&](size_t g) { partials[g] = run_group(g); },
+      [&](size_t g) { return partials[g].status(); },
+      [&](PayloadWriter& out, size_t g) {
+        (out << SerializeTruthDiscoveryResult(partials[g].value())).End();
+      },
+      [&](PayloadReader& in, size_t g) -> Status {
+        std::string result;
+        if (!(in >> result).ok()) return Status::OK();  // Finish() reports it
+        TDAC_ASSIGN_OR_RETURN(partials[g], RestoreResult(result, data));
+        // Restored groups still serve the trust merge below from their
+        // (cached, zero-copy) views.
+        views[g] = restrict_to(groups[g]);
+        return Status::OK();
       }));
-    }
-  }
-  if (ckpt_on && groups_trip) {
-    TDAC_RETURN_NOT_OK(ckpt->StoreNow(
-        groups_slot,
-        BindCheckpointContext(groups_ctx,
-                              SerializeGroupsState(partials, groups_done))));
-  }
 
   TruthDiscoveryResult& merged = report.result;
   merged.iterations = 1;  // TD-AC runs a single outer pass (paper Table 4)

@@ -1,8 +1,9 @@
 // Tests for the checkpoint format and the Checkpointer (common/checkpoint.h):
 // round-trips, one distinct Status per corruption mode (torn, bit-flipped,
 // wrong-magic, future-version — seeded like the gen/corrupt conventions so
-// failures reproduce), last-good fallback, interval snapshots, and the
-// context binding that keeps a slot from resuming a different run's state.
+// failures reproduce), last-good fallback, interval snapshots, the context
+// binding that keeps a slot from resuming a different run's state, and the
+// payload codec (PayloadWriter/PayloadReader) every slot is written with.
 
 #include "common/checkpoint.h"
 
@@ -16,10 +17,14 @@
 #include "common/csv.h"
 #include "common/io.h"
 #include "common/random.h"
+#include "td/truth_discovery.h"
 #include "test_util.h"
 
 namespace tdac {
 namespace {
+
+/// The run context the Checkpointer tests store and load under.
+constexpr std::string_view kContext = "TD-AC fp=1234 round=0";
 
 class CheckpointTest : public ::testing::Test {
  protected:
@@ -168,15 +173,15 @@ TEST_F(CheckpointTest, RejectsBitFlip) {
 TEST_F(CheckpointTest, DisabledCheckpointerIsANoOp) {
   Checkpointer ckpt{CheckpointOptions{}};
   EXPECT_FALSE(ckpt.enabled());
-  EXPECT_TRUE(ckpt.StoreNow("slot", "payload").ok());
+  EXPECT_TRUE(ckpt.StoreNow("slot", kContext, "payload").ok());
   int calls = 0;
-  EXPECT_TRUE(ckpt.MaybeStore("slot", [&] {
+  EXPECT_TRUE(ckpt.MaybeStore("slot", kContext, [&] {
                     ++calls;
                     return std::string("payload");
                   })
                   .ok());
   EXPECT_EQ(calls, 0);
-  auto loaded = ckpt.LoadForResume("slot");
+  auto loaded = ckpt.LoadForResume("slot", kContext);
   ASSERT_TRUE(loaded.ok());
   EXPECT_FALSE(loaded.value().has_value());
   EXPECT_TRUE(ckpt.Remove("slot").ok());
@@ -185,18 +190,18 @@ TEST_F(CheckpointTest, DisabledCheckpointerIsANoOp) {
 TEST_F(CheckpointTest, ResumeOffIgnoresExistingSnapshots) {
   {
     Checkpointer writer = MakeCheckpointer();
-    ASSERT_TRUE(writer.StoreNow("slot", "payload").ok());
+    ASSERT_TRUE(writer.StoreNow("slot", kContext, "payload").ok());
   }
   Checkpointer ckpt = MakeCheckpointer(/*resume=*/false);
-  auto loaded = ckpt.LoadForResume("slot");
+  auto loaded = ckpt.LoadForResume("slot", kContext);
   ASSERT_TRUE(loaded.ok());
   EXPECT_FALSE(loaded.value().has_value());
 }
 
 TEST_F(CheckpointTest, StoreThenResumeRoundTrips) {
   Checkpointer ckpt = MakeCheckpointer();
-  ASSERT_TRUE(ckpt.StoreNow("slot", "state v1").ok());
-  auto loaded = ckpt.LoadForResume("slot");
+  ASSERT_TRUE(ckpt.StoreNow("slot", kContext, "state v1").ok());
+  auto loaded = ckpt.LoadForResume("slot", kContext);
   ASSERT_TRUE(loaded.ok());
   ASSERT_TRUE(loaded.value().has_value());
   EXPECT_EQ(**loaded, "state v1");
@@ -204,14 +209,15 @@ TEST_F(CheckpointTest, StoreThenResumeRoundTrips) {
 
 TEST_F(CheckpointTest, SecondStoreRotatesLastGood) {
   Checkpointer ckpt = MakeCheckpointer();
-  ASSERT_TRUE(ckpt.StoreNow("slot", "state v1").ok());
-  ASSERT_TRUE(ckpt.StoreNow("slot", "state v2").ok());
+  ASSERT_TRUE(ckpt.StoreNow("slot", kContext, "state v1").ok());
+  ASSERT_TRUE(ckpt.StoreNow("slot", kContext, "state v2").ok());
   EXPECT_TRUE(FileExists(Path("slot.ckpt")));
   EXPECT_TRUE(FileExists(Path("slot.ckpt.prev")));
+  // The file holds the context line ahead of the payload.
   auto prev = LoadCheckpoint(Path("slot.ckpt.prev"));
   ASSERT_TRUE(prev.ok()) << prev.status();
-  EXPECT_EQ(prev.value(), "state v1");
-  auto loaded = ckpt.LoadForResume("slot");
+  EXPECT_EQ(prev.value(), "CTX TD-AC%20fp=1234%20round=0\nstate v1");
+  auto loaded = ckpt.LoadForResume("slot", kContext);
   ASSERT_TRUE(loaded.ok());
   ASSERT_TRUE(loaded.value().has_value());
   EXPECT_EQ(**loaded, "state v2");
@@ -252,10 +258,10 @@ TEST_F(CheckpointTest, CorruptCurrentFallsBackToLastGood) {
     SCOPED_TRACE(c.name);
     Checkpointer ckpt = MakeCheckpointer();
     const std::string slot = std::string("slot_") + c.name;
-    ASSERT_TRUE(ckpt.StoreNow(slot, "good state").ok());
-    ASSERT_TRUE(ckpt.StoreNow(slot, "newer state").ok());
+    ASSERT_TRUE(ckpt.StoreNow(slot, kContext, "good state").ok());
+    ASSERT_TRUE(ckpt.StoreNow(slot, kContext, "newer state").ok());
     c.corrupt(this, Path(slot + ".ckpt"));
-    auto loaded = ckpt.LoadForResume(slot);
+    auto loaded = ckpt.LoadForResume(slot, kContext);
     ASSERT_TRUE(loaded.ok()) << loaded.status();
     ASSERT_TRUE(loaded.value().has_value()) << "fallback did not engage";
     EXPECT_EQ(**loaded, "good state");
@@ -264,23 +270,23 @@ TEST_F(CheckpointTest, CorruptCurrentFallsBackToLastGood) {
 
 TEST_F(CheckpointTest, AllSnapshotsCorruptMeansFreshStart) {
   Checkpointer ckpt = MakeCheckpointer();
-  ASSERT_TRUE(ckpt.StoreNow("slot", "v1").ok());
-  ASSERT_TRUE(ckpt.StoreNow("slot", "v2").ok());
+  ASSERT_TRUE(ckpt.StoreNow("slot", kContext, "v1").ok());
+  ASSERT_TRUE(ckpt.StoreNow("slot", kContext, "v2").ok());
   ASSERT_TRUE(WriteFile(Path("slot.ckpt"), "junk").ok());
   ASSERT_TRUE(WriteFile(Path("slot.ckpt.prev"), "junk").ok());
-  auto loaded = ckpt.LoadForResume("slot");
+  auto loaded = ckpt.LoadForResume("slot", kContext);
   ASSERT_TRUE(loaded.ok()) << loaded.status();  // corrupt never aborts a run
   EXPECT_FALSE(loaded.value().has_value());
 }
 
 TEST_F(CheckpointTest, MissingCurrentFallsBackToLastGood) {
   Checkpointer ckpt = MakeCheckpointer();
-  ASSERT_TRUE(ckpt.StoreNow("slot", "v1").ok());
-  ASSERT_TRUE(ckpt.StoreNow("slot", "v2").ok());
+  ASSERT_TRUE(ckpt.StoreNow("slot", kContext, "v1").ok());
+  ASSERT_TRUE(ckpt.StoreNow("slot", kContext, "v2").ok());
   // The crash window between the two renames of StoreNow: current gone,
   // only .prev remains.
   ASSERT_TRUE(RemoveFile(Path("slot.ckpt")).ok());
-  auto loaded = ckpt.LoadForResume("slot");
+  auto loaded = ckpt.LoadForResume("slot", kContext);
   ASSERT_TRUE(loaded.ok());
   ASSERT_TRUE(loaded.value().has_value());
   EXPECT_EQ(**loaded, "v1");
@@ -288,8 +294,8 @@ TEST_F(CheckpointTest, MissingCurrentFallsBackToLastGood) {
 
 TEST_F(CheckpointTest, RemoveClearsAllSlotFiles) {
   Checkpointer ckpt = MakeCheckpointer();
-  ASSERT_TRUE(ckpt.StoreNow("slot", "v1").ok());
-  ASSERT_TRUE(ckpt.StoreNow("slot", "v2").ok());
+  ASSERT_TRUE(ckpt.StoreNow("slot", kContext, "v1").ok());
+  ASSERT_TRUE(ckpt.StoreNow("slot", kContext, "v2").ok());
   ASSERT_TRUE(WriteFile(Path("slot.ckpt.tmp"), "torn").ok());
   ASSERT_TRUE(ckpt.Remove("slot").ok());
   auto files = ListDirFiles(dir_);
@@ -303,10 +309,10 @@ TEST_F(CheckpointTest, MaybeStoreHonoursInterval) {
   Checkpointer throttled = MakeCheckpointer(true, /*interval_ms=*/8.64e7);
   int calls = 0;
   auto payload = [&] { return "state " + std::to_string(++calls); };
-  ASSERT_TRUE(throttled.MaybeStore("slot", payload).ok());
-  ASSERT_TRUE(throttled.MaybeStore("slot", payload).ok());
+  ASSERT_TRUE(throttled.MaybeStore("slot", kContext, payload).ok());
+  ASSERT_TRUE(throttled.MaybeStore("slot", kContext, payload).ok());
   EXPECT_EQ(calls, 1);
-  auto loaded = throttled.LoadForResume("slot");
+  auto loaded = throttled.LoadForResume("slot", kContext);
   ASSERT_TRUE(loaded.ok());
   ASSERT_TRUE(loaded.value().has_value());
   EXPECT_EQ(**loaded, "state 1");
@@ -314,22 +320,26 @@ TEST_F(CheckpointTest, MaybeStoreHonoursInterval) {
   // interval <= 0: every call stores. Distinct slot name so the day-long
   // throttle above doesn't interfere.
   Checkpointer eager = MakeCheckpointer(true, 0.0);
-  ASSERT_TRUE(eager.MaybeStore("eager", payload).ok());
-  ASSERT_TRUE(eager.MaybeStore("eager", payload).ok());
+  ASSERT_TRUE(eager.MaybeStore("eager", kContext, payload).ok());
+  ASSERT_TRUE(eager.MaybeStore("eager", kContext, payload).ok());
   EXPECT_EQ(calls, 3);
 }
 
 // --- Context binding -------------------------------------------------------
 
 TEST_F(CheckpointTest, ContextRoundTripsAndRejectsMismatch) {
-  const std::string bound =
-      BindCheckpointContext("TD-AC fp=1234 round=0", "inner state\n");
-  auto matched = MatchCheckpointContext("TD-AC fp=1234 round=0", bound);
-  ASSERT_TRUE(matched.has_value());
-  EXPECT_EQ(*matched, "inner state\n");
-  EXPECT_FALSE(MatchCheckpointContext("TD-AC fp=9999 round=0", bound));
-  EXPECT_FALSE(MatchCheckpointContext("TD-AC fp=1234 round=1", bound));
-  EXPECT_FALSE(MatchCheckpointContext("", bound).has_value());
+  Checkpointer ckpt = MakeCheckpointer();
+  ASSERT_TRUE(ckpt.StoreNow("slot", kContext, "inner state\n").ok());
+  auto matched = ckpt.LoadForResume("slot", kContext);
+  ASSERT_TRUE(matched.ok()) << matched.status();
+  ASSERT_TRUE(matched.value().has_value());
+  EXPECT_EQ(**matched, "inner state\n");
+  for (std::string_view other :
+       {"TD-AC fp=9999 round=0", "TD-AC fp=1234 round=1", ""}) {
+    auto mismatched = ckpt.LoadForResume("slot", other);
+    ASSERT_TRUE(mismatched.ok()) << mismatched.status();
+    EXPECT_FALSE(mismatched.value().has_value()) << other;
+  }
 }
 
 // --- Token and double framing ----------------------------------------------
@@ -388,6 +398,140 @@ TEST_F(CheckpointTest, HexDoubleIsBitExact) {
 
   EXPECT_FALSE(ParseHexDouble("short").ok());
   EXPECT_FALSE(ParseHexDouble("zzzzzzzzzzzzzzzz").ok());
+}
+
+// --- Payload codec ----------------------------------------------------------
+
+uint64_t Bits(double value) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &value, sizeof(bits));
+  return bits;
+}
+
+TEST_F(CheckpointTest, PayloadRoundTripsEveryFieldType) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::string awkward = "two words\nand a 100% newline";
+  PayloadWriter writer;
+  (writer << 3 << size_t{18446744073709551615u} << int64_t{-7} << true
+          << false)
+      .End();
+  (writer << -0.0 << nan << -inf << 0.1 << awkward << "" << "plain").End();
+  const std::string payload = writer.Take();
+  EXPECT_EQ(payload,
+            "3 18446744073709551615 -7 1 0\n"
+            "8000000000000000 7ff8000000000000 fff0000000000000 "
+            "3fb999999999999a two%20words%0aand%20a%20100%25%20newline % "
+            "plain\n");
+
+  PayloadReader reader(payload);
+  int i = 0;
+  size_t big = 0;
+  int64_t negative = 0;
+  bool yes = false;
+  bool no = true;
+  double zero = 1.0, not_a_number = 0.0, minus_inf = 0.0, tenth = 0.0;
+  std::string text, empty = "x", plain;
+  reader >> i >> big >> negative >> yes >> no >> zero >> not_a_number >>
+      minus_inf >> tenth >> text >> empty >> plain;
+  ASSERT_TRUE(reader.Finish().ok()) << reader.Finish();
+  EXPECT_EQ(i, 3);
+  EXPECT_EQ(big, 18446744073709551615u);
+  EXPECT_EQ(negative, -7);
+  EXPECT_TRUE(yes);
+  EXPECT_FALSE(no);
+  EXPECT_EQ(Bits(zero), Bits(-0.0));
+  EXPECT_EQ(Bits(not_a_number), Bits(nan));
+  EXPECT_EQ(Bits(minus_inf), Bits(-inf));
+  EXPECT_EQ(Bits(tenth), Bits(0.1));
+  EXPECT_EQ(text, awkward);
+  EXPECT_EQ(empty, "");
+  EXPECT_EQ(plain, "plain");
+}
+
+TEST_F(CheckpointTest, MalformedPayloadsAreInvalidArgument) {
+  // Each payload is a count and then that many fields of one type.
+  struct Case {
+    const char* payload;
+    void (*read_field)(PayloadReader&);
+    const char* defect;  // expected in the Finish() message
+  };
+  const auto read_int = [](PayloadReader& in) {
+    int value = 0;
+    in >> value;
+  };
+  const Case cases[] = {
+      {"18446744073709551615\n1 2\n", read_int, "exceeds the payload"},
+      {"1\n7\nextra\n", read_int, "trailing bytes"},
+      {"1x\n", read_int, "'1x'"},
+      {"2\n7\n", read_int, "ends early"},
+      {"1\n2\n",
+       [](PayloadReader& in) {
+         bool value = false;
+         in >> value;
+       },
+       "'2'"},
+      {"1\n3ff00000\n",
+       [](PayloadReader& in) {
+         double value = 0.0;
+         in >> value;
+       },
+       "'3ff00000'"},
+      {"1\nbad%zz\n",
+       [](PayloadReader& in) {
+         std::string value;
+         in >> value;
+       },
+       "'bad%zz'"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.payload);
+    PayloadReader reader(c.payload);
+    const size_t count = reader.Count();
+    EXPECT_LE(count, std::string_view(c.payload).size());
+    for (size_t k = 0; k < count; ++k) c.read_field(reader);
+    const Status status = reader.Finish();
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status;
+    EXPECT_NE(status.message().find(c.defect), std::string::npos) << status;
+    // Errors are sticky: a read after the defect leaves its target alone.
+    int after = 42;
+    reader >> after;
+    EXPECT_EQ(after, 42);
+  }
+}
+
+// A CRC-valid result payload claiming 2^64-1 trust values once made a
+// resume abort with std::length_error; the count bound rejects it.
+TEST_F(CheckpointTest, ResultPayloadWithHugeCountIsInvalidArgument) {
+  auto parsed =
+      DeserializeTruthDiscoveryResult("R 1 1 0\nT 18446744073709551615\n");
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument)
+      << parsed.status();
+}
+
+TEST_F(CheckpointTest, ResultPayloadFormatIsPinned) {
+  TruthDiscoveryResult result;
+  result.iterations = 4;
+  result.converged = true;
+  result.stop_reason = StopReason::kDeadline;
+  result.source_trust = {0.5, -0.0};
+  result.predicted.Set(1, 2, Value("new york"));
+  result.predicted.Set(0, 1, Value(int64_t{7}));
+  result.confidence[ObjectAttrKey(1, 2)] = 1.0;
+  const std::string payload = SerializeTruthDiscoveryResult(result);
+  EXPECT_EQ(payload,
+            "R 4 1 2\n"
+            "T 2 3fe0000000000000 8000000000000000\n"
+            "I 2\n"
+            "1 1 7\n"
+            "4294967298 0 new%20york\n"
+            "C 1\n"
+            "4294967298 3ff0000000000000\n");
+  auto parsed = DeserializeTruthDiscoveryResult(payload);
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  EXPECT_EQ(SerializeTruthDiscoveryResult(parsed.value()), payload);
+  EXPECT_FALSE(DeserializeTruthDiscoveryResult(payload + "x\n").ok());
 }
 
 }  // namespace
