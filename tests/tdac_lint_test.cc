@@ -266,6 +266,30 @@ TEST_F(TdacLintTest, AtomicIoRule) {
       << run.output;
 }
 
+TEST_F(TdacLintTest, CheckpointCodecRule) {
+  const LintRun& run = CorpusRun();
+  // HexDouble and ParseHexDouble in a hand-rolled payload.
+  EXPECT_EQ(CountFindings(run, "src/partition/checkpoint_codec_violation.cc",
+                          "checkpoint-codec"),
+            2)
+      << run.output;
+  EXPECT_TRUE(HasFindingAt(run, "src/partition/checkpoint_codec_violation.cc",
+                           12, "checkpoint-codec"))
+      << run.output;
+  EXPECT_TRUE(HasFindingAt(run, "src/partition/checkpoint_codec_violation.cc",
+                           17, "checkpoint-codec"))
+      << run.output;
+  // PayloadWriter and a reasoned waiver: clean.
+  EXPECT_EQ(CountFindings(run, "src/partition/checkpoint_codec_ok.cc",
+                          "checkpoint-codec"),
+            0)
+      << run.output;
+  // src/common/checkpoint.* is the codec's home.
+  EXPECT_EQ(
+      CountFindings(run, "src/common/checkpoint.cc", "checkpoint-codec"), 0)
+      << run.output;
+}
+
 TEST_F(TdacLintTest, FrozenStoreRule) {
   const LintRun& run = CorpusRun();
   // Non-const Dataset& and Dataset*, AppendClaim, DatasetBuilder.
@@ -369,13 +393,13 @@ TEST_F(TdacLintTest, JsonFormatCleanFileHasZeroCount) {
       << run.output;
 }
 
-TEST_F(TdacLintTest, ListRulesPrintsAllEleven) {
+TEST_F(TdacLintTest, ListRulesPrintsAllTwelve) {
   LintRun run = RunLint(TDAC_LINT_FIXTURES, {"--list-rules"});
   EXPECT_EQ(run.exit_code, 0) << run.output;
   for (const char* rule :
        {"nodiscard", "unordered", "random", "throw", "claim-value", "guard",
         "atomic-io", "frozen-store", "hot-path-alloc", "scratch-path",
-        "stale-waiver"}) {
+        "checkpoint-codec", "stale-waiver"}) {
     EXPECT_NE(run.output.find(rule), std::string::npos)
         << rule << "\n" << run.output;
   }

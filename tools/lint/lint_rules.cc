@@ -264,6 +264,30 @@ void CheckScratchPath(const FileScan& scan, std::vector<Finding>* findings) {
 }
 
 // ---------------------------------------------------------------------------
+// Rule: checkpoint-codec — checkpoint payloads go through one codec
+// ---------------------------------------------------------------------------
+
+bool CheckpointCodecRuleApplies(const std::string& rel) {
+  if (StartsWith(rel, "src/common/checkpoint.")) return false;  // the codec
+  return StartsWith(rel, "src/") || StartsWith(rel, "bench/");
+}
+
+void CheckCheckpointCodec(const FileScan& scan,
+                          std::vector<Finding>* findings) {
+  if (!CheckpointCodecRuleApplies(scan.rel_path)) return;
+  for (const Token& tok : scan.tokens) {
+    if (tok.text != "HexDouble" && tok.text != "ParseHexDouble") continue;
+    if (Waived(scan, tok.line, "checkpoint-codec-ok")) continue;
+    findings->push_back(
+        {scan.rel_path, tok.line, Rule::kCheckpointCodec,
+         "'" + tok.text + "' outside src/common/checkpoint hand-rolls a "
+         "checkpoint payload; write it with PayloadWriter and read it with "
+         "PayloadReader (common/checkpoint.h), or waive with "
+         "// lint: checkpoint-codec-ok (reason)"});
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Rule: guard — fixpoint loops consult the RunGuard they were handed
 // ---------------------------------------------------------------------------
 
@@ -566,6 +590,8 @@ const std::vector<RuleInfo>& Registry() {
        "*Soa columnar kernels stay allocation-light"},
       {Rule::kScratchPath, "scratch-path", "scratch-path-ok",
        "tests take scratch paths from testutil::ScratchDir, not TempDir()"},
+      {Rule::kCheckpointCodec, "checkpoint-codec", "checkpoint-codec-ok",
+       "checkpoint payloads use PayloadWriter/PayloadReader, not HexDouble"},
       {Rule::kStaleWaiver, "stale-waiver", nullptr,
        "every `<rule>-ok` waiver still suppresses a finding"},
   };
@@ -599,6 +625,7 @@ void RunRules(const FileScan& scan, const LintContext& context,
   CheckFrozenStore(scan, findings);
   CheckHotPathAlloc(scan, scopes, findings);
   CheckScratchPath(scan, findings);
+  CheckCheckpointCodec(scan, findings);
 }
 
 void AuditWaivers(const FileScan& scan, std::vector<Finding>* findings) {

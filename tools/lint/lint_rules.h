@@ -1,4 +1,4 @@
-// tdac_lint rule registry: the ten invariant rules plus the stale-waiver
+// tdac_lint rule registry: the eleven invariant rules plus the stale-waiver
 // audit, over the FileScan/ScopeIndex layers.
 //
 // Each rule is a pure function of the scan (plus the cross-file context)
@@ -29,6 +29,7 @@ enum class Rule {
   kFrozenStore,
   kHotPathAlloc,
   kScratchPath,
+  kCheckpointCodec,
   kStaleWaiver,  // emitted by the audit, not a scan rule
 };
 

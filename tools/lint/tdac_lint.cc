@@ -15,7 +15,7 @@
 //               harvests `// lint: <rule>-ok` waivers
 //   lint_index  cross-file unordered-container names + per-file function
 //               scope index (the *Soa kernel extents)
-//   lint_rules  the ten rules (see docs/static_analysis.md for the full
+//   lint_rules  the eleven rules (see docs/static_analysis.md for the full
 //               contract and `tdac_lint --list-rules` for one-liners)
 //
 // Usage:
