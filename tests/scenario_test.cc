@@ -10,9 +10,11 @@
 
 #include "data/soa_mode.h"
 #include "eval/metrics.h"
+#include "gen/flights.h"
 #include "td/majority_vote.h"
 #include "td/registry.h"
 #include "td/truth_discovery.h"
+#include "test_util.h"
 
 namespace tdac {
 namespace {
@@ -335,6 +337,41 @@ TEST(ScenarioGenerateTest, FullRegistryRunsOnAdversarialCell) {
     ASSERT_TRUE(discovered.ok()) << discovered.status();
     EXPECT_FALSE(discovered->predicted.empty());
   }
+}
+
+// Characterization golden: every registered algorithm's iteration count,
+// stop reason and a digest of its serialized result on each default-matrix
+// cell and on the flights simulator, so a kernel rewrite that moves any
+// output bit fails here.
+TEST(ScenarioGenerateTest, RegistryResultsMatchGolden) {
+  std::vector<std::pair<std::string, Dataset>> inputs;
+  for (const ScenarioSpec& spec : DefaultScenarioMatrix(40, 99)) {
+    auto generated = GenerateScenario(spec);
+    ASSERT_TRUE(generated.ok()) << generated.status();
+    inputs.emplace_back(spec.name, std::move(generated->dataset));
+  }
+  auto flights = GenerateFlights(7);
+  ASSERT_TRUE(flights.ok()) << flights.status();
+  inputs.emplace_back("flights_seed7", std::move(flights->dataset));
+
+  std::string actual;
+  for (const auto& [input_name, dataset] : inputs) {
+    for (const std::string& name : RegisteredAlgorithms()) {
+      auto algorithm = MakeAlgorithm(name);
+      ASSERT_TRUE(algorithm.ok());
+      auto result = (*algorithm)->Discover(dataset);
+      ASSERT_TRUE(result.ok()) << input_name << " " << name << ": "
+                               << result.status();
+      actual += input_name + " " + name + " iterations " +
+                std::to_string(result->iterations) + " stop " +
+                std::string(StopReasonToString(result->stop_reason)) +
+                " fnv1a64 " +
+                testutil::Fnv1a64Hex(SerializeTruthDiscoveryResult(*result)) +
+                "\n";
+    }
+  }
+  testutil::ExpectMatchesGolden(
+      std::string(TDAC_GOLDEN_DIR) + "/registry_results.txt", actual);
 }
 
 TEST(ScenarioGenerateTest, InvalidSpecsAreRefused) {
