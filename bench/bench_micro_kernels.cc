@@ -233,15 +233,33 @@ class KernelPathGuard {
   bool was_;
 };
 
+// Glibc heap in use: mallinfo2 uordblks (arena) + hblkhd (mmapped blocks).
+size_t HeapInUse() {
+  const struct mallinfo2 info = mallinfo2();
+  return info.uordblks + info.hblkhd;
+}
+
+// Besides throughput, reports the heap bytes per claim the grouped conflict
+// store keeps: glibc heap in use with the store alive, minus before the
+// grouping (the measurement BM_DatasetFromCsv takes of the claim store).
 void BM_SoaGroupClaims(benchmark::State& state,
                        const tdac::GeneratedData& data) {
   KernelPathGuard guard(state.range(0) == 1);
+  double heap_bytes = 0.0;
   for (auto _ : state) {
-    auto items = tdac::td_internal::GroupClaimsByItem(data.dataset);
-    benchmark::DoNotOptimize(items);
+    const size_t before = HeapInUse();
+    {
+      auto store = tdac::td_internal::GroupClaimsByItem(data.dataset);
+      benchmark::DoNotOptimize(store);
+      state.PauseTiming();
+      heap_bytes = static_cast<double>(HeapInUse() - before);
+    }  // the store is released untimed
+    state.ResumeTiming();
   }
+  const auto claims = static_cast<double>(data.dataset.num_claims());
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(data.dataset.num_claims()));
+  state.counters["heap_bytes_per_claim"] = heap_bytes / claims;
 }
 void BM_SoaGroupClaimsTall(benchmark::State& state) {
   BM_SoaGroupClaims(state, TallMillion());
@@ -289,13 +307,17 @@ BENCHMARK(BM_SoaMajorityVoteWide)->Arg(0)->Arg(1);
 // throughput rather than a legacy/columnar pair.
 void BM_SoaDetectCopying(benchmark::State& state) {
   const tdac::GeneratedData& data = HundredSources();
-  auto items = tdac::td_internal::GroupClaimsByItem(data.dataset);
-  std::vector<size_t> selected(items.size(), 0);
+  const auto store = tdac::td_internal::GroupClaimsByItem(data.dataset);
+  // Elect each item's first slot.
+  std::vector<size_t> selected(store.num_items());
+  for (size_t it = 0; it < store.num_items(); ++it) {
+    selected[it] = store.first_slot(it);
+  }
   std::vector<double> accuracy(
       static_cast<size_t>(data.dataset.num_sources()), 0.8);
   tdac::CopyDetectionParams params;
   for (auto _ : state) {
-    auto m = tdac::DetectCopying(items, selected, accuracy, params);
+    auto m = tdac::DetectCopying(store, selected, accuracy, params);
     benchmark::DoNotOptimize(m);
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
@@ -323,11 +345,6 @@ const std::string& Ds2TwentyThousandCsv() {
     return tdac::DatasetToCsv(data->dataset);
   }();
   return csv;
-}
-
-size_t HeapInUse() {
-  const struct mallinfo2 info = mallinfo2();
-  return info.uordblks + info.hblkhd;
 }
 
 void BM_DatasetFromCsv(benchmark::State& state) {

@@ -85,13 +85,6 @@ bool AllFinite(const std::vector<double>& values) {
   return true;
 }
 
-bool AllFinite(const std::vector<std::vector<double>>& values) {
-  for (const auto& row : values) {
-    if (!AllFinite(row)) return false;
-  }
-  return true;
-}
-
 Status CheckFinite(const std::vector<double>& values, std::string_view label) {
   for (size_t i = 0; i < values.size(); ++i) {
     if (!std::isfinite(values[i])) {

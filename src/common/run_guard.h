@@ -151,7 +151,6 @@ class RunGuard {
 
 /// Numeric rails: true when every element is finite (no NaN/±inf).
 bool AllFinite(const std::vector<double>& values);
-bool AllFinite(const std::vector<std::vector<double>>& values);
 
 /// Status form of the rail for API boundaries: InvalidArgument naming
 /// `label` and the offending index when a non-finite element is found.

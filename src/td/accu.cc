@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 
 #include "common/math_util.h"
 
@@ -24,8 +23,9 @@ Result<TruthDiscoveryResult> Accu::DiscoverGuarded(
   if (data.num_claims() == 0) {
     return Status::InvalidArgument("Accu: empty dataset");
   }
-  const auto items = td_internal::GroupClaimsByItem(data);
-  const size_t num_sources = static_cast<size_t>(data.num_sources());
+  const td_internal::ConflictStore store = td_internal::GroupClaimsByItem(data);
+  const std::vector<double>& claim_counts = store.claim_counts;
+  const size_t num_sources = claim_counts.size();
   const double n_false = std::max(1, options_.copy.n_false_values);
 
   std::vector<double> accuracy(
@@ -33,50 +33,57 @@ Result<TruthDiscoveryResult> Accu::DiscoverGuarded(
                        ? options_.base.initial_trust
                        : 1.0 - options_.uniform_error_rate);
 
-  // Initial election: majority vote per item.
-  std::vector<size_t> selected(items.size(), 0);
-  for (size_t it = 0; it < items.size(); ++it) {
-    std::vector<double> votes(items[it].values.size());
-    for (size_t v = 0; v < votes.size(); ++v) {
-      votes[v] = static_cast<double>(items[it].supporters[v].size());
-    }
-    selected[it] = td_internal::ArgMax(votes);
+  // Vote count C(v) of each slot; it starts as the supporter count for the
+  // initial election, a majority vote per item.
+  std::vector<double> vote(store.num_slots());
+  for (size_t v = 0; v < vote.size(); ++v) {
+    vote[v] = static_cast<double>(store.SupportersOf(v).size());
+  }
+  std::vector<size_t> selected(store.num_items());
+  for (size_t it = 0; it < store.num_items(); ++it) {
+    selected[it] = td_internal::ElectSlot(store, it, vote);
   }
 
-  // Per-item probabilities of each candidate value (filled each iteration).
-  std::vector<std::vector<double>> probs(items.size());
+  // AccuSim: sim(w, v) for each value pair of an item.
+  const bool similar = options_.similarity_weight > 0.0;
+  td_internal::PairTable similarity;
+  if (similar) {
+    similarity = td_internal::BuildPairTable(
+        store, /*symmetric=*/false, [this](const Value& w, const Value& v) {
+          return options_.similarity->Similarity(w, v);
+        });
+  }
+
+  // Probability of each slot's value (filled each iteration).
+  std::vector<double> probs(store.num_slots());
+  // Scratch: one slot's supporters by accuracy, one item's unadjusted votes.
+  std::vector<SourceId> order;
+  std::vector<double> unadjusted;
+  std::vector<double> new_accuracy(num_sources);
 
   TruthDiscoveryResult result;
-  result.stop_reason = StopReason::kMaxIterations;
-  const int max_iter = std::max(1, options_.base.max_iterations);
-  for (int iter = 0; iter < max_iter; ++iter) {
-    if (iter > 0) {
-      if (auto stop = guard.OnIteration()) {
-        result.stop_reason = *stop;
-        break;
-      }
-    }
-    ++result.iterations;
-
+  td_internal::Iterate(options_.base, guard, result, [&] {
     DependenceMatrix dependence(0);
     if (options_.detect_copying) {
-      dependence = DetectCopying(items, selected, accuracy, options_.copy);
+      dependence = DetectCopying(store, selected, accuracy, options_.copy);
     }
 
     bool selection_changed = false;
-    for (size_t it = 0; it < items.size(); ++it) {
-      const auto& item = items[it];
-      std::vector<double> vote(item.values.size(), 0.0);
-      for (size_t v = 0; v < item.values.size(); ++v) {
+    for (size_t it = 0; it < store.num_items(); ++it) {
+      const size_t first = store.first_slot(it);
+      const size_t end = store.end_slot(it);
+      for (size_t v = first; v < end; ++v) {
         // Count higher-accuracy sources first; each later source is
         // discounted by its probability of copying an earlier one.
-        std::vector<SourceId> order = item.supporters[v];
+        const std::span<const SourceId> supporters = store.SupportersOf(v);
+        order.assign(supporters.begin(), supporters.end());
         std::sort(order.begin(), order.end(), [&](SourceId a, SourceId b) {
           double aa = accuracy[static_cast<size_t>(a)];
           double ab = accuracy[static_cast<size_t>(b)];
           if (aa != ab) return aa > ab;
           return a < b;
         });
+        vote[v] = 0.0;
         for (size_t i = 0; i < order.size(); ++i) {
           double independence = 1.0;
           if (options_.detect_copying) {
@@ -91,89 +98,64 @@ Result<TruthDiscoveryResult> Accu::DiscoverGuarded(
         }
       }
 
-      if (options_.similarity_weight > 0.0 && item.values.size() > 1) {
-        std::vector<double> adjusted = vote;
-        for (size_t v = 0; v < vote.size(); ++v) {
+      const size_t n = end - first;
+      if (similar && n > 1) {
+        // C*(v) = C(v) + rho * sum_{w != v} sim(w, v) C(w).
+        unadjusted.assign(vote.begin() + first, vote.begin() + end);
+        const double* sim = similarity.Block(it);
+        for (size_t v = 0; v < n; ++v) {
           double extra = 0.0;
-          for (size_t w = 0; w < vote.size(); ++w) {
+          for (size_t w = 0; w < n; ++w) {
             if (w == v) continue;
-            extra += options_.similarity->Similarity(item.values[w],
-                                                     item.values[v]) *
-                     vote[w];
+            extra += sim[w * n + v] * unadjusted[w];
           }
-          adjusted[v] = vote[v] + options_.similarity_weight * extra;
+          vote[first + v] =
+              unadjusted[v] + options_.similarity_weight * extra;
         }
-        vote = std::move(adjusted);
       }
 
       // P(v) = exp(C(v)) / (sum over observed + unclaimed candidates).
       // Stable log-sum-exp with the unclaimed candidates carrying C = 0.
       double unclaimed =
           options_.include_unclaimed_mass
-              ? std::max(0.0, n_false + 1.0 -
-                                  static_cast<double>(item.values.size()))
+              ? std::max(0.0, n_false + 1.0 - static_cast<double>(n))
               : 0.0;
-      double mx = *std::max_element(vote.begin(), vote.end());
+      double mx = *std::max_element(vote.begin() + first, vote.begin() + end);
       if (unclaimed > 0.0) mx = std::max(mx, 0.0);
       double denom = unclaimed * std::exp(-mx);
-      for (double c : vote) denom += std::exp(c - mx);
-      probs[it].resize(vote.size());
-      for (size_t v = 0; v < vote.size(); ++v) {
-        probs[it][v] = std::exp(vote[v] - mx) / denom;
+      for (size_t v = first; v < end; ++v) denom += std::exp(vote[v] - mx);
+      for (size_t v = first; v < end; ++v) {
+        probs[v] = std::exp(vote[v] - mx) / denom;
       }
 
-      size_t best = td_internal::ArgMax(vote);
+      const size_t best = td_internal::ElectSlot(store, it, vote);
       if (best != selected[it]) selection_changed = true;
       selected[it] = best;
     }
 
-    if (!AllFinite(probs)) {
-      // Keep the previous election and accuracies; probs is re-derived
-      // from them on the next run.
-      result.stop_reason = StopReason::kNonFinite;
-      break;
-    }
-    if (options_.per_source_accuracy) {
-      std::vector<double> new_accuracy(num_sources, 0.0);
-      std::vector<double> counts(num_sources, 0.0);
-      for (size_t it = 0; it < items.size(); ++it) {
-        const auto& item = items[it];
-        for (size_t v = 0; v < item.values.size(); ++v) {
-          for (SourceId s : item.supporters[v]) {
-            new_accuracy[static_cast<size_t>(s)] += probs[it][v];
-            counts[static_cast<size_t>(s)] += 1.0;
-          }
-        }
-      }
-      for (size_t s = 0; s < num_sources; ++s) {
-        new_accuracy[s] =
-            counts[s] > 0
-                ? Clamp(new_accuracy[s] / counts[s], 1e-3, 1.0 - 1e-3)
-                : accuracy[s];
-      }
-      double delta = td_internal::MeanAbsDelta(accuracy, new_accuracy);
-      accuracy = std::move(new_accuracy);
-      if (delta < options_.base.convergence_threshold && iter > 0) {
-        result.converged = true;
-        result.stop_reason = StopReason::kConverged;
-        break;
-      }
-    } else {
+    // Non-finite: keep the accuracies; probs is re-derived from them on the
+    // next run.
+    if (!AllFinite(probs)) return td_internal::Step::kNonFinite;
+    if (!options_.per_source_accuracy) {
       // Fixed accuracy (DEPEN): stop when the election stabilizes.
-      if (!selection_changed && iter > 0) {
-        result.converged = true;
-        result.stop_reason = StopReason::kConverged;
-        break;
-      }
+      return td_internal::SettledIf(!selection_changed);
     }
-  }
+    td_internal::SourceSums(store, probs, new_accuracy);
+    for (size_t s = 0; s < num_sources; ++s) {
+      new_accuracy[s] =
+          claim_counts[s] > 0
+              ? Clamp(new_accuracy[s] / claim_counts[s], 1e-3, 1.0 - 1e-3)
+              : accuracy[s];
+    }
+    const double delta = td_internal::MeanAbsDelta(accuracy, new_accuracy);
+    accuracy.swap(new_accuracy);
+    return td_internal::SettledIf(delta <
+                                  options_.base.convergence_threshold);
+  });
 
-  for (size_t it = 0; it < items.size(); ++it) {
-    const auto& item = items[it];
-    ObjectId o = ObjectFromKey(item.key);
-    AttributeId a = AttributeFromKey(item.key);
-    result.predicted.Set(o, a, item.values[selected[it]]);
-    result.confidence[item.key] = probs[it][selected[it]];
+  for (size_t it = 0; it < store.num_items(); ++it) {
+    td_internal::RecordPrediction(store, it, selected[it],
+                                  probs[selected[it]], result);
   }
   result.source_trust = std::move(accuracy);
   return result;

@@ -7,11 +7,11 @@
 
 namespace tdac {
 
-DependenceMatrix DetectCopying(
-    const std::vector<td_internal::ItemConflict>& items,
-    const std::vector<size_t>& selected, const std::vector<double>& accuracy,
-    const CopyDetectionParams& params) {
-  TDAC_CHECK(items.size() == selected.size())
+DependenceMatrix DetectCopying(const td_internal::ConflictStore& store,
+                               const std::vector<size_t>& selected,
+                               const std::vector<double>& accuracy,
+                               const CopyDetectionParams& params) {
+  TDAC_CHECK(store.num_items() == selected.size())
       << "DetectCopying: selected size mismatch";
   const int num_sources = static_cast<int>(accuracy.size());
   DependenceMatrix matrix(num_sources);
@@ -31,24 +31,23 @@ DependenceMatrix DetectCopying(
   std::vector<int> same_false(s_count * s_count, 0);
   std::vector<int> different(s_count * s_count, 0);
 
-  for (size_t it = 0; it < items.size(); ++it) {
-    const auto& item = items[it];
-    const size_t true_index = selected[it];
+  for (size_t it = 0; it < store.num_items(); ++it) {
+    const size_t end = store.end_slot(it);
     // Sources sharing a value agree; sources with different values differ.
-    for (size_t v = 0; v < item.values.size(); ++v) {
-      const auto& sup = item.supporters[v];
+    for (size_t v = store.first_slot(it); v < end; ++v) {
+      const std::span<const SourceId> sup = store.SupportersOf(v);
       // Supporters are ascending, so sup[i] < sup[j] for i < j and the
       // upper-triangle cell needs no operand swap.
-      int* same = (v == true_index) ? same_true.data() : same_false.data();
+      int* same = (v == selected[it]) ? same_true.data() : same_false.data();
       for (size_t i = 0; i < sup.size(); ++i) {
         const size_t base = static_cast<size_t>(sup[i]) * s_count;
         for (size_t j = i + 1; j < sup.size(); ++j) {
           ++same[base + static_cast<size_t>(sup[j])];
         }
       }
-      for (size_t w = v + 1; w < item.values.size(); ++w) {
+      for (size_t w = v + 1; w < end; ++w) {
         for (SourceId si : sup) {
-          for (SourceId sj : item.supporters[w]) {
+          for (SourceId sj : store.SupportersOf(w)) {
             const SourceId lo = si < sj ? si : sj;
             const SourceId hi = si < sj ? sj : si;
             ++different[static_cast<size_t>(lo) * s_count +

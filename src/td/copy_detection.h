@@ -91,14 +91,13 @@ class DependenceMatrix {
 /// kd = #common items where they differ; a Bayes factor between the
 /// independent and dependent generative models yields P(dependent).
 ///
-/// \param items conflict sets from GroupClaimsByItem.
-/// \param selected per item, the index (into item.values) of the currently
-///        elected true value.
+/// \param store conflict sets from GroupClaimsByItem.
+/// \param selected per item, the slot of its currently elected true value.
 /// \param accuracy current per-source accuracy estimates.
-DependenceMatrix DetectCopying(
-    const std::vector<td_internal::ItemConflict>& items,
-    const std::vector<size_t>& selected, const std::vector<double>& accuracy,
-    const CopyDetectionParams& params);
+DependenceMatrix DetectCopying(const td_internal::ConflictStore& store,
+                               const std::vector<size_t>& selected,
+                               const std::vector<double>& accuracy,
+                               const CopyDetectionParams& params);
 
 }  // namespace tdac
 

@@ -12,54 +12,30 @@ Result<TruthDiscoveryResult> Crh::DiscoverGuarded(
   if (data.num_claims() == 0) {
     return Status::InvalidArgument("CRH: empty dataset");
   }
-  const auto items = td_internal::GroupClaimsByItem(data);
-  const size_t num_sources = static_cast<size_t>(data.num_sources());
-
-  std::vector<double> claim_counts(num_sources, 0.0);
-  for (const auto& item : items) {
-    for (const auto& supporters : item.supporters) {
-      for (SourceId s : supporters) {
-        claim_counts[static_cast<size_t>(s)] += 1.0;
-      }
-    }
-  }
+  const td_internal::ConflictStore store = td_internal::GroupClaimsByItem(data);
+  const std::vector<double>& claim_counts = store.claim_counts;
+  const size_t num_sources = claim_counts.size();
 
   std::vector<double> weight(num_sources, 1.0);
-  std::vector<size_t> selected(items.size(), 0);
-  std::vector<std::vector<double>> votes(items.size());
+  std::vector<size_t> selected(store.num_items(), 0);
+  std::vector<double> votes(store.num_slots());
+  std::vector<double> loss(num_sources);
+  std::vector<double> prev_loss(num_sources, 1.0);
 
   TruthDiscoveryResult result;
-  result.stop_reason = StopReason::kMaxIterations;
-  const int max_iter = std::max(1, options_.base.max_iterations);
-  std::vector<double> prev_loss(num_sources, 1.0);
-  for (int iter = 0; iter < max_iter; ++iter) {
-    if (iter > 0) {
-      if (auto stop = guard.OnIteration()) {
-        result.stop_reason = *stop;
-        break;
-      }
-    }
-    ++result.iterations;
-
+  td_internal::Iterate(options_.base, guard, result, [&] {
     // Truth step: weighted vote per item.
-    for (size_t it = 0; it < items.size(); ++it) {
-      const auto& item = items[it];
-      votes[it].assign(item.values.size(), 0.0);
-      for (size_t v = 0; v < item.values.size(); ++v) {
-        for (SourceId s : item.supporters[v]) {
-          votes[it][v] += weight[static_cast<size_t>(s)];
-        }
-      }
-      selected[it] = td_internal::ArgMax(votes[it]);
+    td_internal::SlotSums(store, weight, votes);
+    for (size_t it = 0; it < store.num_items(); ++it) {
+      selected[it] = td_internal::ElectSlot(store, it, votes);
     }
 
     // Weight step: 0/1 loss against the current election.
-    std::vector<double> loss(num_sources, 0.0);
-    for (size_t it = 0; it < items.size(); ++it) {
-      const auto& item = items[it];
-      for (size_t v = 0; v < item.values.size(); ++v) {
+    std::fill(loss.begin(), loss.end(), 0.0);
+    for (size_t it = 0; it < store.num_items(); ++it) {
+      for (size_t v = store.first_slot(it); v < store.end_slot(it); ++v) {
         if (v == selected[it]) continue;
-        for (SourceId s : item.supporters[v]) {
+        for (SourceId s : store.SupportersOf(v)) {
           loss[static_cast<size_t>(s)] += 1.0;
         }
       }
@@ -83,29 +59,18 @@ Result<TruthDiscoveryResult> Crh::DiscoverGuarded(
       }
     }
 
-    if (!AllFinite(weight)) {
-      // Keep the last finite weights; the election matches them.
-      result.stop_reason = StopReason::kNonFinite;
-      break;
-    }
-    double change = td_internal::MeanAbsDelta(prev_loss, loss);
-    prev_loss = loss;
-    if (change < options_.base.convergence_threshold && iter > 0) {
-      result.converged = true;
-      result.stop_reason = StopReason::kConverged;
-      break;
-    }
-  }
+    // Non-finite: keep the last finite loss; the election matches it.
+    if (!AllFinite(weight)) return td_internal::Step::kNonFinite;
+    const double change = td_internal::MeanAbsDelta(prev_loss, loss);
+    prev_loss.swap(loss);
+    return td_internal::SettledIf(change <
+                                  options_.base.convergence_threshold);
+  });
 
-  for (size_t it = 0; it < items.size(); ++it) {
-    const auto& item = items[it];
-    ObjectId o = ObjectFromKey(item.key);
-    AttributeId a = AttributeFromKey(item.key);
-    result.predicted.Set(o, a, item.values[selected[it]]);
-    double total = 0.0;
-    for (double v : votes[it]) total += v;
-    result.confidence[item.key] =
-        total > 0.0 ? votes[it][selected[it]] / total : 0.0;
+  for (size_t it = 0; it < store.num_items(); ++it) {
+    td_internal::RecordPrediction(
+        store, it, selected[it],
+        td_internal::ScoreShare(store, it, selected[it], votes), result);
   }
   result.source_trust.assign(num_sources, 0.0);
   for (size_t s = 0; s < num_sources; ++s) {

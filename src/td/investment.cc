@@ -5,28 +5,26 @@
 
 namespace tdac {
 
-void Investment::BeliefsFromInvestments(const std::vector<double>& collected,
-                                        std::vector<double>* beliefs) const {
-  beliefs->resize(collected.size());
+void Investment::BeliefsFromInvestments(std::span<const double> collected,
+                                        std::span<double> beliefs) const {
   for (size_t v = 0; v < collected.size(); ++v) {
-    (*beliefs)[v] = std::pow(collected[v], options_.exponent);
+    beliefs[v] = std::pow(collected[v], options_.exponent);
   }
 }
 
 void PooledInvestment::BeliefsFromInvestments(
-    const std::vector<double>& collected, std::vector<double>* beliefs) const {
-  beliefs->resize(collected.size());
+    std::span<const double> collected, std::span<double> beliefs) const {
+  // Grow into `beliefs`, then rescale in place so the item's total belief
+  // equals its total investment.
   double total_collected = 0.0;
   double total_grown = 0.0;
-  std::vector<double> grown(collected.size());
   for (size_t v = 0; v < collected.size(); ++v) {
-    grown[v] = std::pow(collected[v], options_.exponent);
+    beliefs[v] = std::pow(collected[v], options_.exponent);
     total_collected += collected[v];
-    total_grown += grown[v];
+    total_grown += beliefs[v];
   }
-  for (size_t v = 0; v < collected.size(); ++v) {
-    (*beliefs)[v] =
-        total_grown > 0.0 ? total_collected * grown[v] / total_grown : 0.0;
+  for (double& belief : beliefs) {
+    belief = total_grown > 0.0 ? total_collected * belief / total_grown : 0.0;
   }
 }
 
@@ -35,95 +33,57 @@ Result<TruthDiscoveryResult> Investment::DiscoverGuarded(
   if (data.num_claims() == 0) {
     return Status::InvalidArgument("Investment: empty dataset");
   }
-  const auto items = td_internal::GroupClaimsByItem(data);
-  const size_t num_sources = static_cast<size_t>(data.num_sources());
-
-  std::vector<double> claim_counts(num_sources, 0.0);
-  for (const auto& item : items) {
-    for (const auto& supporters : item.supporters) {
-      for (SourceId s : supporters) {
-        claim_counts[static_cast<size_t>(s)] += 1.0;
-      }
-    }
-  }
+  const td_internal::ConflictStore store = td_internal::GroupClaimsByItem(data);
+  const std::vector<double>& claim_counts = store.claim_counts;
+  const size_t num_sources = claim_counts.size();
 
   std::vector<double> trust(num_sources, 1.0);
-  std::vector<std::vector<double>> belief(items.size());
+  std::vector<double> invest(num_sources);
+  std::vector<double> new_trust(num_sources);
+  std::vector<double> collected(store.num_slots());
+  std::vector<double> belief(store.num_slots());
 
   TruthDiscoveryResult result;
-  result.stop_reason = StopReason::kMaxIterations;
-  const int max_iter = std::max(1, options_.base.max_iterations);
-  for (int iter = 0; iter < max_iter; ++iter) {
-    if (iter > 0) {
-      if (auto stop = guard.OnIteration()) {
-        result.stop_reason = *stop;
-        break;
-      }
-    }
-    ++result.iterations;
-
+  td_internal::Iterate(options_.base, guard, result, [&] {
     // Per-source investment per claim.
-    std::vector<double> invest(num_sources, 0.0);
     for (size_t s = 0; s < num_sources; ++s) {
       invest[s] = claim_counts[s] > 0.0 ? trust[s] / claim_counts[s] : 0.0;
     }
 
     // Collected investment and beliefs per item.
-    std::vector<std::vector<double>> collected(items.size());
-    for (size_t it = 0; it < items.size(); ++it) {
-      const auto& item = items[it];
-      collected[it].assign(item.values.size(), 0.0);
-      for (size_t v = 0; v < item.values.size(); ++v) {
-        for (SourceId s : item.supporters[v]) {
-          collected[it][v] += invest[static_cast<size_t>(s)];
-        }
-      }
-      BeliefsFromInvestments(collected[it], &belief[it]);
+    td_internal::SlotSums(store, invest, collected);
+    for (size_t it = 0; it < store.num_items(); ++it) {
+      const size_t first = store.first_slot(it);
+      const size_t n = store.end_slot(it) - first;
+      BeliefsFromInvestments({collected.data() + first, n},
+                             {belief.data() + first, n});
     }
 
     // Pay back investors proportionally to their share.
-    std::vector<double> new_trust(num_sources, 0.0);
-    for (size_t it = 0; it < items.size(); ++it) {
-      const auto& item = items[it];
-      for (size_t v = 0; v < item.values.size(); ++v) {
-        if (collected[it][v] <= 0.0) continue;
-        for (SourceId s : item.supporters[v]) {
-          new_trust[static_cast<size_t>(s)] +=
-              belief[it][v] * invest[static_cast<size_t>(s)] /
-              collected[it][v];
-        }
+    std::fill(new_trust.begin(), new_trust.end(), 0.0);
+    for (size_t v = 0; v < belief.size(); ++v) {
+      if (collected[v] <= 0.0) continue;
+      for (SourceId s : store.SupportersOf(v)) {
+        new_trust[static_cast<size_t>(s)] +=
+            belief[v] * invest[static_cast<size_t>(s)] / collected[v];
       }
     }
-    double mx = 0.0;
-    for (double t : new_trust) mx = std::max(mx, t);
-    if (mx > 0.0) {
-      for (double& t : new_trust) t /= mx;
-    }
+    td_internal::MaxNormalize(new_trust);
 
+    // The growth exponent can overflow pow(); keep the last finite trust.
     if (!AllFinite(new_trust) || !AllFinite(belief)) {
-      // The growth exponent can overflow pow(); keep the last finite trust.
-      result.stop_reason = StopReason::kNonFinite;
-      break;
+      return td_internal::Step::kNonFinite;
     }
-    double delta = td_internal::MeanAbsDelta(trust, new_trust);
-    trust = std::move(new_trust);
-    if (delta < options_.base.convergence_threshold && iter > 0) {
-      result.converged = true;
-      result.stop_reason = StopReason::kConverged;
-      break;
-    }
-  }
+    const double delta = td_internal::MeanAbsDelta(trust, new_trust);
+    trust.swap(new_trust);
+    return td_internal::SettledIf(delta <
+                                  options_.base.convergence_threshold);
+  });
 
-  for (size_t it = 0; it < items.size(); ++it) {
-    const auto& item = items[it];
-    size_t best = td_internal::ArgMax(belief[it]);
-    ObjectId o = ObjectFromKey(item.key);
-    AttributeId a = AttributeFromKey(item.key);
-    result.predicted.Set(o, a, item.values[best]);
-    double total = 0.0;
-    for (double b : belief[it]) total += b;
-    result.confidence[item.key] = total > 0.0 ? belief[it][best] / total : 0.0;
-  }
+  td_internal::RecordElection(
+      store, belief, result, [&](size_t item, size_t slot) {
+        return td_internal::ScoreShare(store, item, slot, belief);
+      });
   result.source_trust = std::move(trust);
   return result;
 }

@@ -1,6 +1,8 @@
 #ifndef TDAC_TD_INVESTMENT_H_
 #define TDAC_TD_INVESTMENT_H_
 
+#include <span>
+
 #include "td/truth_discovery.h"
 
 namespace tdac {
@@ -30,10 +32,10 @@ class Investment : public TruthDiscovery {
   Result<TruthDiscoveryResult> DiscoverGuarded(
       const DatasetLike& data, const RunGuard& guard) const override;
 
-  /// Hook distinguishing PooledInvestment: maps per-item collected
-  /// investments H(v) to beliefs B(v).
-  virtual void BeliefsFromInvestments(const std::vector<double>& collected,
-                                      std::vector<double>* beliefs) const;
+  /// Hook distinguishing PooledInvestment: maps one item's collected
+  /// investments H(v) to its beliefs B(v) (equal-length spans).
+  virtual void BeliefsFromInvestments(std::span<const double> collected,
+                                      std::span<double> beliefs) const;
 
   InvestmentOptions options_;
 };
@@ -55,8 +57,8 @@ class PooledInvestment : public Investment {
   }
 
  protected:
-  void BeliefsFromInvestments(const std::vector<double>& collected,
-                              std::vector<double>* beliefs) const override;
+  void BeliefsFromInvestments(std::span<const double> collected,
+                              std::span<double> beliefs) const override;
 };
 
 }  // namespace tdac

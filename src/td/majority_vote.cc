@@ -1,6 +1,5 @@
 #include "td/majority_vote.h"
 
-#include "data/dataset.h"
 #include "data/soa_mode.h"
 
 namespace tdac {
@@ -15,69 +14,43 @@ Result<TruthDiscoveryResult> MajorityVote::DiscoverGuarded(
   TruthDiscoveryResult result;
   result.iterations = 1;
   result.converged = true;
+  result.source_trust.assign(static_cast<size_t>(data.num_sources()), 0.0);
 
-  const Dataset& storage = data.storage();
-  const std::vector<uint64_t>& storage_items = storage.DataItems();
-  // Elected dictionary id per *storage* item row (kInvalidId = the row is
-  // not part of this dataset/view); lets the trust pass below compare
-  // int32 columns instead of looking claims up in the prediction map.
-  std::vector<int32_t> elected(soa ? storage_items.size() : 0, kInvalidId);
-  size_t row = 0;
-
-  const auto items = td_internal::GroupClaimsByItem(data);
-  for (const auto& item : items) {
-    std::vector<double> votes(item.values.size());
-    double total = 0.0;
-    for (size_t i = 0; i < item.values.size(); ++i) {
-      votes[i] = static_cast<double>(item.supporters[i].size());
-      total += votes[i];
-    }
-    size_t best = td_internal::ArgMax(votes);
-    ObjectId o = ObjectFromKey(item.key);
-    AttributeId a = AttributeFromKey(item.key);
-    result.predicted.Set(o, a, item.values[best]);
-    result.confidence[item.key] = total > 0 ? votes[best] / total : 0.0;
+  const td_internal::ConflictStore store = td_internal::GroupClaimsByItem(data);
+  std::vector<double> votes(store.num_slots());
+  for (size_t v = 0; v < votes.size(); ++v) {
+    votes[v] = static_cast<double>(store.SupportersOf(v).size());
+  }
+  for (size_t it = 0; it < store.num_items(); ++it) {
+    const size_t best = td_internal::ElectSlot(store, it, votes);
+    td_internal::RecordPrediction(
+        store, it, best, td_internal::ScoreShare(store, it, best, votes),
+        result);
+    // Post-hoc source trust: agreement rate with the elected values. The
+    // elected slot's supporters are exactly the claims that agree.
     if (soa) {
-      // Items arrive in ascending key order, a subsequence of the storage
-      // items — a single forward cursor finds each item's storage row.
-      while (storage_items[row] != item.key) ++row;
-      elected[row] = item.value_ids[best];
+      for (SourceId s : store.SupportersOf(best)) {
+        result.source_trust[static_cast<size_t>(s)] += 1.0;
+      }
     }
   }
 
-  // Post-hoc source trust: agreement rate with the elected values.
-  result.source_trust.assign(static_cast<size_t>(data.num_sources()), 0.0);
-  std::vector<double> counts(static_cast<size_t>(data.num_sources()), 0.0);
-  if (soa) {
-    // Columnar pass: a claim agrees with the election iff its dictionary
-    // id equals its item's elected id (id equality == Value equality), so
-    // the loop is three contiguous int32 column reads per claim. The sums
-    // are the same 1.0-increments as the legacy pass, so the resulting
-    // trust is bit-identical.
-    const std::vector<int32_t>& sources = storage.claim_sources();
-    const std::vector<int32_t>& value_ids = storage.claim_value_ids();
-    const std::vector<int32_t>& claim_rows = storage.claim_items();
+  if (!soa) {
+    // Legacy reference for the store pass above: compare each claim's
+    // Value with its item's prediction.
     for (int32_t id : data.claim_ids()) {
-      const auto i = static_cast<size_t>(id);
-      const auto s = static_cast<size_t>(sources[i]);
-      counts[s] += 1.0;
-      if (value_ids[i] == elected[static_cast<size_t>(claim_rows[i])]) {
-        result.source_trust[s] += 1.0;
-      }
-    }
-  } else {
-    for (int32_t id : data.claim_ids()) {
-      // lint: claim-value-ok (legacy reference path for the SoA pass above)
+      // lint: claim-value-ok (legacy reference path for the store pass above)
       const Claim& c = data.claim(static_cast<size_t>(id));
       const Value* elected_value = result.predicted.Get(c.object, c.attribute);
-      counts[static_cast<size_t>(c.source)] += 1.0;
       if (elected_value != nullptr && *elected_value == c.value) {
         result.source_trust[static_cast<size_t>(c.source)] += 1.0;
       }
     }
   }
   for (size_t s = 0; s < result.source_trust.size(); ++s) {
-    if (counts[s] > 0) result.source_trust[s] /= counts[s];
+    if (store.claim_counts[s] > 0) {
+      result.source_trust[s] /= store.claim_counts[s];
+    }
   }
   return result;
 }

@@ -1,29 +1,13 @@
 #include "td/sums.h"
 
-#include <algorithm>
 #include <cmath>
-
-#include "common/math_util.h"
 
 namespace tdac {
 
-namespace {
-
-/// Max-normalizes `v` in place; no-op when the max is not positive.
-void MaxNormalize(std::vector<double>* v) {
-  double mx = 0.0;
-  for (double x : *v) mx = std::max(mx, x);
-  if (mx <= 0.0) return;
-  for (double& x : *v) x /= mx;
-}
-
-}  // namespace
-
 double AverageLog::TrustFromBeliefs(double belief_sum,
-                                    size_t claim_count) const {
+                                    double claim_count) const {
   if (claim_count == 0) return 0.0;
-  return std::log(1.0 + static_cast<double>(claim_count)) * belief_sum /
-         static_cast<double>(claim_count);
+  return std::log(1.0 + claim_count) * belief_sum / claim_count;
 }
 
 Result<TruthDiscoveryResult> Sums::DiscoverGuarded(
@@ -31,88 +15,38 @@ Result<TruthDiscoveryResult> Sums::DiscoverGuarded(
   if (data.num_claims() == 0) {
     return Status::InvalidArgument("Sums: empty dataset");
   }
-  const auto items = td_internal::GroupClaimsByItem(data);
-  const size_t num_sources = static_cast<size_t>(data.num_sources());
-
-  std::vector<size_t> claim_counts(num_sources, 0);
-  for (const auto& item : items) {
-    for (const auto& supporters : item.supporters) {
-      for (SourceId s : supporters) ++claim_counts[static_cast<size_t>(s)];
-    }
-  }
+  const td_internal::ConflictStore store = td_internal::GroupClaimsByItem(data);
+  const size_t num_sources = store.claim_counts.size();
 
   std::vector<double> trust(num_sources, 1.0);
-  std::vector<std::vector<double>> belief(items.size());
+  std::vector<double> belief(store.num_slots());
+  std::vector<double> new_trust(num_sources);
 
   TruthDiscoveryResult result;
-  result.stop_reason = StopReason::kMaxIterations;
-  const int max_iter = std::max(1, options_.base.max_iterations);
-  for (int iter = 0; iter < max_iter; ++iter) {
-    if (iter > 0) {
-      if (auto stop = guard.OnIteration()) {
-        result.stop_reason = *stop;
-        break;
-      }
-    }
-    ++result.iterations;
-
+  td_internal::Iterate(options_.base, guard, result, [&] {
     // Belief step: B(v) = sum of supporter trust, max-normalized globally.
-    double max_belief = 0.0;
-    for (size_t it = 0; it < items.size(); ++it) {
-      const auto& item = items[it];
-      belief[it].assign(item.values.size(), 0.0);
-      for (size_t v = 0; v < item.values.size(); ++v) {
-        for (SourceId s : item.supporters[v]) {
-          belief[it][v] += trust[static_cast<size_t>(s)];
-        }
-        max_belief = std::max(max_belief, belief[it][v]);
-      }
-    }
-    if (max_belief > 0.0) {
-      for (auto& b : belief) {
-        for (double& x : b) x /= max_belief;
-      }
-    }
+    td_internal::SlotSums(store, trust, belief);
+    td_internal::MaxNormalize(belief);
 
     // Trust step.
-    std::vector<double> new_trust(num_sources, 0.0);
-    for (size_t it = 0; it < items.size(); ++it) {
-      const auto& item = items[it];
-      for (size_t v = 0; v < item.values.size(); ++v) {
-        for (SourceId s : item.supporters[v]) {
-          new_trust[static_cast<size_t>(s)] += belief[it][v];
-        }
-      }
-    }
+    td_internal::SourceSums(store, belief, new_trust);
     for (size_t s = 0; s < num_sources; ++s) {
-      new_trust[s] = TrustFromBeliefs(new_trust[s], claim_counts[s]);
+      new_trust[s] = TrustFromBeliefs(new_trust[s], store.claim_counts[s]);
     }
-    MaxNormalize(&new_trust);
+    td_internal::MaxNormalize(new_trust);
 
-    if (!AllFinite(new_trust)) {
-      // Roll back: keep the last finite trust (belief matches it).
-      result.stop_reason = StopReason::kNonFinite;
-      break;
-    }
-    double delta = td_internal::MeanAbsDelta(trust, new_trust);
-    trust = std::move(new_trust);
-    if (delta < options_.base.convergence_threshold && iter > 0) {
-      result.converged = true;
-      result.stop_reason = StopReason::kConverged;
-      break;
-    }
-  }
+    // Non-finite: keep the last finite trust (belief matches it).
+    if (!AllFinite(new_trust)) return td_internal::Step::kNonFinite;
+    const double delta = td_internal::MeanAbsDelta(trust, new_trust);
+    trust.swap(new_trust);
+    return td_internal::SettledIf(delta <
+                                  options_.base.convergence_threshold);
+  });
 
-  for (size_t it = 0; it < items.size(); ++it) {
-    const auto& item = items[it];
-    size_t best = td_internal::ArgMax(belief[it]);
-    ObjectId o = ObjectFromKey(item.key);
-    AttributeId a = AttributeFromKey(item.key);
-    result.predicted.Set(o, a, item.values[best]);
-    double total = 0.0;
-    for (double b : belief[it]) total += b;
-    result.confidence[item.key] = total > 0.0 ? belief[it][best] / total : 0.0;
-  }
+  td_internal::RecordElection(
+      store, belief, result, [&](size_t item, size_t slot) {
+        return td_internal::ScoreShare(store, item, slot, belief);
+      });
   result.source_trust = std::move(trust);
   return result;
 }

@@ -31,7 +31,7 @@ class Sums : public TruthDiscovery {
 
   /// Hook distinguishing Sums from AverageLog: how a source's new trust is
   /// derived from the total belief of its claims.
-  virtual double TrustFromBeliefs(double belief_sum, size_t claim_count) const {
+  virtual double TrustFromBeliefs(double belief_sum, double claim_count) const {
     (void)claim_count;
     return belief_sum;
   }
@@ -49,7 +49,7 @@ class AverageLog : public Sums {
   std::string_view name() const override { return "AverageLog"; }
 
  protected:
-  double TrustFromBeliefs(double belief_sum, size_t claim_count) const override;
+  double TrustFromBeliefs(double belief_sum, double claim_count) const override;
 };
 
 }  // namespace tdac

@@ -100,50 +100,77 @@ Result<TruthDiscoveryResult> DeserializeTruthDiscoveryResult(
 namespace td_internal {
 namespace {
 
-/// Legacy grouping: per item, copy out (Value, SourceId) pairs and sort
-/// them with full Value comparisons. Kept verbatim as the differential
-/// reference the columnar path is tested against.
-std::vector<ItemConflict> GroupClaimsByItemLegacy(const DatasetLike& data) {
-  std::vector<ItemConflict> out;
-  out.reserve(data.DataItems().size());
-  for (uint64_t key : data.DataItems()) {
-    const auto& claim_indices =
-        data.ClaimsOn(ObjectFromKey(key), AttributeFromKey(key));
-    ItemConflict item;
-    item.key = key;
-    // Collect (value, source) pairs, then sort by value for determinism.
-    std::vector<std::pair<Value, SourceId>> pairs;
-    pairs.reserve(claim_indices.size());
-    for (int32_t idx : claim_indices) {
-      // lint: claim-value-ok (this IS the legacy reference path)
-      const Claim& c = data.claim(static_cast<size_t>(idx));
-      pairs.emplace_back(c.value, c.source);
-    }
-    std::sort(pairs.begin(), pairs.end(),
-              [](const auto& a, const auto& b) {
-                if (a.first < b.first) return true;
-                if (b.first < a.first) return false;
-                return a.second < b.second;
-              });
-    for (auto& [value, source] : pairs) {
-      if (item.values.empty() || !(item.values.back() == value)) {
-        item.values.push_back(value);
-        item.supporters.emplace_back();
-      }
-      item.supporters.back().push_back(source);
-    }
-    out.push_back(std::move(item));
+/// An empty store for `data`: the key, item-offset and supporter arrays are
+/// reserved exactly (their sizes are known up front); the slot arrays grow
+/// amortized as the grouping paths append.
+ConflictStore StartStore(const DatasetLike& data) {
+  ConflictStore store;
+  store.keys = data.DataItems();
+  store.item_offsets.reserve(store.keys.size() + 1);
+  store.item_offsets.push_back(0);
+  store.supporters.reserve(data.num_claims());
+  store.dict = &data.storage().value_dict();
+  return store;
+}
+
+/// Closes the slot offsets and counts each source's claims.
+void FinishStore(ConflictStore& store, int num_sources) {
+  store.slot_offsets.push_back(static_cast<uint32_t>(store.supporters.size()));
+  store.claim_counts.assign(static_cast<size_t>(num_sources), 0.0);
+  for (SourceId s : store.supporters) {
+    store.claim_counts[static_cast<size_t>(s)] += 1.0;
   }
-  return out;
+}
+
+/// Legacy grouping: per item, copy out (Value, SourceId) pairs and sort
+/// them with full Value comparisons. Kept as the differential reference the
+/// columnar path is tested against.
+ConflictStore GroupClaimsByItemLegacy(const DatasetLike& data) {
+  const std::vector<int32_t>& value_ids = data.storage().claim_value_ids();
+  ConflictStore store = StartStore(data);
+  struct Entry {
+    Value value;
+    SourceId source;
+    ValueId id;
+  };
+  std::vector<Entry> entries;
+  for (uint64_t key : store.keys) {
+    entries.clear();
+    for (int32_t idx :
+         data.ClaimsOn(ObjectFromKey(key), AttributeFromKey(key))) {
+      const auto i = static_cast<size_t>(idx);
+      // lint: claim-value-ok (this IS the legacy reference path)
+      const Claim& c = data.claim(i);
+      entries.push_back({c.value, c.source, value_ids[i]});
+    }
+    std::sort(entries.begin(), entries.end(),
+              [](const Entry& a, const Entry& b) {
+                if (a.value < b.value) return true;
+                if (b.value < a.value) return false;
+                return a.source < b.source;
+              });
+    const Value* slot_value = nullptr;
+    for (const Entry& e : entries) {
+      if (slot_value == nullptr || !(*slot_value == e.value)) {
+        store.slot_offsets.push_back(
+            static_cast<uint32_t>(store.supporters.size()));
+        store.slot_ids.push_back(e.id);
+        slot_value = &e.value;
+      }
+      store.supporters.push_back(e.source);
+    }
+    store.item_offsets.push_back(static_cast<uint32_t>(store.num_slots()));
+  }
+  FinishStore(store, data.num_sources());
+  return store;
 }
 
 /// Columnar grouping: each claim of an item becomes one packed uint64,
 /// `(value rank << 32) | source`, read straight from the storage columns.
 /// Sorting the packed keys is exactly the legacy (value, source) sort —
 /// ranks are assigned in ascending Value order and equal Values share one
-/// dictionary id — and each distinct rank run becomes one conflict entry,
-/// its Value materialized once from the dictionary instead of copied per
-/// claim. Sources within a run come out ascending for free.
+/// dictionary id — and each distinct rank run becomes one slot. Sources
+/// within a run come out ascending for free.
 ///
 /// Callers must check GroupKeysFitPackedWidth before taking this path: a
 /// rank or source id at or past 2^32 would alias another key's high or low
@@ -153,21 +180,17 @@ std::vector<ItemConflict> GroupClaimsByItemLegacy(const DatasetLike& data) {
 /// with *distinct NaN* payloads on one item order by interning order here
 /// vs. source order on the legacy path. FromTextChecked rejects non-finite
 /// doubles, so no built dataset carries NaN values.
-std::vector<ItemConflict> GroupClaimsByItemSoa(const DatasetLike& data) {
+ConflictStore GroupClaimsByItemSoa(const DatasetLike& data) {
   const Dataset& storage = data.storage();
   const std::vector<int32_t>& ranks = storage.claim_value_ranks();
   const std::vector<int32_t>& sources = storage.claim_sources();
   const ValueDict& dict = storage.value_dict();
-  // lint: hot-path-alloc-ok (single result buffer, reserved below)
-  std::vector<ItemConflict> out;
-  out.reserve(data.DataItems().size());
+  ConflictStore store = StartStore(data);
   // lint: hot-path-alloc-ok (one scratch buffer reused across all items)
   std::vector<uint64_t> packed;
-  for (uint64_t key : data.DataItems()) {
-    const auto& claim_indices =
+  for (uint64_t key : store.keys) {
+    const auto claim_indices =
         data.ClaimsOn(ObjectFromKey(key), AttributeFromKey(key));
-    ItemConflict item;
-    item.key = key;
     packed.clear();
     packed.reserve(claim_indices.size());
     for (int32_t idx : claim_indices) {
@@ -177,34 +200,25 @@ std::vector<ItemConflict> GroupClaimsByItemSoa(const DatasetLike& data) {
           static_cast<uint32_t>(sources[i]));
     }
     std::sort(packed.begin(), packed.end());
-    // Count distinct ranks first (the packed keys are sorted and in cache)
-    // so the per-item vectors are sized exactly once instead of growing.
-    size_t groups = 0;
-    uint64_t prev_hi = ~uint64_t{0};
-    for (uint64_t p : packed) {
-      const uint64_t hi = p >> 32;
-      groups += hi != prev_hi;
-      prev_hi = hi;
-    }
-    item.values.reserve(groups);
-    item.value_ids.reserve(groups);
-    item.supporters.reserve(groups);
     int64_t prev_rank = -1;
     for (uint64_t p : packed) {
       const auto rank = static_cast<int32_t>(p >> 32);
       if (rank != prev_rank) {
-        const ValueId id = dict.id_at_rank(rank);
-        item.values.push_back(dict.ValueAt(id));
-        item.value_ids.push_back(id);
-        item.supporters.emplace_back();
+        // lint: hot-path-alloc-ok (flat array: amortized, never per item)
+        store.slot_offsets.push_back(
+            static_cast<uint32_t>(store.supporters.size()));
+        // lint: hot-path-alloc-ok (flat array: amortized, never per item)
+        store.slot_ids.push_back(dict.id_at_rank(rank));
         prev_rank = rank;
       }
-      item.supporters.back().push_back(
-          static_cast<SourceId>(p & 0xffffffffULL));
+      // lint: hot-path-alloc-ok (reserved to the claim count in StartStore)
+      store.supporters.push_back(static_cast<SourceId>(p & 0xffffffffULL));
     }
-    out.push_back(std::move(item));
+    // lint: hot-path-alloc-ok (reserved to the item count in StartStore)
+    store.item_offsets.push_back(static_cast<uint32_t>(store.num_slots()));
   }
-  return out;
+  FinishStore(store, data.num_sources());
+  return store;
 }
 
 }  // namespace
@@ -222,7 +236,7 @@ uint64_t PackGroupKey(int64_t rank, int64_t source) {
   return (static_cast<uint64_t>(rank) << 32) | static_cast<uint64_t>(source);
 }
 
-std::vector<ItemConflict> GroupClaimsByItem(const DatasetLike& data) {
+ConflictStore GroupClaimsByItem(const DatasetLike& data) {
   // Width guard: the packed sort is only lexicographic while ranks and
   // source ids both fit their 32-bit half. Today's int32 id types cannot
   // exceed it, but the fallback keeps the invariant explicit instead of
@@ -235,13 +249,88 @@ std::vector<ItemConflict> GroupClaimsByItem(const DatasetLike& data) {
   return GroupClaimsByItemLegacy(data);
 }
 
-size_t ArgMax(const std::vector<double>& scores) {
-  TDAC_CHECK(!scores.empty()) << "ArgMax over empty scores";
-  size_t best = 0;
-  for (size_t i = 1; i < scores.size(); ++i) {
-    if (scores[i] > scores[best]) best = i;
+size_t ElectSlot(const ConflictStore& store, size_t item,
+                 const std::vector<double>& scores) {
+  size_t best = store.first_slot(item);
+  for (size_t v = best + 1; v < store.end_slot(item); ++v) {
+    if (scores[v] > scores[best]) best = v;
   }
   return best;
+}
+
+double ScoreShare(const ConflictStore& store, size_t item, size_t slot,
+                  const std::vector<double>& scores) {
+  double total = 0.0;
+  for (size_t v = store.first_slot(item); v < store.end_slot(item); ++v) {
+    total += scores[v];
+  }
+  return total > 0.0 ? scores[slot] / total : 0.0;
+}
+
+void RecordPrediction(const ConflictStore& store, size_t item, size_t slot,
+                      double confidence, TruthDiscoveryResult& result) {
+  const uint64_t key = store.keys[item];
+  result.predicted.Set(ObjectFromKey(key), AttributeFromKey(key),
+                       store.ValueOf(slot));
+  result.confidence[key] = confidence;
+}
+
+PairTable BuildPairTable(
+    const ConflictStore& store, bool symmetric,
+    const std::function<double(const Value&, const Value&)>& entry) {
+  PairTable table;
+  table.offsets.reserve(store.num_items() + 1);
+  table.offsets.push_back(0);
+  for (size_t it = 0; it < store.num_items(); ++it) {
+    const size_t n = store.end_slot(it) - store.first_slot(it);
+    table.offsets.push_back(table.offsets.back() + n * n);
+  }
+  table.entries.assign(table.offsets.back(), 0.0);
+  std::vector<Value> values;
+  for (size_t it = 0; it < store.num_items(); ++it) {
+    values.clear();
+    for (size_t v = store.first_slot(it); v < store.end_slot(it); ++v) {
+      values.push_back(store.ValueOf(v));
+    }
+    const size_t n = values.size();
+    double* block = table.entries.data() + table.offsets[it];
+    for (size_t w = 0; w < n; ++w) {
+      for (size_t v = symmetric ? w + 1 : 0; v < n; ++v) {
+        if (v == w) continue;
+        block[w * n + v] = entry(values[w], values[v]);
+        if (symmetric) block[v * n + w] = block[w * n + v];
+      }
+    }
+  }
+  return table;
+}
+
+void SlotSums(const ConflictStore& store, const std::vector<double>& per_source,
+              std::vector<double>& per_slot) {
+  for (size_t v = 0; v < store.num_slots(); ++v) {
+    double sum = 0.0;
+    for (SourceId s : store.SupportersOf(v)) {
+      sum += per_source[static_cast<size_t>(s)];
+    }
+    per_slot[v] = sum;
+  }
+}
+
+void SourceSums(const ConflictStore& store, const std::vector<double>& per_slot,
+                std::vector<double>& per_source) {
+  std::fill(per_source.begin(), per_source.end(), 0.0);
+  for (size_t v = 0; v < store.num_slots(); ++v) {
+    for (SourceId s : store.SupportersOf(v)) {
+      per_source[static_cast<size_t>(s)] += per_slot[v];
+    }
+  }
+}
+
+void MaxNormalize(std::vector<double>& values) {
+  double mx = 0.0;
+  for (double x : values) mx = std::max(mx, x);
+  if (mx <= 0.0) return;
+  for (double& x : values) x /= mx;
 }
 
 double MeanAbsDelta(const std::vector<double>& a,

@@ -1,7 +1,10 @@
 #ifndef TDAC_TD_TRUTH_DISCOVERY_H_
 #define TDAC_TD_TRUTH_DISCOVERY_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <functional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -94,37 +97,67 @@ class TruthDiscovery {
       const DatasetLike& data, const RunGuard& guard) const;
 
  protected:
-  /// Algorithm body. Implementations check `guard.OnIteration()` at the top
-  /// of every outer iteration after the first (so even a tripped guard
-  /// yields one usable iterate) and stop with the returned StopReason.
+  /// Algorithm body. Iterative implementations run through
+  /// td_internal::Iterate, which checks `guard.OnIteration()` at the top of
+  /// every outer iteration after the first (so even a tripped guard yields
+  /// one usable iterate) and stops with the returned StopReason.
   [[nodiscard]] virtual Result<TruthDiscoveryResult> DiscoverGuarded(
       const DatasetLike& data, const RunGuard& guard) const = 0;
 };
 
 namespace td_internal {
 
-/// One data item's conflict set: the distinct claimed values and, aligned
-/// with them, the sources supporting each value (ascending SourceId).
-struct ItemConflict {
-  uint64_t key = 0;
-  std::vector<Value> values;
-  std::vector<std::vector<SourceId>> supporters;
+/// \brief One base run's conflict sets, stored once as flat arrays (CSR:
+/// compressed sparse rows, each level addressed through an offset array).
+///
+///   item i -> value slots [item_offsets[i], item_offsets[i + 1]), ascending
+///             by value, so the lowest slot is the smallest value;
+///   slot v -> supporters [slot_offsets[v], slot_offsets[v + 1]), ascending
+///             by SourceId.
+///
+/// Slots are numbered across the whole run, so an algorithm keeps its
+/// per-value state in one flat array indexed by slot. Walking `supporters`
+/// front to back visits items in DataItems() order, slots in value order and
+/// sources ascending: the order every floating-point sum of the base
+/// algorithms is taken in.
+struct ConflictStore {
+  /// Data item keys, in DataItems() order.
+  std::vector<uint64_t> keys;
+  /// num_items() + 1 offsets into the slot arrays.
+  std::vector<uint32_t> item_offsets;
+  /// Storage-dictionary id of each slot's value.
+  std::vector<ValueId> slot_ids;
+  /// num_slots() + 1 offsets into `supporters`.
+  std::vector<uint32_t> slot_offsets;
+  /// The supporting sources of every slot, back to back.
+  std::vector<SourceId> supporters;
+  /// Claims per SourceId (exact integer counts held as doubles).
+  std::vector<double> claim_counts;
+  /// The storage dictionary `slot_ids` index; it outlives the store.
+  const ValueDict* dict = nullptr;
 
-  /// Storage-dictionary id of each value, aligned with `values`. Filled by
-  /// the columnar grouping path only (empty on the legacy path) — kernels
-  /// that want integer value compares must fall back to `values` when this
-  /// is empty.
-  std::vector<ValueId> value_ids;
+  size_t num_items() const { return keys.size(); }
+  size_t num_slots() const { return slot_ids.size(); }
+  size_t first_slot(size_t item) const { return item_offsets[item]; }
+  size_t end_slot(size_t item) const { return item_offsets[item + 1]; }
+  std::span<const SourceId> SupportersOf(size_t slot) const {
+    return {supporters.data() + slot_offsets[slot],
+            supporters.data() + slot_offsets[slot + 1]};
+  }
+  /// The slot's value, materialized from the dictionary.
+  Value ValueOf(size_t slot) const { return dict->ValueAt(slot_ids[slot]); }
 };
 
-/// Groups the dataset's claims by data item, with values sorted (total order
-/// on Value) so that downstream tie-breaking is deterministic.
+/// Groups the dataset's claims by data item into one ConflictStore, with
+/// values sorted (total order on Value) so that downstream tie-breaking is
+/// deterministic. The store's arrays grow amortized, never per item.
 ///
-/// Two implementations behind one contract (data/soa_mode.h): the legacy
-/// path sorts (Value, SourceId) pairs per item; the columnar path packs
-/// each claim's (value rank << 32 | source) into one uint64 from the
-/// storage columns and sorts those — same order, no Value copies or string
-/// comparisons. Outputs are bit-identical for any dataset that passed
+/// Two implementations fill the same store (data/soa_mode.h): the legacy
+/// path sorts (Value, SourceId) pairs per item and takes each slot's id from
+/// the slot's first claim, so a NaN payload still gets its own slot; the
+/// columnar path packs each claim's (value rank << 32 | source) into one
+/// uint64 from the storage columns and sorts those, with no Value copies or
+/// string comparisons. Outputs are identical for any dataset that passed
 /// checked ingestion (distinct non-NaN values have distinct ranks in value
 /// order; equal values share one dictionary id).
 ///
@@ -134,7 +167,7 @@ struct ItemConflict {
 /// count and falls back to the legacy comparator when either axis is too
 /// wide, so a future widening of the id types can never silently corrupt
 /// the sort order.
-std::vector<ItemConflict> GroupClaimsByItem(const DatasetLike& data);
+ConflictStore GroupClaimsByItem(const DatasetLike& data);
 
 /// Number of distinct values representable in one half of a packed group
 /// key: ranks and source ids must both lie in [0, 2^32).
@@ -151,9 +184,115 @@ bool GroupKeysFitPackedWidth(int64_t num_ranks, int64_t num_sources);
 /// must gate on GroupKeysFitPackedWidth first.
 uint64_t PackGroupKey(int64_t rank, int64_t source);
 
-/// Index of the value with maximal score; ties resolved to the smallest
-/// index (i.e. the smallest value, given sorted values).
-size_t ArgMax(const std::vector<double>& scores);
+/// The slot of `item` with the highest score in `scores` (indexed by slot);
+/// a tie goes to the lowest slot, i.e. the smallest value.
+size_t ElectSlot(const ConflictStore& store, size_t item,
+                 const std::vector<double>& scores);
+
+/// `scores[slot]` over the total score of `item`'s slots, summed in slot
+/// order; 0 when that total is not positive.
+double ScoreShare(const ConflictStore& store, size_t item, size_t slot,
+                  const std::vector<double>& scores);
+
+/// Records `slot`'s value as `item`'s prediction, with `confidence`.
+void RecordPrediction(const ConflictStore& store, size_t item, size_t slot,
+                      double confidence, TruthDiscoveryResult& result);
+
+/// Elects every item's highest-scoring slot (ElectSlot) and records it with
+/// `confidence(item, slot)`, items in store order.
+template <typename Confidence>
+void RecordElection(const ConflictStore& store,
+                    const std::vector<double>& scores,
+                    TruthDiscoveryResult& result, Confidence confidence) {
+  for (size_t item = 0; item < store.num_items(); ++item) {
+    const size_t slot = ElectSlot(store, item, scores);
+    RecordPrediction(store, item, slot, confidence(item, slot), result);
+  }
+}
+
+/// Per-item n x n tables over value pairs, n being the item's value count,
+/// stored flat: entry (w, v) of item i (w, v local to the item, 0-based) is
+/// `Block(i)[w * n + v]`. Diagonal entries are 0. TruthFinder keeps its
+/// implications here and AccuSim its similarities.
+struct PairTable {
+  std::vector<size_t> offsets;
+  std::vector<double> entries;
+
+  const double* Block(size_t item) const {
+    return entries.data() + offsets[item];
+  }
+};
+
+/// Builds a PairTable with entry (w, v) = `entry(value w, value v)` for
+/// every w != v, materializing each item's values once. With `symmetric`,
+/// `entry` is called for w < v only and mirrored into (v, w).
+PairTable BuildPairTable(
+    const ConflictStore& store, bool symmetric,
+    const std::function<double(const Value&, const Value&)>& entry);
+
+/// What one iteration of a fixpoint algorithm reports to Iterate.
+enum class Step {
+  /// Keep iterating.
+  kContinue,
+  /// The algorithm's convergence test passed.
+  kSettled,
+  /// The step went non-finite; it left the last finite state in place.
+  kNonFinite,
+};
+
+/// kSettled when `settled`, else kContinue.
+inline Step SettledIf(bool settled) {
+  return settled ? Step::kSettled : Step::kContinue;
+}
+
+/// The outer loop of every iterative base algorithm. Runs `step()` (which
+/// returns a Step) up to max(1, options.max_iterations) times, counting
+/// `result.iterations` and labeling `result.stop_reason`:
+///   - iteration 0 always runs;
+///   - from iteration 1 on, `guard.OnIteration()` is checked first and a
+///     trip stops the run with the guard's reason;
+///   - a kNonFinite step stops the run as kNonFinite;
+///   - kSettled counts as convergence only after iteration 0;
+///   - running out of iterations leaves kMaxIterations.
+template <typename StepFn>
+void Iterate(const TruthDiscoveryOptions& options, const RunGuard& guard,
+             TruthDiscoveryResult& result, StepFn step) {
+  result.stop_reason = StopReason::kMaxIterations;
+  const int max_iterations = std::max(1, options.max_iterations);
+  for (int iter = 0; iter < max_iterations; ++iter) {
+    if (iter > 0) {
+      if (auto stop = guard.OnIteration()) {
+        result.stop_reason = *stop;
+        return;
+      }
+    }
+    ++result.iterations;
+    const Step outcome = step();
+    if (outcome == Step::kNonFinite) {
+      result.stop_reason = StopReason::kNonFinite;
+      return;
+    }
+    if (outcome == Step::kSettled && iter > 0) {
+      result.converged = true;
+      result.stop_reason = StopReason::kConverged;
+      return;
+    }
+  }
+}
+
+/// per_slot[v] = the sum of per_source[s] over slot v's supporters, added
+/// from 0.0 in ascending source order. `per_slot` has num_slots() entries.
+void SlotSums(const ConflictStore& store, const std::vector<double>& per_source,
+              std::vector<double>& per_slot);
+
+/// per_source[s] = the sum of per_slot[v] over the slots s supports, added
+/// from 0.0 in store order; 0.0 for a source with no claims.
+void SourceSums(const ConflictStore& store, const std::vector<double>& per_slot,
+                std::vector<double>& per_source);
+
+/// Divides every entry by the largest one; a no-op when that is not
+/// positive.
+void MaxNormalize(std::vector<double>& values);
 
 /// Mean absolute change per coordinate between two equal-length vectors.
 double MeanAbsDelta(const std::vector<double>& a, const std::vector<double>& b);

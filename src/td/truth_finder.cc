@@ -11,115 +11,75 @@ Result<TruthDiscoveryResult> TruthFinder::DiscoverGuarded(
   if (data.num_claims() == 0) {
     return Status::InvalidArgument("TruthFinder: empty dataset");
   }
-  const auto items = td_internal::GroupClaimsByItem(data);
-  const size_t num_sources = static_cast<size_t>(data.num_sources());
+  const td_internal::ConflictStore store = td_internal::GroupClaimsByItem(data);
+  const std::vector<double>& claim_counts = store.claim_counts;
+  const size_t num_sources = claim_counts.size();
 
-  // Pre-compute the implication matrix per item (small conflict sets).
-  // imp[i][j] = sim(values[i], values[j]) - base_similarity.
-  std::vector<std::vector<std::vector<double>>> implication(items.size());
-  if (options_.implication_weight > 0.0) {
-    for (size_t it = 0; it < items.size(); ++it) {
-      const auto& vs = items[it].values;
-      implication[it].assign(vs.size(), std::vector<double>(vs.size(), 0.0));
-      for (size_t i = 0; i < vs.size(); ++i) {
-        for (size_t j = i + 1; j < vs.size(); ++j) {
-          double imp = options_.similarity->Similarity(vs[i], vs[j]) -
-                       options_.base_similarity;
-          implication[it][i][j] = imp;
-          implication[it][j][i] = imp;
-        }
-      }
-    }
+  // The implication of each value pair of an item:
+  // imp(w -> v) = sim(w, v) - base_similarity.
+  const bool implied = options_.implication_weight > 0.0;
+  td_internal::PairTable implication;
+  if (implied) {
+    implication = td_internal::BuildPairTable(
+        store, /*symmetric=*/true, [this](const Value& a, const Value& b) {
+          return options_.similarity->Similarity(a, b) -
+                 options_.base_similarity;
+        });
   }
 
   std::vector<double> trust(num_sources, options_.initial_trust);
-  // Per-item confidence of each candidate value.
-  std::vector<std::vector<double>> conf(items.size());
+  std::vector<double> tau(num_sources);
+  std::vector<double> new_trust(num_sources);
+  // Confidence score sigma(v) and confidence s(v) of each slot's value.
+  std::vector<double> sigma(store.num_slots());
+  std::vector<double> conf(store.num_slots());
 
   TruthDiscoveryResult result;
-  result.stop_reason = StopReason::kMaxIterations;
-  const int max_iter = std::max(1, options_.base.max_iterations);
-  for (int iter = 0; iter < max_iter; ++iter) {
-    if (iter > 0) {
-      if (auto stop = guard.OnIteration()) {
-        result.stop_reason = *stop;
-        break;
-      }
-    }
-    ++result.iterations;
-
+  td_internal::Iterate(options_.base, guard, result, [&] {
     // tau(s) = -ln(1 - t(s)), with trust clamped away from 1.
-    std::vector<double> tau(num_sources);
     for (size_t s = 0; s < num_sources; ++s) {
       tau[s] = -std::log(Clamp(1.0 - trust[s], 1e-9, 1.0));
     }
 
     // Value confidence scores.
-    for (size_t it = 0; it < items.size(); ++it) {
-      const auto& item = items[it];
-      std::vector<double> sigma(item.values.size(), 0.0);
-      for (size_t v = 0; v < item.values.size(); ++v) {
-        for (SourceId s : item.supporters[v]) {
-          sigma[v] += tau[static_cast<size_t>(s)];
-        }
-      }
-      std::vector<double> adjusted = sigma;
-      if (options_.implication_weight > 0.0) {
-        for (size_t v = 0; v < sigma.size(); ++v) {
+    td_internal::SlotSums(store, tau, sigma);
+    for (size_t it = 0; it < store.num_items(); ++it) {
+      const size_t first = store.first_slot(it);
+      const size_t n = store.end_slot(it) - first;
+      for (size_t v = 0; v < n; ++v) {
+        double adjusted = sigma[first + v];
+        if (implied) {
+          const double* imp = implication.Block(it);
           double extra = 0.0;
-          for (size_t w = 0; w < sigma.size(); ++w) {
+          for (size_t w = 0; w < n; ++w) {
             if (w == v) continue;
-            extra += implication[it][w][v] * sigma[w];
+            extra += imp[w * n + v] * sigma[first + w];
           }
-          adjusted[v] = sigma[v] + options_.implication_weight * extra;
+          adjusted = sigma[first + v] + options_.implication_weight * extra;
         }
-      }
-      conf[it].resize(adjusted.size());
-      for (size_t v = 0; v < adjusted.size(); ++v) {
-        conf[it][v] = Logistic(options_.dampening * adjusted[v]);
+        conf[first + v] = Logistic(options_.dampening * adjusted);
       }
     }
 
     // New trust: mean confidence of the values each source claims.
-    std::vector<double> new_trust(num_sources, 0.0);
-    std::vector<double> counts(num_sources, 0.0);
-    for (size_t it = 0; it < items.size(); ++it) {
-      const auto& item = items[it];
-      for (size_t v = 0; v < item.values.size(); ++v) {
-        for (SourceId s : item.supporters[v]) {
-          new_trust[static_cast<size_t>(s)] += conf[it][v];
-          counts[static_cast<size_t>(s)] += 1.0;
-        }
-      }
-    }
+    td_internal::SourceSums(store, conf, new_trust);
     for (size_t s = 0; s < num_sources; ++s) {
-      new_trust[s] = counts[s] > 0
-                         ? Clamp(new_trust[s] / counts[s], 1e-6, 1.0 - 1e-6)
-                         : trust[s];
+      new_trust[s] =
+          claim_counts[s] > 0
+              ? Clamp(new_trust[s] / claim_counts[s], 1e-6, 1.0 - 1e-6)
+              : trust[s];
     }
 
-    if (!AllFinite(new_trust)) {
-      // Roll back to the last finite iterate (conf still matches `trust`).
-      result.stop_reason = StopReason::kNonFinite;
-      break;
-    }
-    double change = 1.0 - CosineSimilarity(trust, new_trust);
-    trust = std::move(new_trust);
-    if (change < options_.base.convergence_threshold && iter > 0) {
-      result.converged = true;
-      result.stop_reason = StopReason::kConverged;
-      break;
-    }
-  }
+    // Non-finite: keep the last finite iterate (conf still matches `trust`).
+    if (!AllFinite(new_trust)) return td_internal::Step::kNonFinite;
+    const double change = 1.0 - CosineSimilarity(trust, new_trust);
+    trust.swap(new_trust);
+    return td_internal::SettledIf(change <
+                                  options_.base.convergence_threshold);
+  });
 
-  for (size_t it = 0; it < items.size(); ++it) {
-    const auto& item = items[it];
-    size_t best = td_internal::ArgMax(conf[it]);
-    ObjectId o = ObjectFromKey(item.key);
-    AttributeId a = AttributeFromKey(item.key);
-    result.predicted.Set(o, a, item.values[best]);
-    result.confidence[item.key] = conf[it][best];
-  }
+  td_internal::RecordElection(store, conf, result,
+                              [&](size_t, size_t slot) { return conf[slot]; });
   result.source_trust = std::move(trust);
   return result;
 }

@@ -11,15 +11,13 @@ using td_internal::GroupClaimsByItem;
 using testutil::BuildDataset;
 using testutil::ClaimSpec;
 
-/// Selects the majority value index per item (helper for tests).
-std::vector<size_t> MajoritySelection(
-    const std::vector<td_internal::ItemConflict>& items) {
-  std::vector<size_t> selected(items.size(), 0);
-  for (size_t it = 0; it < items.size(); ++it) {
-    size_t best = 0;
-    for (size_t v = 1; v < items[it].values.size(); ++v) {
-      if (items[it].supporters[v].size() >
-          items[it].supporters[best].size()) {
+/// Selects the majority value's slot per item (helper for tests).
+std::vector<size_t> MajoritySelection(const td_internal::ConflictStore& store) {
+  std::vector<size_t> selected(store.num_items(), 0);
+  for (size_t it = 0; it < store.num_items(); ++it) {
+    size_t best = store.first_slot(it);
+    for (size_t v = best + 1; v < store.end_slot(it); ++v) {
+      if (store.SupportersOf(v).size() > store.SupportersOf(best).size()) {
         best = v;
       }
     }
@@ -40,11 +38,11 @@ TEST(CopyDetectionTest, SharedFalseValuesImplyDependence) {
     specs.push_back({"s4", "o", attr, 5000 + i});
   }
   Dataset d = BuildDataset(specs);
-  auto items = GroupClaimsByItem(d);
-  auto selected = MajoritySelection(items);
+  const auto store = GroupClaimsByItem(d);
+  auto selected = MajoritySelection(store);
   std::vector<double> accuracy(4, 0.8);
   CopyDetectionParams params;
-  DependenceMatrix m = DetectCopying(items, selected, accuracy, params);
+  DependenceMatrix m = DetectCopying(store, selected, accuracy, params);
   // The copier pair (ids 2 and 3) should look far more dependent than the
   // honest pair (ids 0 and 1) that only shares *true* values.
   EXPECT_GT(m.prob(2, 3), 0.9);
@@ -60,11 +58,11 @@ TEST(CopyDetectionTest, SharedTrueValuesExculpateByDefault) {
     specs.push_back({"s3", "o", attr, 7000 + i});
   }
   Dataset d = BuildDataset(specs);
-  auto items = GroupClaimsByItem(d);
-  auto selected = MajoritySelection(items);
+  const auto store = GroupClaimsByItem(d);
+  auto selected = MajoritySelection(store);
   std::vector<double> accuracy(3, 0.8);
   CopyDetectionParams params;
-  DependenceMatrix m = DetectCopying(items, selected, accuracy, params);
+  DependenceMatrix m = DetectCopying(store, selected, accuracy, params);
   // Honest agreement on truths is (weakly) exculpatory in robust mode: the
   // pair shares fewer false values than even an independent pair under a
   // noisy election would.
@@ -72,7 +70,7 @@ TEST(CopyDetectionTest, SharedTrueValuesExculpateByDefault) {
 
   // The strict Dong-2009 likelihood instead accumulates same-true evidence.
   params.count_true_agreement = true;
-  DependenceMatrix strict = DetectCopying(items, selected, accuracy, params);
+  DependenceMatrix strict = DetectCopying(store, selected, accuracy, params);
   EXPECT_GT(strict.prob(0, 1), m.prob(0, 1));
 }
 
@@ -84,11 +82,11 @@ TEST(CopyDetectionTest, DisagreeingSourcesAreIndependent) {
     specs.push_back({"s2", "o", attr, 900 + i});
   }
   Dataset d = BuildDataset(specs);
-  auto items = GroupClaimsByItem(d);
-  auto selected = MajoritySelection(items);
+  const auto store = GroupClaimsByItem(d);
+  auto selected = MajoritySelection(store);
   std::vector<double> accuracy(2, 0.8);
   DependenceMatrix m =
-      DetectCopying(items, selected, accuracy, CopyDetectionParams{});
+      DetectCopying(store, selected, accuracy, CopyDetectionParams{});
   EXPECT_LT(m.prob(0, 1), 0.2);
 }
 
@@ -97,11 +95,11 @@ TEST(CopyDetectionTest, NoCommonItemsMeansZeroProbability) {
       {"s1", "o", "a1", 1},
       {"s2", "o", "a2", 2},
   });
-  auto items = GroupClaimsByItem(d);
-  std::vector<size_t> selected(items.size(), 0);
+  const auto store = GroupClaimsByItem(d);
+  auto selected = MajoritySelection(store);
   std::vector<double> accuracy(2, 0.8);
   DependenceMatrix m =
-      DetectCopying(items, selected, accuracy, CopyDetectionParams{});
+      DetectCopying(store, selected, accuracy, CopyDetectionParams{});
   EXPECT_DOUBLE_EQ(m.prob(0, 1), 0.0);
 }
 
@@ -114,11 +112,11 @@ TEST(CopyDetectionTest, MatrixIsSymmetric) {
     specs.push_back({"s3", "o", attr, 99 + i});
   }
   Dataset d = BuildDataset(specs);
-  auto items = GroupClaimsByItem(d);
-  auto selected = MajoritySelection(items);
+  const auto store = GroupClaimsByItem(d);
+  auto selected = MajoritySelection(store);
   std::vector<double> accuracy(3, 0.7);
   DependenceMatrix m =
-      DetectCopying(items, selected, accuracy, CopyDetectionParams{});
+      DetectCopying(store, selected, accuracy, CopyDetectionParams{});
   for (SourceId a = 0; a < 3; ++a) {
     for (SourceId b = 0; b < 3; ++b) {
       EXPECT_DOUBLE_EQ(m.prob(a, b), m.prob(b, a));
@@ -144,18 +142,18 @@ TEST(CopyDetectionTest, ElectionNoiseFloorForgivesRareFalseShares) {
     specs.push_back({"d3", "o", attr, dissent});
   }
   Dataset d = BuildDataset(specs);
-  auto items = GroupClaimsByItem(d);
-  auto selected = MajoritySelection(items);
+  const auto store = GroupClaimsByItem(d);
+  auto selected = MajoritySelection(store);
   std::vector<double> accuracy(5, 0.9);
 
   CopyDetectionParams with_floor;
   with_floor.election_noise = 0.05;
-  DependenceMatrix m1 = DetectCopying(items, selected, accuracy, with_floor);
+  DependenceMatrix m1 = DetectCopying(store, selected, accuracy, with_floor);
   EXPECT_LT(m1.prob(0, 1), 0.5);
 
   CopyDetectionParams no_floor = with_floor;
   no_floor.election_noise = 0.0;
-  DependenceMatrix m2 = DetectCopying(items, selected, accuracy, no_floor);
+  DependenceMatrix m2 = DetectCopying(store, selected, accuracy, no_floor);
   EXPECT_GT(m2.prob(0, 1), m1.prob(0, 1));
 }
 
@@ -173,16 +171,16 @@ TEST(CopyDetectionTest, DisagreementWeightExculpates) {
     specs.push_back({"s4", "o", attr, v4});
   }
   Dataset d = BuildDataset(specs);
-  auto items = GroupClaimsByItem(d);
-  auto selected = MajoritySelection(items);
+  const auto store = GroupClaimsByItem(d);
+  auto selected = MajoritySelection(store);
   std::vector<double> accuracy(4, 0.7);
 
   CopyDetectionParams light;
   light.disagreement_weight = 0.0;
   CopyDetectionParams heavy;
   heavy.disagreement_weight = 1.0;
-  DependenceMatrix ml = DetectCopying(items, selected, accuracy, light);
-  DependenceMatrix mh = DetectCopying(items, selected, accuracy, heavy);
+  DependenceMatrix ml = DetectCopying(store, selected, accuracy, light);
+  DependenceMatrix mh = DetectCopying(store, selected, accuracy, heavy);
   EXPECT_LE(mh.prob(2, 3), ml.prob(2, 3));
 }
 
@@ -195,11 +193,11 @@ TEST(CopyDetectionTest, ProbabilitiesAreInUnitInterval) {
     specs.push_back({"s3", "o", attr, 1000 + i});
   }
   Dataset d = BuildDataset(specs);
-  auto items = GroupClaimsByItem(d);
-  auto selected = MajoritySelection(items);
+  const auto store = GroupClaimsByItem(d);
+  auto selected = MajoritySelection(store);
   std::vector<double> accuracy(3, 0.6);
   DependenceMatrix m =
-      DetectCopying(items, selected, accuracy, CopyDetectionParams{});
+      DetectCopying(store, selected, accuracy, CopyDetectionParams{});
   for (SourceId a = 0; a < 3; ++a) {
     for (SourceId b = 0; b < 3; ++b) {
       EXPECT_GE(m.prob(a, b), 0.0);
