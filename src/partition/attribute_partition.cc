@@ -85,13 +85,12 @@ Result<AttributePartition> AttributePartition::Parse(const std::string& text) {
     for (const std::string& tok : Split(s.substr(i + 1, close - i - 1), ',')) {
       std::string_view t = StripAsciiWhitespace(tok);
       if (t.empty()) continue;
+      // Parsed whole: a number that does not fit an int is refused, not
+      // wrapped into another attribute.
       int v = 0;
-      for (char c : t) {
-        if (c < '0' || c > '9') {
-          return Status::InvalidArgument("bad attribute number '" +
-                                         std::string(t) + "' in " + text);
-        }
-        v = v * 10 + (c - '0');
+      if (!ParseNumber(t, &v)) {
+        return Status::InvalidArgument("bad attribute number '" +
+                                       std::string(t) + "' in " + text);
       }
       if (v < 1) {
         return Status::InvalidArgument("attribute numbers are 1-based");

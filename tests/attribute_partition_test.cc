@@ -61,6 +61,11 @@ TEST(AttributePartitionTest, ParseRejectsGarbage) {
   EXPECT_FALSE(AttributePartition::Parse("[(a,b)]").ok());
   EXPECT_FALSE(AttributePartition::Parse("[(0)]").ok());  // 1-based
   EXPECT_FALSE(AttributePartition::Parse("[()]").ok());
+  // Numbers past INT_MAX used to wrap: the first parsed as [(1)], the
+  // second as attribute 1215752191.
+  EXPECT_FALSE(AttributePartition::Parse("[(4294967297)]").ok());
+  EXPECT_FALSE(AttributePartition::Parse("[(99999999999)]").ok());
+  EXPECT_FALSE(AttributePartition::Parse("[(2147483648)]").ok());
 }
 
 TEST(AttributePartitionTest, GroupOfAndAttributes) {
