@@ -61,6 +61,58 @@ void BM_KMeans(benchmark::State& state) {
 }
 BENCHMARK(BM_KMeans)->Arg(16)->Arg(64)->Arg(128);
 
+// The float Lloyd: BM_KMeans's shape with real-valued coordinates.
+void BM_KMeansReal(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  tdac::Rng rng(1);
+  std::vector<tdac::FeatureVector> points(static_cast<size_t>(n),
+                                          tdac::FeatureVector(256));
+  for (auto& p : points) {
+    for (double& x : p) x = rng.NextDouble();
+  }
+  tdac::KMeansOptions opts;
+  opts.k = 4;
+  opts.num_restarts = 2;
+  for (auto _ : state) {
+    auto r = tdac::KMeans(points, opts);
+    benchmark::DoNotOptimize(r);
+  }
+}
+BENCHMARK(BM_KMeansReal)->Arg(16)->Arg(64)->Arg(128);
+
+// One call of TD-AC's k sweep on exam124's shape (124 attribute truth
+// vectors of 248 coordinates), default options, at several k: the pairwise
+// evaluator.
+void BM_KMeansExamSweep(benchmark::State& state) {
+  auto points = RandomPoints(124, 248, 3);
+  tdac::KMeansOptions opts;
+  opts.k = static_cast<int>(state.range(0));
+  for (auto _ : state) {
+    auto r = tdac::KMeans(points, opts);
+    benchmark::DoNotOptimize(r);
+  }
+}
+BENCHMARK(BM_KMeansExamSweep)
+    ->Arg(2)
+    ->Arg(8)
+    ->Arg(32)
+    ->Arg(64)
+    ->Arg(123)
+    ->Unit(benchmark::kMillisecond);
+
+// TD-OC's object axis: 5,000 object truth vectors of 60 coordinates, k = 8,
+// default options: the count evaluator.
+void BM_KMeansObjectAxis(benchmark::State& state) {
+  auto points = RandomPoints(5000, 60, 4);
+  tdac::KMeansOptions opts;
+  opts.k = 8;
+  for (auto _ : state) {
+    auto r = tdac::KMeans(points, opts);
+    benchmark::DoNotOptimize(r);
+  }
+}
+BENCHMARK(BM_KMeansObjectAxis)->Unit(benchmark::kMillisecond);
+
 void BM_Silhouette(benchmark::State& state) {
   int n = static_cast<int>(state.range(0));
   auto points = RandomPoints(n, 256, 2);

@@ -9,9 +9,7 @@
 
 namespace tdac {
 
-Result<SilhouetteResult> SilhouetteFromDistances(
-    const std::vector<std::vector<double>>& distances,
-    const std::vector<int>& assignment, int k) {
+Status CheckDistanceMatrix(const std::vector<std::vector<double>>& distances) {
   const size_t n = distances.size();
   if (n == 0) return Status::InvalidArgument("Silhouette: no points");
   for (const auto& row : distances) {
@@ -38,6 +36,13 @@ Result<SilhouetteResult> SilhouetteFromDistances(
       }
     }
   }
+  return Status::OK();
+}
+
+Result<SilhouetteResult> SilhouetteFromCheckedDistances(
+    const std::vector<std::vector<double>>& distances,
+    const std::vector<int>& assignment, int k) {
+  const size_t n = distances.size();
   if (assignment.size() != n) {
     return Status::InvalidArgument("Silhouette: assignment size mismatch");
   }
@@ -98,6 +103,13 @@ Result<SilhouetteResult> SilhouetteFromDistances(
   result.partition_score = Mean(result.cluster_scores);
   result.mean_point_score = Mean(result.point_scores);
   return result;
+}
+
+Result<SilhouetteResult> SilhouetteFromDistances(
+    const std::vector<std::vector<double>>& distances,
+    const std::vector<int>& assignment, int k) {
+  TDAC_RETURN_NOT_OK(CheckDistanceMatrix(distances));
+  return SilhouetteFromCheckedDistances(distances, assignment, k);
 }
 
 Result<SilhouetteResult> Silhouette(const std::vector<FeatureVector>& points,

@@ -42,7 +42,21 @@ Result<SilhouetteResult> Silhouette(const std::vector<FeatureVector>& points,
 
 /// Same computation over a precomputed symmetric distance matrix (used by
 /// TD-AC's sparse-aware mode, whose masked distance needs per-point masks).
+/// Checks the matrix with CheckDistanceMatrix, then scores as
+/// SilhouetteFromCheckedDistances.
 [[nodiscard]] Result<SilhouetteResult> SilhouetteFromDistances(
+    const std::vector<std::vector<double>>& distances,
+    const std::vector<int>& assignment, int k);
+
+/// The matrix contract of SilhouetteFromDistances: non-empty, square, every
+/// cell finite and non-negative, and symmetric.
+[[nodiscard]] Status CheckDistanceMatrix(
+    const std::vector<std::vector<double>>& distances);
+
+/// SilhouetteFromDistances without the matrix check, for a caller that
+/// scores many assignments over one matrix it has passed through
+/// CheckDistanceMatrix (TD-AC's k sweep). Still checks the assignment.
+[[nodiscard]] Result<SilhouetteResult> SilhouetteFromCheckedDistances(
     const std::vector<std::vector<double>>& distances,
     const std::vector<int>& assignment, int k);
 

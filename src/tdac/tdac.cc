@@ -284,6 +284,13 @@ Result<TdacReport> Tdac::RunPass(const DatasetLike& data,
     TDAC_RETURN_NOT_OK(fall_back(stop));
     return report;
   }
+  // The silhouette at every k scores this one matrix, so it is checked
+  // once here rather than at every k. A matrix that fails the check would
+  // fail every k's silhouette: fall back.
+  if (!CheckDistanceMatrix(distances).ok()) {
+    TDAC_RETURN_NOT_OK(fall_back(std::nullopt));
+    return report;
+  }
 
   // Step (iii): sweep k with the clustering backend, keep the best
   // silhouette.
@@ -401,7 +408,7 @@ Result<TdacReport> Tdac::RunPass(const DatasetLike& data,
     int effective_k = CompactLabels(&assignment, k);
     if (effective_k < 2) return;
     Result<SilhouetteResult> sil =
-        SilhouetteFromDistances(distances, assignment, effective_k);
+        SilhouetteFromCheckedDistances(distances, assignment, effective_k);
     if (!sil.ok()) return;
     out.assignment = std::move(assignment);
     out.effective_k = effective_k;

@@ -1,6 +1,8 @@
 #include "clustering/silhouette.h"
 
+#include <algorithm>
 #include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -137,6 +139,40 @@ TEST(SilhouetteFromDistancesTest, RejectsAsymmetricMatrix) {
   auto r = SilhouetteFromDistances(dist, {0, 0, 1}, 2);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+}
+
+// TD-AC's pass checks its matrix once and scores every k with the checked
+// scorer: the split must score exactly as the public function, and the
+// check must refuse what the public function refuses.
+TEST(SilhouetteFromDistancesTest, CheckOnceThenScoreMatchesPublicFunction) {
+  const std::vector<std::vector<double>> dist{{0.0, 1.0, 4.0, 3.0},
+                                              {1.0, 0.0, 2.0, 5.0},
+                                              {4.0, 2.0, 0.0, 1.5},
+                                              {3.0, 5.0, 1.5, 0.0}};
+  ASSERT_TRUE(CheckDistanceMatrix(dist).ok());
+  for (const std::vector<int>& assignment :
+       {std::vector<int>{0, 0, 1, 1}, std::vector<int>{0, 1, 1, 2}}) {
+    const int k = *std::max_element(assignment.begin(), assignment.end()) + 1;
+    auto whole = SilhouetteFromDistances(dist, assignment, k);
+    auto scored = SilhouetteFromCheckedDistances(dist, assignment, k);
+    ASSERT_TRUE(whole.ok());
+    ASSERT_TRUE(scored.ok());
+    EXPECT_EQ(whole->point_scores, scored->point_scores);
+    EXPECT_EQ(whole->cluster_scores, scored->cluster_scores);
+    EXPECT_EQ(whole->partition_score, scored->partition_score);
+  }
+  // The scorer still checks the assignment.
+  EXPECT_FALSE(SilhouetteFromCheckedDistances(dist, {0, 0, 1}, 2).ok());
+  EXPECT_FALSE(SilhouetteFromCheckedDistances(dist, {0, 0, 0, 0}, 2).ok());
+
+  auto bad = dist;
+  bad[0][1] = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_FALSE(CheckDistanceMatrix(bad).ok());
+  bad = dist;
+  bad[2][1] = 2.5;  // asymmetric
+  EXPECT_FALSE(CheckDistanceMatrix(bad).ok());
+  EXPECT_FALSE(CheckDistanceMatrix({{0.0, 1.0}, {1.0}}).ok());
+  EXPECT_FALSE(CheckDistanceMatrix({}).ok());
 }
 
 // Degenerate adversarial shape: every pairwise distance identical (all
