@@ -493,16 +493,16 @@ Engine ChooseFor(const std::optional<BitRows>& rows,
   return rows ? CheaperExactEngine(*rows, options) : Engine::kFloat;
 }
 
+/// Runs `engine`; callers pick an exact one only when `rows` holds the
+/// packed points.
 KMeansResult Run(const std::vector<FeatureVector>& points,
                  const KMeansOptions& options, Engine engine,
                  const std::optional<BitRows>& rows) {
-  switch (engine) {
-    case Engine::kPairwise:
-      return RunRestarts(points, options, PairwiseEvaluator(*rows, options.k));
-    case Engine::kCounts:
-      return RunRestarts(points, options, CountEvaluator(*rows, options.k));
-    case Engine::kFloat:
-      break;
+  if (rows && engine == Engine::kPairwise) {
+    return RunRestarts(points, options, PairwiseEvaluator(*rows, options.k));
+  }
+  if (rows && engine == Engine::kCounts) {
+    return RunRestarts(points, options, CountEvaluator(*rows, options.k));
   }
   return RunRestarts(points, options, FloatEvaluator(points, options.k));
 }
