@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "common/math_util.h"
 
@@ -54,9 +56,19 @@ Result<TruthDiscoveryResult> Accu::DiscoverGuarded(
         });
   }
 
+  // Which source pairs agree or differ on an item does not change between
+  // iterations; only the split of the agreements by the election does.
+  CoClaimCounts co_claims;
+  if (options_.detect_copying) co_claims = CountCoClaims(store, num_sources);
+
   // Probability of each slot's value (filled each iteration).
   std::vector<double> probs(store.num_slots());
-  // Scratch: one slot's supporters by accuracy, one item's unadjusted votes.
+  // Per iteration: each source's vote weight and its rank by descending
+  // accuracy (ties by id). Scratch: one slot's supporters in rank order,
+  // one item's unadjusted votes.
+  std::vector<double> weight(num_sources);
+  std::vector<SourceId> by_accuracy(num_sources);
+  std::vector<uint32_t> rank(num_sources);
   std::vector<SourceId> order;
   std::vector<double> unadjusted;
   std::vector<double> new_accuracy(num_sources);
@@ -65,7 +77,23 @@ Result<TruthDiscoveryResult> Accu::DiscoverGuarded(
   td_internal::Iterate(options_.base, guard, result, [&] {
     DependenceMatrix dependence(0);
     if (options_.detect_copying) {
-      dependence = DetectCopying(store, selected, accuracy, options_.copy);
+      dependence =
+          DetectCopying(store, co_claims, selected, accuracy, options_.copy);
+    }
+
+    for (size_t s = 0; s < num_sources; ++s) {
+      weight[s] = VoteWeight(accuracy[s], n_false);
+      by_accuracy[s] = static_cast<SourceId>(s);
+    }
+    std::sort(by_accuracy.begin(), by_accuracy.end(),
+              [&](SourceId a, SourceId b) {
+                const double aa = accuracy[static_cast<size_t>(a)];
+                const double ab = accuracy[static_cast<size_t>(b)];
+                if (aa != ab) return aa > ab;
+                return a < b;
+              });
+    for (size_t r = 0; r < num_sources; ++r) {
+      rank[static_cast<size_t>(by_accuracy[r])] = static_cast<uint32_t>(r);
     }
 
     bool selection_changed = false;
@@ -78,10 +106,7 @@ Result<TruthDiscoveryResult> Accu::DiscoverGuarded(
         const std::span<const SourceId> supporters = store.SupportersOf(v);
         order.assign(supporters.begin(), supporters.end());
         std::sort(order.begin(), order.end(), [&](SourceId a, SourceId b) {
-          double aa = accuracy[static_cast<size_t>(a)];
-          double ab = accuracy[static_cast<size_t>(b)];
-          if (aa != ab) return aa > ab;
-          return a < b;
+          return rank[static_cast<size_t>(a)] < rank[static_cast<size_t>(b)];
         });
         vote[v] = 0.0;
         for (size_t i = 0; i < order.size(); ++i) {
@@ -92,9 +117,7 @@ Result<TruthDiscoveryResult> Accu::DiscoverGuarded(
                                         dependence.prob(order[i], order[j]);
             }
           }
-          vote[v] +=
-              VoteWeight(accuracy[static_cast<size_t>(order[i])], n_false) *
-              independence;
+          vote[v] += weight[static_cast<size_t>(order[i])] * independence;
         }
       }
 
@@ -123,10 +146,11 @@ Result<TruthDiscoveryResult> Accu::DiscoverGuarded(
       double mx = *std::max_element(vote.begin() + first, vote.begin() + end);
       if (unclaimed > 0.0) mx = std::max(mx, 0.0);
       double denom = unclaimed * std::exp(-mx);
-      for (size_t v = first; v < end; ++v) denom += std::exp(vote[v] - mx);
       for (size_t v = first; v < end; ++v) {
-        probs[v] = std::exp(vote[v] - mx) / denom;
+        probs[v] = std::exp(vote[v] - mx);
+        denom += probs[v];
       }
+      for (size_t v = first; v < end; ++v) probs[v] /= denom;
 
       const size_t best = td_internal::ElectSlot(store, it, vote);
       if (best != selected[it]) selection_changed = true;

@@ -7,30 +7,18 @@
 
 namespace tdac {
 
-DependenceMatrix DetectCopying(const td_internal::ConflictStore& store,
-                               const std::vector<size_t>& selected,
-                               const std::vector<double>& accuracy,
-                               const CopyDetectionParams& params) {
-  TDAC_CHECK(store.num_items() == selected.size())
-      << "DetectCopying: selected size mismatch";
-  const int num_sources = static_cast<int>(accuracy.size());
-  DependenceMatrix matrix(num_sources);
-
-  // Accumulate kt/kf/kd per unordered source pair over all items. This is
-  // the hottest loop of the whole Accu family (every source pair on every
-  // item, every iteration), so the counts live in dense S*S matrices — a
-  // hash map here costs a hash + probe per increment and dominated whole
-  // benchmark profiles. S is bounded by the real datasets (hundreds), so
-  // the dense matrices stay small. One flat int array per count kind
-  // (structure-of-arrays, not an array of 3-count structs): each inner
-  // loop touches exactly one kind, so a 4-byte stride triples the useful
-  // cache density, and hoisting the kind choice out of the agree loop
-  // removes the per-pair branch.
-  const size_t s_count = static_cast<size_t>(num_sources);
-  std::vector<int> same_true(s_count * s_count, 0);
-  std::vector<int> same_false(s_count * s_count, 0);
-  std::vector<int> different(s_count * s_count, 0);
-
+CoClaimCounts CountCoClaims(const td_internal::ConflictStore& store,
+                            size_t num_sources) {
+  // Every source pair on every item. The counts live in dense S*S
+  // matrices: a hash map here cost a hash + probe per increment and
+  // dominated whole benchmark profiles while this loop ran every Accu
+  // iteration. S is bounded by the real datasets (hundreds), so the
+  // matrices stay small. One flat int array per count kind
+  // (structure-of-arrays): each inner loop touches exactly one kind.
+  CoClaimCounts counts;
+  counts.num_sources = num_sources;
+  counts.same.assign(num_sources * num_sources, 0);
+  counts.different.assign(num_sources * num_sources, 0);
   for (size_t it = 0; it < store.num_items(); ++it) {
     const size_t end = store.end_slot(it);
     // Sources sharing a value agree; sources with different values differ.
@@ -38,11 +26,10 @@ DependenceMatrix DetectCopying(const td_internal::ConflictStore& store,
       const std::span<const SourceId> sup = store.SupportersOf(v);
       // Supporters are ascending, so sup[i] < sup[j] for i < j and the
       // upper-triangle cell needs no operand swap.
-      int* same = (v == selected[it]) ? same_true.data() : same_false.data();
       for (size_t i = 0; i < sup.size(); ++i) {
-        const size_t base = static_cast<size_t>(sup[i]) * s_count;
+        const size_t base = static_cast<size_t>(sup[i]) * num_sources;
         for (size_t j = i + 1; j < sup.size(); ++j) {
-          ++same[base + static_cast<size_t>(sup[j])];
+          ++counts.same[base + static_cast<size_t>(sup[j])];
         }
       }
       for (size_t w = v + 1; w < end; ++w) {
@@ -50,10 +37,51 @@ DependenceMatrix DetectCopying(const td_internal::ConflictStore& store,
           for (SourceId sj : store.SupportersOf(w)) {
             const SourceId lo = si < sj ? si : sj;
             const SourceId hi = si < sj ? sj : si;
-            ++different[static_cast<size_t>(lo) * s_count +
-                        static_cast<size_t>(hi)];
+            ++counts.different[static_cast<size_t>(lo) * num_sources +
+                               static_cast<size_t>(hi)];
           }
         }
+      }
+    }
+  }
+  return counts;
+}
+
+DependenceMatrix DetectCopying(const td_internal::ConflictStore& store,
+                               const std::vector<size_t>& selected,
+                               const std::vector<double>& accuracy,
+                               const CopyDetectionParams& params) {
+  return DetectCopying(store, CountCoClaims(store, accuracy.size()), selected,
+                       accuracy, params);
+}
+
+DependenceMatrix DetectCopying(const td_internal::ConflictStore& store,
+                               const CoClaimCounts& co_claims,
+                               const std::vector<size_t>& selected,
+                               const std::vector<double>& accuracy,
+                               const CopyDetectionParams& params) {
+  TDAC_CHECK(store.num_items() == selected.size())
+      << "DetectCopying: selected size mismatch";
+  TDAC_CHECK(co_claims.num_sources == accuracy.size())
+      << "DetectCopying: co-claim counts cover another source count";
+  const int num_sources = static_cast<int>(accuracy.size());
+  DependenceMatrix matrix(num_sources);
+
+  // kt counts the pairs agreeing on an item's elected value; kf is the rest
+  // of co_claims.same, and kd is co_claims.different.
+  const size_t s_count = static_cast<size_t>(num_sources);
+  std::vector<int> same_true(s_count * s_count, 0);
+  for (size_t it = 0; it < store.num_items(); ++it) {
+    // A selection outside the item's slots elects none of its values.
+    if (selected[it] < store.first_slot(it) ||
+        selected[it] >= store.end_slot(it)) {
+      continue;
+    }
+    const std::span<const SourceId> sup = store.SupportersOf(selected[it]);
+    for (size_t i = 0; i < sup.size(); ++i) {
+      const size_t base = static_cast<size_t>(sup[i]) * s_count;
+      for (size_t j = i + 1; j < sup.size(); ++j) {
+        ++same_true[base + static_cast<size_t>(sup[j])];
       }
     }
   }
@@ -71,7 +99,9 @@ DependenceMatrix DetectCopying(const td_internal::ConflictStore& store,
     for (SourceId b = a + 1; b < num_sources; ++b) {
       const size_t cell =
           static_cast<size_t>(a) * s_count + static_cast<size_t>(b);
-      const PairCounts pc{same_true[cell], same_false[cell], different[cell]};
+      const PairCounts pc{same_true[cell],
+                          co_claims.same[cell] - same_true[cell],
+                          co_claims.different[cell]};
       // A pair that never co-claimed an item carries no evidence (the hash
       // map never held an entry for it); leave the matrix default.
       if (pc.same_true == 0 && pc.same_false == 0 && pc.different == 0) {

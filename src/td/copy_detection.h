@@ -99,6 +99,32 @@ DependenceMatrix DetectCopying(const td_internal::ConflictStore& store,
                                const std::vector<double>& accuracy,
                                const CopyDetectionParams& params);
 
+/// \brief Per unordered source pair (a < b, cell a * S + b of an S x S
+/// array), over every item of a store: on how many items the two claim the
+/// same value, and on how many they claim different values.
+///
+/// Neither count depends on the elected truths, so a caller that runs
+/// DetectCopying every iteration counts them once; each iteration then only
+/// splits `same` into kt and kf by walking the elected slots.
+struct CoClaimCounts {
+  size_t num_sources = 0;
+  std::vector<int> same;
+  std::vector<int> different;
+};
+
+/// Counts the co-claims of `store` for sources [0, num_sources).
+CoClaimCounts CountCoClaims(const td_internal::ConflictStore& store,
+                            size_t num_sources);
+
+/// DetectCopying over pre-counted co-claims of the same store; the result
+/// equals the four-argument form's. `co_claims.num_sources` must equal
+/// `accuracy.size()`.
+DependenceMatrix DetectCopying(const td_internal::ConflictStore& store,
+                               const CoClaimCounts& co_claims,
+                               const std::vector<size_t>& selected,
+                               const std::vector<double>& accuracy,
+                               const CopyDetectionParams& params);
+
 }  // namespace tdac
 
 #endif  // TDAC_TD_COPY_DETECTION_H_

@@ -184,6 +184,63 @@ TEST(CopyDetectionTest, DisagreementWeightExculpates) {
   EXPECT_LE(mh.prob(2, 3), ml.prob(2, 3));
 }
 
+TEST(CopyDetectionTest, CountCoClaimsCountsAgreementsAndDisagreements) {
+  // a0: s1 = s2 != s3.  a1: s1 != s2 = s3.  a2: s1 = s3, s2 silent.
+  Dataset d = BuildDataset({{"s1", "o", "a0", 1},
+                            {"s2", "o", "a0", 1},
+                            {"s3", "o", "a0", 2},
+                            {"s1", "o", "a1", 5},
+                            {"s2", "o", "a1", 6},
+                            {"s3", "o", "a1", 6},
+                            {"s1", "o", "a2", 7},
+                            {"s3", "o", "a2", 7}});
+  ASSERT_EQ(d.source_name(0), "s1");
+  ASSERT_EQ(d.source_name(1), "s2");
+  ASSERT_EQ(d.source_name(2), "s3");
+  const CoClaimCounts counts = CountCoClaims(GroupClaimsByItem(d), 3);
+  ASSERT_EQ(counts.num_sources, 3u);
+  // Cell a * 3 + b for a < b; the other cells stay zero.
+  EXPECT_EQ(counts.same, (std::vector<int>{0, 1, 1, 0, 0, 1, 0, 0, 0}));
+  EXPECT_EQ(counts.different, (std::vector<int>{0, 1, 2, 0, 0, 1, 0, 0, 0}));
+}
+
+TEST(CopyDetectionTest, SelectionOutsideAnItemElectsNone) {
+  // Every item has a value only s3 claims. Electing it leaves no pair
+  // agreeing on a true value, exactly like electing no slot of the item.
+  std::vector<ClaimSpec> specs;
+  for (int i = 0; i < 12; ++i) {
+    const std::string attr = "a" + std::to_string(i);
+    specs.push_back({"s1", "o", attr, i});
+    specs.push_back({"s2", "o", attr, i});
+    specs.push_back({"s3", "o", attr, 100 + i});
+  }
+  Dataset d = BuildDataset(specs);
+  const auto store = GroupClaimsByItem(d);
+  const std::vector<double> accuracy(3, 0.7);
+  std::vector<size_t> lone(store.num_items());
+  std::vector<size_t> outside(store.num_items());
+  for (size_t it = 0; it < store.num_items(); ++it) {
+    for (size_t v = store.first_slot(it); v < store.end_slot(it); ++v) {
+      if (store.SupportersOf(v).size() == 1) lone[it] = v;
+    }
+    // Past every slot, or item 0's first slot for every later item.
+    outside[it] = it % 2 == 0 ? store.num_slots() : 0;
+  }
+  const CoClaimCounts counts = CountCoClaims(store, accuracy.size());
+  const DependenceMatrix by_lone = DetectCopying(
+      store, counts, lone, accuracy, CopyDetectionParams{});
+  const DependenceMatrix by_outside = DetectCopying(
+      store, counts, outside, accuracy, CopyDetectionParams{});
+  for (SourceId a = 0; a < 3; ++a) {
+    for (SourceId b = 0; b < 3; ++b) {
+      EXPECT_EQ(by_lone.prob(a, b), by_outside.prob(a, b)) << a << "," << b;
+    }
+  }
+  // s1 and s2 share a value the election calls false on every item; s1
+  // and s3 never agree.
+  EXPECT_GT(by_lone.prob(0, 1), by_lone.prob(0, 2));
+}
+
 TEST(CopyDetectionTest, ProbabilitiesAreInUnitInterval) {
   std::vector<ClaimSpec> specs;
   for (int i = 0; i < 25; ++i) {
