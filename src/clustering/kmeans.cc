@@ -410,9 +410,20 @@ KMeansResult RunRestarts(const std::vector<FeatureVector>& points,
   const int k = options.k;
   const int restarts = std::max(1, options.num_restarts);
   LloydOutcome best;
+  // Where each scored restart ended. A restart that ends where an earlier
+  // one did has its centroids and inertia, and a later restart wins only
+  // with a strictly lower inertia, so it is not scored again.
+  std::vector<std::pair<std::vector<int>, std::vector<int64_t>>> ends;
   for (int r = 0; r < restarts; ++r) {
     Rng rng(options.seed + static_cast<uint64_t>(r));
     LloydOutcome attempt = RunLloyd(eval, points.size(), k, options, &rng);
+    if (std::ranges::any_of(ends, [&](const auto& end) {
+          return end.first == attempt.assignment &&
+                 end.second == attempt.point_of;
+        })) {
+      continue;
+    }
+    ends.emplace_back(attempt.assignment, attempt.point_of);
     // The restart's inertia as the float Lloyd computes it, in double from
     // the final means and in point order, so that every engine picks the
     // same restart wherever their Lloyd runs agree.

@@ -66,7 +66,9 @@ struct KMeansResult {
 ///    their new means, clusters above c still on their old centroids); the
 ///    first farthest point in point order wins.
 ///  - Restart choice: a later restart wins only with a strictly lower
-///    final inertia (KMeansResult::inertia).
+///    final inertia (KMeansResult::inertia). A restart that ends on the
+///    assignment and centroids of an earlier one has its inertia, so it
+///    cannot win and is not scored again.
 ///
 /// Points whose coordinates are all 0 or 1 (TD-AC's and TD-OC's truth
 /// vectors) run this loop exactly, on integer Hamming counts: the squared
