@@ -35,20 +35,38 @@ class CsvWriter {
 
 /// Receives one CSV row: its fields, and the 1-based physical line the row
 /// began on. Quoted fields may span lines, so the line can run ahead of the
-/// row count — error messages should cite it, not the row index. `fields`
-/// is only valid during the call: the scanner reuses its buffers for the
-/// next row.
-using CsvRowFn =
-    std::function<Status(std::span<const std::string> fields, size_t line)>;
+/// row count — error messages should cite it, not the row index. A field
+/// that is one contiguous run of the text (every unquoted field, and a
+/// quoted one without a `""` escape) views the scanned text itself; any
+/// other field views a buffer the scanner reuses for the next row. So
+/// `fields` is only valid during the call.
+using CsvRowFn = std::function<Status(std::span<const std::string_view> fields,
+                                      size_t line)>;
 
 /// Scans `text` row by row, calling `on_row` once per row as soon as the
 /// row ends; no document is built. CRLF counts as one row end and a bare CR
 /// ends a row too; quoted fields may span lines; a quote opens a field only
 /// at the field's start. A non-OK Status from `on_row` stops the scan and
 /// is returned. Text ending inside a quoted field fails with
-/// InvalidArgument naming the line the quote opened on.
+/// InvalidArgument naming the line the quote opened on. Lines are counted
+/// from `*line` (from 1 when `line` is null); after a scan that returns OK,
+/// `*line` is the line the text ended on, which is where a scan of the text
+/// that follows it starts.
 [[nodiscard]] Status ForEachCsvRow(std::string_view text, char delimiter,
-                                   const CsvRowFn& on_row);
+                                   const CsvRowFn& on_row,
+                                   size_t* line = nullptr);
+
+/// Cuts `text` into at most `parts` byte ranges of about equal size, each
+/// beginning at a record start: a position where ForEachCsvRow's scan of
+/// the whole text begins a row. The pre-scan follows the scanner's rules:
+/// a quote opens a field only at the field's start, a quoted field may
+/// span lines, and a CRLF is never split. Returns the range bounds — 0,
+/// the cuts ascending, text.size() — so scanning each range on its own
+/// hands over exactly the rows of one scan of `text`, in order. Fewer
+/// ranges come back when the text has fewer record starts (a short text,
+/// or one that ends inside a quoted field).
+std::vector<size_t> CsvRecordCuts(std::string_view text, char delimiter,
+                                  size_t parts);
 
 /// Parses a full CSV document into rows of fields (ForEachCsvRow,
 /// collected).

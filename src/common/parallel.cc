@@ -57,16 +57,20 @@ struct LoopState {
 void ParallelFor(size_t n, const std::function<void(size_t)>& body,
                  const ParallelForOptions& options) {
   if (n == 0) return;
-  ThreadPool* pool = options.pool != nullptr ? options.pool
-                                             : &ThreadPool::Global();
-  int width = options.max_parallelism > 0
-                  ? std::min(options.max_parallelism, pool->num_threads())
-                  : pool->num_threads();
+  // A loop that runs inline leaves the pool alone, so a serial caller (a
+  // one-chunk load, a threads=1 run) never starts the global pool.
+  ThreadPool* pool = nullptr;
+  int width = 1;
+  if (n >= options.min_parallel_iterations && options.max_parallelism != 1) {
+    pool = options.pool != nullptr ? options.pool : &ThreadPool::Global();
+    width = options.max_parallelism > 0
+                ? std::min(options.max_parallelism, pool->num_threads())
+                : pool->num_threads();
+  }
   const RunGuard* guard =
       options.guard != nullptr && options.guard->active() ? options.guard
                                                           : nullptr;
-  if (width <= 1 || n < options.min_parallel_iterations ||
-      pool->num_workers() == 0) {
+  if (width <= 1 || pool->num_workers() == 0) {
     for (size_t i = 0; i < n; ++i) {
       if (guard != nullptr && guard->ShouldStop()) break;
       body(i);

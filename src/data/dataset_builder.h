@@ -2,7 +2,9 @@
 #define TDAC_DATA_DATASET_BUILDER_H_
 
 #include <cstddef>
+#include <functional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 
 #include "common/result.h"
@@ -22,14 +24,14 @@ class DatasetBuilder {
   DatasetBuilder() = default;
 
   /// Returns the id of `name`, creating it on first use.
-  SourceId AddSource(const std::string& name);
-  ObjectId AddObject(const std::string& name);
-  AttributeId AddAttribute(const std::string& name);
+  SourceId AddSource(std::string_view name);
+  ObjectId AddObject(std::string_view name);
+  AttributeId AddAttribute(std::string_view name);
 
   /// Looks up an existing name; kInvalidId when absent.
-  SourceId FindSource(const std::string& name) const;
-  ObjectId FindObject(const std::string& name) const;
-  AttributeId FindAttribute(const std::string& name) const;
+  SourceId FindSource(std::string_view name) const;
+  ObjectId FindObject(std::string_view name) const;
+  AttributeId FindAttribute(std::string_view name) const;
 
   /// Records a claim: interns its value and appends it to the columns.
   /// Fails with InvalidArgument on bad ids. A repeated (source, object,
@@ -40,8 +42,14 @@ class DatasetBuilder {
 
   /// Name-based convenience overload (interns all three names).
   [[nodiscard]]
-  Status AddClaim(const std::string& source, const std::string& object,
-                  const std::string& attribute, Value value);
+  Status AddClaim(std::string_view source, std::string_view object,
+                  std::string_view attribute, Value value);
+
+  /// Appends `later`'s names and claims after this builder's, as if every
+  /// call made on `later` had been made here next: a name or value new to
+  /// this builder gets the next id, in `later`'s first-seen order. This is
+  /// how a load parsed in pieces gets the ids a load in one piece assigns.
+  void Append(const DatasetBuilder& later);
 
   size_t num_claims() const { return dataset_.num_claims(); }
 
@@ -55,10 +63,20 @@ class DatasetBuilder {
   [[nodiscard]] Result<Dataset> Build(size_t* repeated_claim = nullptr);
 
  private:
+  /// String hash that also takes a string_view, so a lookup builds no key.
+  struct NameHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view name) const {
+      return std::hash<std::string_view>{}(name);
+    }
+  };
+  using NameIds =
+      std::unordered_map<std::string, int32_t, NameHash, std::equal_to<>>;
+
   Dataset dataset_;
-  std::unordered_map<std::string, SourceId> source_ids_;
-  std::unordered_map<std::string, ObjectId> object_ids_;
-  std::unordered_map<std::string, AttributeId> attribute_ids_;
+  NameIds source_ids_;
+  NameIds object_ids_;
+  NameIds attribute_ids_;
 };
 
 }  // namespace tdac

@@ -9,6 +9,7 @@
 
 #include "common/csv.h"
 #include "common/io.h"
+#include "common/parallel.h"
 #include "common/string_util.h"
 #include "data/dataset_builder.h"
 
@@ -28,27 +29,30 @@ const char* KindName(Value::Kind kind) {
   return "string";
 }
 
-Result<Value::Kind> ParseKind(const std::string& s) {
+Result<Value::Kind> ParseKind(std::string_view s) {
   if (s == "string") return Value::Kind::kString;
   if (s == "int") return Value::Kind::kInt;
   if (s == "double") return Value::Kind::kDouble;
-  return Status::InvalidArgument("unknown value kind '" + s + "'");
+  return Status::InvalidArgument("unknown value kind '" + std::string(s) +
+                                 "'");
 }
 
 /// Prefixes an ingestion error with the 1-based input line and the field
 /// that failed, e.g. `claim CSV line 7, field "kind": ...`; an empty
 /// `field` blames the whole row (`claim CSV line 7: ...`).
-Status AtLine(const std::string& file_kind, size_t line,
-              const std::string& field, const Status& status) {
-  const std::string where = field.empty() ? "" : ", field \"" + field + "\"";
-  return Status(status.code(), file_kind + " line " + std::to_string(line) +
-                                   where + ": " + status.message());
+Status AtLine(std::string_view file_kind, size_t line, std::string_view field,
+              const Status& status) {
+  const std::string where =
+      field.empty() ? "" : ", field \"" + std::string(field) + "\"";
+  return Status(status.code(), std::string(file_kind) + " line " +
+                                   std::to_string(line) + where + ": " +
+                                   status.message());
 }
 
 /// Parses the typed value of a row, reporting the offending text on error.
-Result<Value> ParseRowValue(const std::string& file_kind, size_t line,
-                            const std::string& kind_text,
-                            const std::string& value_text) {
+Result<Value> ParseRowValue(std::string_view file_kind, size_t line,
+                            std::string_view kind_text,
+                            std::string_view value_text) {
   Result<Value::Kind> kind = ParseKind(kind_text);
   if (!kind.ok()) return AtLine(file_kind, line, "kind", kind.status());
   Result<Value> value = Value::FromTextChecked(kind.value(), value_text);
@@ -62,37 +66,78 @@ constexpr std::string_view kUtf8Bom = "\xEF\xBB\xBF";
 constexpr std::string_view kClaimHeader = "source,object,attribute,kind,value";
 constexpr std::string_view kTruthHeader = "object,attribute,kind,value";
 constexpr std::string_view kTrustHeader = "source,trust";
+constexpr std::string_view kClaimCsv = "claim CSV";
 
-/// Streams the records of a `file_kind` CSV to `on_record` in one pass:
-/// skips one leading UTF-8 byte-order mark, requires the first row to be
-/// exactly `header`, and hands over every later row, with its line, once
-/// it has as many fields as the header. A file without rows fails as
-/// `empty <file_kind>`.
-Status ForEachRecord(std::string_view text, const std::string& file_kind,
-                     std::string_view header, const CsvRowFn& on_record) {
+// A claim file is cut into pieces of at least this many bytes, so a small
+// file loads as one piece: below it, a piece's parse costs about what
+// starting a task and merging its tables cost.
+constexpr size_t kMinChunkBytes = size_t{1} << 20;
+
+std::string_view WithoutBom(std::string_view text) {
   if (text.starts_with(kUtf8Bom)) text.remove_prefix(kUtf8Bom.size());
+  return text;
+}
+
+/// Streams the records of `text` — a `file_kind` CSV without its
+/// byte-order mark, or a piece of one cut at a record start — to
+/// `on_record`, each once it has as many fields as `header`. With
+/// `header_first`, the first row must be exactly `header` and is not handed
+/// over, and a text without rows fails as `empty <file_kind>`. Lines are
+/// counted from `*line` as in ForEachCsvRow.
+Status ScanRecords(std::string_view text, std::string_view file_kind,
+                   std::string_view header, bool header_first, size_t* line,
+                   const CsvRowFn& on_record) {
   const std::vector<std::string> expected = Split(header, ',');
-  bool header_seen = false;
+  bool header_seen = !header_first;
   TDAC_RETURN_NOT_OK(ForEachCsvRow(
-      text, ',', [&](std::span<const std::string> row, size_t line) {
+      text, ',',
+      [&](std::span<const std::string_view> row, size_t row_line) {
         if (!header_seen) {
           header_seen = true;
           if (std::ranges::equal(row, expected)) return Status::OK();
-          return AtLine(file_kind, line, "",
+          return AtLine(file_kind, row_line, "",
                         Status::InvalidArgument("expected header " +
                                                 std::string(header)));
         }
         if (row.size() != expected.size()) {
-          return AtLine(file_kind, line, "",
+          return AtLine(file_kind, row_line, "",
                         Status::InvalidArgument(
                             "expected " + std::to_string(expected.size()) +
                             " fields (" + std::string(header) + "), got " +
                             std::to_string(row.size())));
         }
-        return on_record(row, line);
-      }));
-  if (!header_seen) return Status::InvalidArgument("empty " + file_kind);
+        return on_record(row, row_line);
+      },
+      line));
+  if (!header_seen) {
+    return Status::InvalidArgument("empty " + std::string(file_kind));
+  }
   return Status::OK();
+}
+
+/// ScanRecords over a whole file: skips one leading UTF-8 byte-order mark
+/// and requires the header.
+Status ForEachRecord(std::string_view text, std::string_view file_kind,
+                     std::string_view header, const CsvRowFn& on_record) {
+  return ScanRecords(WithoutBom(text), file_kind, header,
+                     /*header_first=*/true, /*line=*/nullptr, on_record);
+}
+
+/// Parses the claim rows of `text`, a claim file without its byte-order
+/// mark or a piece of one (see ScanRecords), into `builder`.
+Status LoadClaims(std::string_view text, bool header_first, size_t* line,
+                  DatasetBuilder* builder) {
+  return ScanRecords(
+      text, kClaimCsv, kClaimHeader, header_first, line,
+      [builder](std::span<const std::string_view> row,
+                size_t row_line) -> Status {
+        TDAC_ASSIGN_OR_RETURN(
+            Value value, ParseRowValue(kClaimCsv, row_line, row[3], row[4]));
+        Status added =
+            builder->AddClaim(row[0], row[1], row[2], std::move(value));
+        if (!added.ok()) return AtLine(kClaimCsv, row_line, "", added);
+        return Status::OK();
+      });
 }
 
 }  // namespace
@@ -111,18 +156,48 @@ std::string DatasetToCsv(const Dataset& dataset) {
   return w.contents();
 }
 
-Result<Dataset> DatasetFromCsv(const std::string& text) {
-  DatasetBuilder builder;
-  TDAC_RETURN_NOT_OK(ForEachRecord(
-      text, "claim CSV", kClaimHeader,
-      [&builder](std::span<const std::string> row, size_t line) -> Status {
-        TDAC_ASSIGN_OR_RETURN(
-            Value value, ParseRowValue("claim CSV", line, row[3], row[4]));
-        Status added =
-            builder.AddClaim(row[0], row[1], row[2], std::move(value));
-        if (!added.ok()) return AtLine("claim CSV", line, "", added);
-        return Status::OK();
-      }));
+namespace dataset_io_internal {
+
+Result<Dataset> DatasetFromCsvInChunks(std::string_view text, size_t chunks,
+                                       int threads) {
+  text = WithoutBom(text);
+  const std::vector<size_t> bounds = CsvRecordCuts(text, ',', chunks);
+  const size_t pieces = bounds.size() - 1;
+  auto piece = [&](size_t c) {
+    return text.substr(bounds[c], bounds[c + 1] - bounds[c]);
+  };
+  std::vector<DatasetBuilder> builders(pieces);
+  std::vector<Status> statuses(pieces);
+  // Each piece counts its lines from 1, so it spans end_lines[c] - 1.
+  std::vector<size_t> end_lines(pieces, 1);
+  ParallelForOptions options;
+  options.max_parallelism = threads;
+  ParallelFor(
+      pieces,
+      [&](size_t c) {
+        statuses[c] = LoadClaims(piece(c), /*header_first=*/c == 0,
+                                 &end_lines[c], &builders[c]);
+      },
+      options);
+  // A piece stops at its first error, so the earliest piece that failed
+  // holds the file's first error. Every piece before it was read whole,
+  // which gives its first line; reading it again from there makes the
+  // error cite the file's line.
+  size_t first_line = 1;
+  for (size_t c = 0; c < pieces; ++c) {
+    if (!statuses[c].ok()) {
+      if (c == 0) return statuses[c];
+      DatasetBuilder discarded;
+      return LoadClaims(piece(c), /*header_first=*/false, &first_line,
+                        &discarded);
+    }
+    first_line += end_lines[c] - 1;
+  }
+  DatasetBuilder& builder = builders[0];
+  for (size_t c = 1; c < pieces; ++c) {
+    builder.Append(builders[c]);
+    builders[c] = DatasetBuilder();
+  }
   size_t repeated = 0;
   Result<Dataset> built = builder.Build(&repeated);
   if (built.ok() || built.status().code() != StatusCode::kAlreadyExists) {
@@ -131,22 +206,31 @@ Result<Dataset> DatasetFromCsv(const std::string& text) {
   // Claim i is record i; only this error path looks for its line.
   size_t record = 0;
   size_t line_of_repeat = 0;
-  TDAC_RETURN_NOT_OK(ForEachRecord(
-      text, "claim CSV", kClaimHeader,
-      [&](std::span<const std::string>, size_t line) {
+  TDAC_RETURN_NOT_OK(ScanRecords(
+      text, kClaimCsv, kClaimHeader, /*header_first=*/true, /*line=*/nullptr,
+      [&](std::span<const std::string_view>, size_t line) {
         if (record++ == repeated) line_of_repeat = line;
         return Status::OK();
       }));
-  return AtLine("claim CSV", line_of_repeat, "", built.status());
+  return AtLine(kClaimCsv, line_of_repeat, "", built.status());
+}
+
+}  // namespace dataset_io_internal
+
+Result<Dataset> DatasetFromCsv(const std::string& text, int threads) {
+  const int width = EffectiveThreadCount(threads);
+  const size_t chunks = std::clamp<size_t>(text.size() / kMinChunkBytes, 1,
+                                           static_cast<size_t>(width));
+  return dataset_io_internal::DatasetFromCsvInChunks(text, chunks, width);
 }
 
 Status SaveDataset(const Dataset& dataset, const std::string& path) {
   return AtomicWriteFile(path, DatasetToCsv(dataset));
 }
 
-Result<Dataset> LoadDataset(const std::string& path) {
+Result<Dataset> LoadDataset(const std::string& path, int threads) {
   TDAC_ASSIGN_OR_RETURN(std::string text, ReadFileToString(path));
-  return DatasetFromCsv(text);
+  return DatasetFromCsv(text, threads);
 }
 
 std::string GroundTruthToCsv(const GroundTruth& truth,
@@ -176,25 +260,27 @@ Result<GroundTruth> GroundTruthFromCsv(const std::string& text,
   GroundTruth truth;
   TDAC_RETURN_NOT_OK(ForEachRecord(
       text, "truth CSV", kTruthHeader,
-      [&](std::span<const std::string> row, size_t line) -> Status {
-        auto oit = objects.find(row[0]);
+      [&](std::span<const std::string_view> row, size_t line) -> Status {
+        const std::string object(row[0]);
+        const std::string attribute(row[1]);
+        auto oit = objects.find(object);
         if (oit == objects.end()) {
           return AtLine("truth CSV", line, "object",
-                        Status::NotFound("unknown object '" + row[0] + "'"));
+                        Status::NotFound("unknown object '" + object + "'"));
         }
-        auto ait = attributes.find(row[1]);
+        auto ait = attributes.find(attribute);
         if (ait == attributes.end()) {
           return AtLine(
               "truth CSV", line, "attribute",
-              Status::NotFound("unknown attribute '" + row[1] + "'"));
+              Status::NotFound("unknown attribute '" + attribute + "'"));
         }
         TDAC_ASSIGN_OR_RETURN(
             Value value, ParseRowValue("truth CSV", line, row[2], row[3]));
         if (truth.Get(oit->second, ait->second) != nullptr) {
           return AtLine("truth CSV", line, "",
                         Status::AlreadyExists("duplicate truth for (object=" +
-                                              row[0] + ", attribute=" +
-                                              row[1] + ")"));
+                                              object + ", attribute=" +
+                                              attribute + ")"));
         }
         truth.Set(oit->second, ait->second, std::move(value));
         return Status::OK();
@@ -231,11 +317,12 @@ Result<std::vector<double>> SourceTrustFromCsv(const std::string& text,
   std::vector<char> seen(trust.size(), 0);
   TDAC_RETURN_NOT_OK(ForEachRecord(
       text, "trust CSV", kTrustHeader,
-      [&](std::span<const std::string> row, size_t line) -> Status {
-        auto it = sources.find(row[0]);
+      [&](std::span<const std::string_view> row, size_t line) -> Status {
+        const std::string source(row[0]);
+        auto it = sources.find(source);
         if (it == sources.end()) {
           return AtLine("trust CSV", line, "source",
-                        Status::NotFound("unknown source '" + row[0] + "'"));
+                        Status::NotFound("unknown source '" + source + "'"));
         }
         Result<Value> parsed =
             Value::FromTextChecked(Value::Kind::kDouble, row[1]);
@@ -246,7 +333,7 @@ Result<std::vector<double>> SourceTrustFromCsv(const std::string& text,
         if (seen[s]) {
           return AtLine("trust CSV", line, "source",
                         Status::AlreadyExists("duplicate trust for source '" +
-                                              row[0] + "'"));
+                                              source + "'"));
         }
         seen[s] = 1;
         trust[s] = parsed.value().AsDouble();

@@ -1,10 +1,12 @@
 #include "data/value_dict.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstring>
 #include <numeric>
+#include <utility>
 
 #include "common/logging.h"
 
@@ -83,10 +85,15 @@ void ValueDict::Grow() {
   }
 }
 
-ValueId ValueDict::Intern(const Value& v) {
+ValueId ValueDict::Intern(const Value& v) { return InternEntry(EntryOf(v)); }
+
+ValueId ValueDict::InternFrom(const ValueDict& other, ValueId other_id) {
+  return InternEntry(other.entries_[static_cast<size_t>(other_id)]);
+}
+
+ValueId ValueDict::InternEntry(Entry e) {
   TDAC_CHECK(!frozen_) << "ValueDict::Intern on a frozen dictionary";
   const ValueId next = static_cast<ValueId>(entries_.size());
-  Entry e = EntryOf(v);
   if (IsNaN(e)) {
     // NaN != NaN under Value::operator==, so a NaN payload must never
     // dedup: every occurrence is its own distinct value.
@@ -132,45 +139,82 @@ std::string_view ValueDict::StringAt(ValueId id) const {
   return e.str;
 }
 
-double ValueDict::DoubleAt(size_t index) const {
-  return std::bit_cast<double>(static_cast<uint64_t>(entries_[index].num));
+namespace {
+
+/// (key, id) pairs whose ascending key order is ascending value order.
+using KeyedIds = std::vector<std::pair<uint64_t, ValueId>>;
+
+/// An int's key: flipping the sign bit puts negatives first.
+uint64_t IntKey(int64_t value) {
+  return std::bit_cast<uint64_t>(value) ^ (uint64_t{1} << 63);
 }
+
+/// A non-NaN double's key: negatives have every bit flipped (so larger
+/// magnitudes come first), non-negatives just the sign bit. -0.0 keys
+/// below +0.0, but they intern to one entry and never meet here.
+uint64_t DoubleKey(double value) {
+  const uint64_t bits = std::bit_cast<uint64_t>(value);
+  return (bits >> 63) != 0 ? ~bits : bits | (uint64_t{1} << 63);
+}
+
+/// Sorts `keyed` by key, stably: an LSD radix sort, one byte a pass, that
+/// skips a byte on which every key agrees.
+void RadixSort(KeyedIds* keyed) {
+  KeyedIds scratch(keyed->size());
+  for (int shift = 0; shift < 64; shift += 8) {
+    std::array<size_t, 257> next{};
+    for (const auto& item : *keyed) ++next[((item.first >> shift) & 0xff) + 1];
+    if (std::ranges::find(next, keyed->size()) != next.end()) continue;
+    std::partial_sum(next.begin(), next.end(), next.begin());
+    for (const auto& item : *keyed) {
+      scratch[next[(item.first >> shift) & 0xff]++] = item;
+    }
+    keyed->swap(scratch);
+  }
+}
+
+}  // namespace
 
 void ValueDict::Freeze() {
   TDAC_CHECK(!frozen_) << "ValueDict::Freeze called twice";
-  by_rank_.resize(entries_.size());
-  std::iota(by_rank_.begin(), by_rank_.end(), 0);
-  // Mirror of Value::operator< (kind first, then payload, doubles with NaN
-  // after every number), with id as the final tie-break so the order is
-  // total even across distinct NaN entries.
-  std::sort(by_rank_.begin(), by_rank_.end(), [this](ValueId a, ValueId b) {
-    const Entry& ea = entries_[static_cast<size_t>(a)];
-    const Entry& eb = entries_[static_cast<size_t>(b)];
-    if (ea.kind != eb.kind) {
-      return static_cast<int>(ea.kind) < static_cast<int>(eb.kind);
-    }
-    switch (ea.kind) {
+  // Value::operator< orders by kind first (strings, ints, doubles), then
+  // by payload, with every NaN after every number. So each kind is sorted
+  // on its own: strings by (payload, id), ints and doubles by a radix sort
+  // of their keys, which is stable. Only NaNs can tie, since every other
+  // value is interned once; they compare equal to nothing, so they stay
+  // out of the double sort and rank last, in id order.
+  std::vector<std::pair<std::string_view, ValueId>> strings;
+  KeyedIds ints;
+  KeyedIds doubles;
+  std::vector<ValueId> nans;
+  for (size_t i = 0; i < entries_.size(); ++i) {
+    const Entry& e = entries_[i];
+    const auto id = static_cast<ValueId>(i);
+    switch (e.kind) {
       case Value::Kind::kString:
-        if (ea.str != eb.str) return ea.str < eb.str;
+        strings.emplace_back(e.str, id);
         break;
       case Value::Kind::kInt:
-        if (ea.num != eb.num) return ea.num < eb.num;
+        ints.emplace_back(IntKey(e.num), id);
         break;
-      case Value::Kind::kDouble: {
-        const double da = DoubleAt(static_cast<size_t>(a));
-        const double db = DoubleAt(static_cast<size_t>(b));
-        const bool a_nan = std::isnan(da);
-        const bool b_nan = std::isnan(db);
-        if (a_nan || b_nan) {
-          if (a_nan != b_nan) return !a_nan;
-          break;  // two NaNs: fall through to the id tie-break
+      case Value::Kind::kDouble:
+        if (IsNaN(e)) {
+          nans.push_back(id);
+        } else {
+          doubles.emplace_back(DoubleKey(std::bit_cast<double>(e.num)), id);
         }
-        if (da != db) return da < db;
         break;
-      }
     }
-    return a < b;
-  });
+  }
+  std::sort(strings.begin(), strings.end());
+  RadixSort(&ints);
+  RadixSort(&doubles);
+  by_rank_.clear();
+  by_rank_.reserve(entries_.size());
+  for (const auto& [key, id] : strings) by_rank_.push_back(id);
+  for (const auto& [key, id] : ints) by_rank_.push_back(id);
+  for (const auto& [key, id] : doubles) by_rank_.push_back(id);
+  by_rank_.insert(by_rank_.end(), nans.begin(), nans.end());
   ranks_.resize(entries_.size());
   for (size_t r = 0; r < by_rank_.size(); ++r) {
     ranks_[static_cast<size_t>(by_rank_[r])] = static_cast<int32_t>(r);

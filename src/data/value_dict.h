@@ -80,6 +80,10 @@ class ValueDict {
   /// called on a frozen dictionary.
   ValueId Intern(const Value& v);
 
+  /// Interns the value `other` holds under `other_id`, exactly as
+  /// Intern(other.ValueAt(other_id)) would, without materializing it.
+  ValueId InternFrom(const ValueDict& other, ValueId other_id);
+
   /// Id of `v` if some interned value compares == to it; kInvalidId
   /// otherwise (in particular, always kInvalidId for NaN payloads).
   ValueId Find(const Value& v) const;
@@ -103,7 +107,9 @@ class ValueDict {
   }
 
   /// Builds the rank permutation and seals the dictionary against further
-  /// interning. Idempotent state check: must be called exactly once.
+  /// interning. Each kind is ranked by a sort of its own, and the three
+  /// runs are laid end to end in Value::operator<'s kind order. Idempotent
+  /// state check: must be called exactly once.
   void Freeze();
 
   bool frozen() const { return frozen_; }
@@ -133,14 +139,16 @@ class ValueDict {
   /// Value::operator== on entries: -0.0 equals +0.0, NaN equals nothing.
   static bool SameValue(const Entry& a, const Entry& b);
 
+  /// Intern's body: the id of an entry equal to `e`, else `e` appended
+  /// (its string payload copied into this arena) under a fresh id.
+  ValueId InternEntry(Entry e);
+
   /// The slot holding an entry equal to `e`, else the empty slot where
   /// `e` belongs. `e` must not be NaN.
   size_t Probe(const Entry& e) const;
 
   /// Doubles the slot table and re-inserts every non-NaN entry.
   void Grow();
-
-  double DoubleAt(size_t index) const;
 
   std::vector<Entry> entries_;
   StringArena arena_;

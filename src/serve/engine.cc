@@ -152,7 +152,7 @@ void ServeEngine::Shutdown() {
 }
 
 std::shared_ptr<ServeEngine::DatasetEntry> ServeEngine::DatasetFor(
-    const std::string& path) {
+    const std::string& path, int threads) {
   std::shared_ptr<DatasetEntry> entry;
   {
     std::lock_guard<std::mutex> lock(datasets_mutex_);
@@ -190,8 +190,8 @@ std::shared_ptr<ServeEngine::DatasetEntry> ServeEngine::DatasetFor(
 
   // Load outside the map lock; concurrent requests for the same path block
   // here (not on the map) and exactly one performs the load.
-  std::call_once(entry->once, [&entry, &path, this]() {
-    Result<Dataset> loaded = LoadDataset(path);
+  std::call_once(entry->once, [&entry, &path, threads, this]() {
+    Result<Dataset> loaded = LoadDataset(path, threads);
     if (!loaded.ok()) {
       entry->status = loaded.status();
       return;
@@ -247,7 +247,8 @@ void ServeEngine::Respond(const Admitted& admitted, ServeResponse response) {
 void ServeEngine::Execute(Admitted admitted) {
   const ServeRequest& request = admitted.request;
 
-  const std::shared_ptr<DatasetEntry> entry = DatasetFor(request.claims_path);
+  const std::shared_ptr<DatasetEntry> entry =
+      DatasetFor(request.claims_path, std::max(1, request.threads));
   if (!entry->status.ok()) {
     ServeResponse response;
     response.outcome = ServeResponse::Outcome::kError;

@@ -196,8 +196,10 @@ class ServeEngine {
 
   void Execute(Admitted admitted);
 
-  /// Resolves the dataset entry for `path` through the LRU dataset cache.
-  std::shared_ptr<DatasetEntry> DatasetFor(const std::string& path);
+  /// Resolves the dataset entry for `path` through the LRU dataset cache;
+  /// a miss loads the file on `threads` threads.
+  std::shared_ptr<DatasetEntry> DatasetFor(const std::string& path,
+                                           int threads);
 
   /// Builds the terminal response for one finished run and fires the
   /// callback, accounting for the in-flight slot.

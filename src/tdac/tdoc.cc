@@ -9,8 +9,7 @@ namespace tdac {
 namespace {
 
 /// The TD-AC options TD-OC's pass reads; the rest keep their defaults
-/// (k-means backend, dense distances, process default thread count, no
-/// refinement).
+/// (k-means backend, dense distances, no refinement).
 TdacOptions PassOptions(const TdocOptions& options) {
   TDAC_CHECK(options.base != nullptr) << "Tdoc requires a base algorithm";
   TdacOptions pass;
@@ -19,6 +18,7 @@ TdacOptions PassOptions(const TdocOptions& options) {
   pass.silhouette_metric = options.silhouette_metric;
   pass.min_k = options.min_k;
   pass.max_k = options.max_k;
+  pass.threads = options.threads;
   pass.checkpointer = options.checkpointer;
   pass.checkpoint_prefix = options.checkpoint_prefix;
   return pass;

@@ -29,6 +29,12 @@ struct TdocOptions {
   int min_k = 2;
   int max_k = 8;
 
+  /// Threads for the pass (TdacOptions::threads): 0 means the process
+  /// default (`TDAC_THREADS` env override, else hardware concurrency); 1
+  /// forces the exact serial path. Results are bit-identical at every
+  /// thread count.
+  int threads = 0;
+
   /// Durable checkpoint/resume (docs/checkpointing.md). Not owned; null
   /// disables. Slots: `<checkpoint_prefix>.r0.{reference,sweep,groups}`.
   /// Only clean (un-tripped) state is persisted, so a resumed run is
@@ -63,8 +69,8 @@ struct TdocReport {
 /// `bench_partitioning_axes` bench demonstrates.
 ///
 /// It is TD-AC's pass run on the object axis: the same reference run,
-/// parallel sweep, batched checkpoints, group runs and trust merge, at the
-/// process default thread count. Results are bit-identical at every
+/// parallel sweep, batched checkpoints, group runs and trust merge, on
+/// `TdocOptions::threads` threads. Results are bit-identical at every
 /// thread count.
 class Tdoc : public TruthDiscovery {
  public:

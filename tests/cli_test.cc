@@ -59,12 +59,10 @@ int RunCliStderr(const std::string& args, const std::string& err_path,
 }
 
 /// Expects every `{args, flag}` case to be a usage error (exit 2) of
-/// `binary` whose message names `flag`.
+/// `binary` whose message, caught in `err_path`, names `flag`.
 void ExpectUsageErrors(
-    const std::string& binary,
+    const std::string& binary, const std::string& err_path,
     const std::vector<std::pair<std::string, std::string>>& cases) {
-  testutil::ScratchDir scratch;
-  const std::string err_path = scratch.path() + "/stderr.txt";
   for (const auto& [args, flag] : cases) {
     std::string err;
     EXPECT_EQ(RunToolStderr(binary, args, err_path, &err), 2) << args;
@@ -152,7 +150,8 @@ TEST(CliTest, MalformedNumericFlagsAreUsageErrors) {
 // trailing suffix is an error rather than dropped, and garbage is a usage
 // error rather than an uncaught exception.
 TEST(CliTest, ServeMalformedNumericFlagsAreUsageErrors) {
-  ExpectUsageErrors(TDAC_SERVE_BIN,
+  testutil::ScratchDir scratch;
+  ExpectUsageErrors(TDAC_SERVE_BIN, scratch.path() + "/stderr.txt",
                     {{"--workers=4x", "--workers"},
                      {"--queue-capacity=", "--queue-capacity"},
                      {"--result-cache-bytes=-1", "--result-cache-bytes"},
@@ -162,7 +161,6 @@ TEST(CliTest, ServeMalformedNumericFlagsAreUsageErrors) {
                      {"--execution-delay-ms=5ms", "--execution-delay-ms"},
                      {"--max-line-bytes=1k", "--max-line-bytes"}});
   std::string err;
-  testutil::ScratchDir scratch;
   EXPECT_EQ(RunToolStderr(TDAC_SERVE_BIN,
                           "--workers=2 --result-cache-bytes=1024 "
                           "--default-deadline-ms=2.5",
@@ -172,8 +170,9 @@ TEST(CliTest, ServeMalformedNumericFlagsAreUsageErrors) {
 }
 
 TEST(CliTest, SuperviseMalformedNumericFlagsAreUsageErrors) {
+  testutil::ScratchDir scratch;
   ExpectUsageErrors(
-      TDAC_SUPERVISE_BIN,
+      TDAC_SUPERVISE_BIN, scratch.path() + "/stderr.txt",
       {{"--crash-loop-limit=2x -- /bin/true", "--crash-loop-limit"},
        {"--seed=-5 -- /bin/true", "--seed"},
        {"--backoff-initial-ms=fast -- /bin/true", "--backoff-initial-ms"},
@@ -182,7 +181,6 @@ TEST(CliTest, SuperviseMalformedNumericFlagsAreUsageErrors) {
        {"--jitter-frac=lots -- /bin/true", "--jitter-frac"},
        {"--stable-ms=1s -- /bin/true", "--stable-ms"}});
   std::string err;
-  testutil::ScratchDir scratch;
   EXPECT_EQ(RunToolStderr(TDAC_SUPERVISE_BIN,
                           "--seed=5 --crash-loop-limit=2 --jitter-frac=0.1 "
                           "-- /bin/true",
@@ -192,19 +190,71 @@ TEST(CliTest, SuperviseMalformedNumericFlagsAreUsageErrors) {
 }
 
 TEST(CliTest, BenchMalformedNumericFlagsAreUsageErrors) {
-  ExpectUsageErrors(TDAC_BENCH_TABLE8_BIN,
+  testutil::ScratchDir scratch;
+  ExpectUsageErrors(TDAC_BENCH_TABLE8_BIN, scratch.path() + "/stderr.txt",
                     {{"--threads=abc", "--threads"},
                      {"--objects=50x", "--objects"},
                      {"--seed=-1", "--seed"},
                      {"--checkpoint-interval-ms=5s",
                       "--checkpoint-interval-ms"}});
   std::string err;
-  testutil::ScratchDir scratch;
   EXPECT_EQ(RunToolStderr(TDAC_BENCH_TABLE8_BIN,
                           "--objects=50 --threads=1 --seed=7",
                           scratch.path() + "/stderr.txt", &err),
             0)
       << err;
+}
+
+// Each command, and each run mode, reads a fixed set of flags. A typo, or
+// a flag meant for another mode, is a usage error that names it rather
+// than a run that silently ignores it.
+TEST(CliTest, FlagsAModeDoesNotReadAreUsageErrors) {
+  testutil::ScratchDir scratch;
+  const std::string claims = scratch.path() + "/claims.csv";
+  const std::string outputs = " --out-claims=" + claims +
+                              " --out-truth=" + scratch.path() + "/truth.csv";
+  ASSERT_EQ(RunCli("generate --dataset=stocks" + outputs), 0);
+  const std::string stats = "stats --claims=" + claims;
+  const std::string run = "run --claims=" + claims + " --algorithm=Accu";
+  ExpectUsageErrors(
+      TDAC_CLI_BIN, scratch.path() + "/stderr.txt",
+      {{run + " --bogus", "--bogus"},
+       {run + " --tdac --thread=1", "--thread"},
+       {stats + " --nonsense", "--nonsense"},
+       {run + " --tdoc --sparse", "--sparse"},
+       {run + " --tdoc --agglomerative", "--agglomerative"},
+       {run + " --tdoc --refine=2", "--refine"},
+       {run + " --tdac --tdoc", "--tdoc"},
+       {run + " --greedy --max-k=3", "--max-k"},
+       {run + " --checkpoint-interval-ms=5", "--checkpoint-interval-ms"},
+       {"algorithms --verbose", "--verbose"},
+       {"generate --dataset=stocks --objects=5" + outputs, "--objects"},
+       {"generate --dataset=ds1 --range=50" + outputs, "--range"}});
+  // The flags a mode reads still run.
+  EXPECT_EQ(RunCli(stats + " --threads=2"), 0);
+  EXPECT_EQ(RunCli(run + " --tdoc --max-k=3 --serial"), 0);
+}
+
+// --threads and --serial set one thread count, read by the claim load in
+// every command that loads claims, and by TD-OC's pass as well as TD-AC's.
+TEST(CliTest, ThreadFlagsReachTheLoadAndTdoc) {
+  testutil::ScratchDir scratch;
+  const std::string claims = scratch.path() + "/claims.csv";
+  ASSERT_EQ(RunCli("generate --dataset=stocks --out-claims=" + claims +
+                   " --out-truth=" + scratch.path() + "/truth.csv"),
+            0);
+  const std::string run = "run --claims=" + claims + " --algorithm=Accu";
+  ExpectUsageErrors(TDAC_CLI_BIN, scratch.path() + "/stderr.txt",
+                    {{"stats --claims=" + claims + " --threads=abc",
+                      "--threads"},
+                     {run + " --threads=4x", "--threads"},
+                     {run + " --tdoc --threads=two", "--threads"}});
+  const std::string serial = scratch.path() + "/serial.csv";
+  const std::string threaded = scratch.path() + "/threaded.csv";
+  ASSERT_EQ(RunCli(run + " --tdoc --max-k=3 --serial --out=" + serial), 0);
+  ASSERT_EQ(RunCli(run + " --tdoc --max-k=3 --threads=4 --out=" + threaded),
+            0);
+  EXPECT_EQ(ReadAll(threaded), ReadAll(serial));
 }
 
 TEST(CliTest, DirectoryAsClaimFileIsAnIoError) {

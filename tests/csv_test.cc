@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/random.h"
 #include "test_util.h"
 
 namespace tdac {
@@ -166,7 +167,7 @@ struct ScannedRows {
 Result<ScannedRows> Scan(std::string_view text) {
   ScannedRows out;
   TDAC_RETURN_NOT_OK(ForEachCsvRow(
-      text, ',', [&out](std::span<const std::string> fields, size_t line) {
+      text, ',', [&out](std::span<const std::string_view> fields, size_t line) {
         out.rows.emplace_back(fields.begin(), fields.end());
         out.lines.push_back(line);
         return Status::OK();
@@ -236,7 +237,7 @@ TEST(CsvRowScanTest, ReusedBuffersHoldOnlyTheCurrentRow) {
 TEST(CsvRowScanTest, ErrorFromTheCallbackStopsTheScan) {
   size_t calls = 0;
   Status status = ForEachCsvRow(
-      "a\nb\nc\n", ',', [&calls](std::span<const std::string> fields,
+      "a\nb\nc\n", ',', [&calls](std::span<const std::string_view> fields,
                                  size_t line) {
         ++calls;
         if (fields[0] == "b") {
@@ -255,6 +256,116 @@ TEST(CsvRowScanTest, QuoteOpensAFieldOnlyAtItsStart) {
   ASSERT_TRUE(doc.ok());
   ASSERT_EQ(doc->rows.size(), 1u);
   EXPECT_EQ(doc->rows[0], (std::vector<std::string>{"ab\"c", "de"}));
+}
+
+TEST(CsvRowScanTest, FieldsViewTheTextUnlessAnEscapeBreaksTheRun) {
+  const std::string text = "ab\"c,\"q,r\",\"x\"\"y\",\"d\"e,\"z\"\"\"\n";
+  std::vector<std::string> fields;
+  std::vector<bool> in_text;
+  ASSERT_TRUE(ForEachCsvRow(text, ',',
+                            [&](std::span<const std::string_view> row, size_t) {
+                              for (std::string_view field : row) {
+                                fields.emplace_back(field);
+                                in_text.push_back(
+                                    field.data() >= text.data() &&
+                                    field.data() < text.data() + text.size());
+                              }
+                              return Status::OK();
+                            })
+                  .ok());
+  EXPECT_EQ(fields, (std::vector<std::string>{"ab\"c", "q,r", "x\"y", "de",
+                                              "z\""}));
+  // A quote inside an unquoted field, a quoted field without escapes, and
+  // one whose only escape ends it are runs of the text; an escape inside a
+  // field, or text after a closing quote, needs a buffer.
+  EXPECT_EQ(in_text, (std::vector<bool>{true, true, false, false, true}));
+}
+
+// CsvRecordCuts: scanning its pieces one after another, each from the line
+// the one before it ended on, hands over exactly the rows and lines of one
+// scan of the whole text, or fails with the same error.
+
+Result<ScannedRows> ScanInPieces(std::string_view text, size_t parts) {
+  ScannedRows out;
+  const std::vector<size_t> bounds = CsvRecordCuts(text, ',', parts);
+  EXPECT_EQ(bounds.front(), 0u);
+  EXPECT_EQ(bounds.back(), text.size());
+  size_t line = 1;
+  for (size_t k = 0; k + 1 < bounds.size(); ++k) {
+    EXPECT_TRUE(bounds[k] < bounds[k + 1] || text.empty()) << "empty piece";
+    TDAC_RETURN_NOT_OK(ForEachCsvRow(
+        text.substr(bounds[k], bounds[k + 1] - bounds[k]), ',',
+        [&out](std::span<const std::string_view> fields, size_t row_line) {
+          out.rows.emplace_back(fields.begin(), fields.end());
+          out.lines.push_back(row_line);
+          return Status::OK();
+        },
+        &line));
+  }
+  return out;
+}
+
+void ExpectPiecesScanAsWhole(const std::string& text) {
+  const Result<ScannedRows> whole = Scan(text);
+  for (size_t parts = 1; parts <= 12; ++parts) {
+    const Result<ScannedRows> pieces = ScanInPieces(text, parts);
+    ASSERT_EQ(pieces.ok(), whole.ok()) << parts << " parts of: " << text;
+    if (!whole.ok()) {
+      EXPECT_EQ(pieces.status().message(), whole.status().message());
+      continue;
+    }
+    EXPECT_EQ(pieces->rows, whole->rows) << parts << " parts of: " << text;
+    EXPECT_EQ(pieces->lines, whole->lines) << parts << " parts of: " << text;
+  }
+}
+
+TEST(CsvRecordCutsTest, PiecesScanAsTheWholeText) {
+  ExpectPiecesScanAsWhole("");
+  ExpectPiecesScanAsWhole("a,b\nc,d\ne,f\ng,h\n");
+  ExpectPiecesScanAsWhole("a\r\nb\r\nc\r\nd\r\ne\r\nf");
+  ExpectPiecesScanAsWhole("h\n\"multi\nline\",x\r\nb\rc\n\"a\"\"b\",\"\"\nd\"e,f\n");
+  ExpectPiecesScanAsWhole("a,\"x\r\n\ny\"\r\nb\n\"\n\n\",\"\r\"\n,\n\n");
+  ExpectPiecesScanAsWhole("x\"\ny\"\n\"q\"\"\n\"\nz,\"\"\"\n\"\"\n");
+  ExpectPiecesScanAsWhole("a\nb\nc\n\"never\nclosed\n,\n");
+  // Seeded random texts over every token the framing cares about.
+  const std::vector<std::string> tokens = {
+      "a", "bc", ",", "\"", "\"\"", "\n", "\r", "\r\n", "x\"y", "\",\"", " "};
+  for (uint64_t seed = 1; seed <= 200; ++seed) {
+    Rng rng(seed);
+    std::string text;
+    for (uint64_t n = 1 + rng.NextBounded(60); n > 0; --n) {
+      text += tokens[rng.NextBounded(tokens.size())];
+    }
+    ExpectPiecesScanAsWhole(text);
+  }
+}
+
+TEST(CsvRecordCutsTest, CutsLandOnRecordStarts) {
+  // A CRLF is never split.
+  const std::string crlf = "aa\r\nbb\r\ncc\r\ndd\r\nee\r\n";
+  for (size_t parts = 2; parts <= 8; ++parts) {
+    const std::vector<size_t> bounds = CsvRecordCuts(crlf, ',', parts);
+    for (size_t k = 1; k + 1 < bounds.size(); ++k) {
+      EXPECT_EQ(crlf[bounds[k] - 1], '\n') << parts;
+    }
+  }
+  // No cut inside a quoted field, however many lines it spans.
+  const std::string quoted =
+      "h\n\"" + std::string(50, '\n') + "\"\"\n" + "\"\ntail\nend\n";
+  const size_t close = quoted.rfind('"');
+  for (size_t parts = 2; parts <= 8; ++parts) {
+    const std::vector<size_t> bounds = CsvRecordCuts(quoted, ',', parts);
+    for (size_t k = 1; k + 1 < bounds.size(); ++k) {
+      EXPECT_TRUE(bounds[k] == 2 || bounds[k] > close) << bounds[k];
+    }
+  }
+  // Nothing after a quote that never closes is a record start.
+  const std::string open = "h\nrow\n\"open" + std::string(100, '\n');
+  EXPECT_EQ(CsvRecordCuts(open, ',', 4), (std::vector<size_t>{0, open.size()}));
+  // A quote after a field's start is content and opens nothing.
+  EXPECT_EQ(CsvRecordCuts("a\"b\nc\nd\"e\nf\n", ',', 4),
+            (std::vector<size_t>{0, 4, 10, 12}));
+  EXPECT_EQ(CsvRecordCuts("", ',', 4), (std::vector<size_t>{0, 0}));
 }
 
 }  // namespace

@@ -1,13 +1,17 @@
 #include "data/dataset_io.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <sstream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/checkpoint.h"
+#include "common/csv.h"
 #include "data/dataset_builder.h"
 #include "data/dataset_view.h"
 #include "data/profile.h"
@@ -293,6 +297,79 @@ TEST(IngestionErrorsTest, MalformedRowOutranksEarlierDuplicate) {
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(r.status().message(),
             "claim CSV line 4, field \"kind\": unknown value kind 'strung'");
+}
+
+// A load cut into chunks reports the error a one-chunk load reports. The
+// claim rows below are unique, one per line after the header, so line
+// i + 2 holds row i; the seam forces the chunk count.
+
+/// `rows` unique claim rows under the header, with `replace` swapping in
+/// the given text for the row on each given line.
+std::string ClaimLines(size_t rows,
+                       const std::vector<std::pair<size_t, std::string>>&
+                           replace) {
+  std::vector<std::string> lines = {"source,object,attribute,kind,value"};
+  for (size_t i = 0; i < rows; ++i) {
+    lines.push_back("s" + std::to_string(i % 10) + ",o" +
+                    std::to_string(i / 10) + ",a1,int," + std::to_string(i));
+  }
+  for (const auto& [line, text] : replace) lines[line - 1] = text;
+  std::string csv;
+  for (const std::string& line : lines) csv += line + "\n";
+  return csv;
+}
+
+/// The line on which the second of CsvRecordCuts' two pieces of `csv`
+/// starts.
+size_t SecondPieceLine(const std::string& csv) {
+  const std::vector<size_t> bounds = CsvRecordCuts(csv, ',', 2);
+  EXPECT_EQ(bounds.size(), 3u);
+  return static_cast<size_t>(
+             std::count(csv.begin(),
+                        csv.begin() + static_cast<std::ptrdiff_t>(bounds[1]),
+                        '\n')) +
+         1;
+}
+
+TEST(IngestionErrorsTest, BadRowInALaterChunkOutranksAnEarlierRepeat) {
+  const std::string csv = ClaimLines(
+      200, {{3, "s0,o0,a1,int,0"}, {190, "s9,o18,a1,strung,9"}});
+  ASSERT_GT(SecondPieceLine(csv), 3u);
+  ASSERT_LT(SecondPieceLine(csv), 190u);
+  for (size_t chunks : {1, 2, 3, 8}) {
+    auto r = dataset_io_internal::DatasetFromCsvInChunks(csv, chunks, 4);
+    ASSERT_FALSE(r.ok()) << chunks;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << chunks;
+    EXPECT_EQ(r.status().message(),
+              "claim CSV line 190, field \"kind\": unknown value kind "
+              "'strung'")
+        << chunks;
+  }
+}
+
+TEST(IngestionErrorsTest, EarlierOfTwoBadRowsInDifferentChunksIsNamed) {
+  const std::string csv =
+      ClaimLines(200, {{20, "s8,o1"}, {180, "s8,o17,a1,int,12x"}});
+  ASSERT_GT(SecondPieceLine(csv), 20u);
+  ASSERT_LT(SecondPieceLine(csv), 180u);
+  for (size_t chunks : {1, 2, 5, 8}) {
+    auto r = dataset_io_internal::DatasetFromCsvInChunks(csv, chunks, 4);
+    ASSERT_FALSE(r.ok()) << chunks;
+    EXPECT_EQ(r.status().message(),
+              "claim CSV line 20: expected 5 fields "
+              "(source,object,attribute,kind,value), got 2")
+        << chunks;
+  }
+  // With the first bad row gone, the later chunk's row is named, at its
+  // own line.
+  const std::string later = ClaimLines(200, {{180, "s8,o17,a1,int,12x"}});
+  for (size_t chunks : {1, 2, 5, 8}) {
+    auto r = dataset_io_internal::DatasetFromCsvInChunks(later, chunks, 4);
+    ASSERT_FALSE(r.ok()) << chunks;
+    EXPECT_EQ(r.status().message(),
+              "claim CSV line 180, field \"value\": not an integer: '12x'")
+        << chunks;
+  }
 }
 
 TEST(IngestionErrorsTest, DuplicateTruthRowIsRefused) {

@@ -3,6 +3,9 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -487,6 +490,175 @@ TEST_P(CsvLoaderRoundTripTest, BadRowAfterMultiLineFieldNamesItsLine) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CsvLoaderRoundTripTest,
                          ::testing::Range(uint64_t{1}, uint64_t{41}));
+
+// The claim loader cut into chunks (the DatasetFromCsvInChunks seam) on
+// seeded random claim files that hold every framing case the scanner has:
+// quoted multi-line fields, `""` escapes, a quote inside an unquoted field,
+// CR and CRLF row ends, a byte-order mark, no final row end, and an
+// unterminated quote at the end. A load in 2-8 chunks must build exactly
+// the store the one-chunk load builds, or fail with the same first error.
+
+/// `text` as one CSV field: bare when the scanner reads it back as is (a
+/// quote after the field's start is content), else quoted with its quotes
+/// doubled; quoted anyway now and then.
+std::string RandomField(Rng* rng, const std::string& text) {
+  const bool bare_ok = !text.starts_with('"') &&
+                       text.find_first_of(",\r\n") == std::string::npos;
+  if (bare_ok && rng->NextBernoulli(0.7)) return text;
+  std::string out = "\"";
+  for (char c : text) {
+    if (c == '"') out += '"';
+    out += c;
+  }
+  return out + "\"";
+}
+
+/// A random claim file: unique claims on pools of nasty names, every row
+/// end one of LF, CRLF and CR, plus at random a byte-order mark, a missing
+/// final row end, and up to two faults (a repeated claim, a bad kind, a
+/// short row, a bad number, an unterminated quote at the end).
+std::string RandomClaimCsv(uint64_t seed) {
+  Rng rng(seed);
+  auto pool = [&rng](const char* prefix, uint64_t size) {
+    std::vector<std::string> names;
+    for (uint64_t i = 0; i < size; ++i) {
+      names.push_back(prefix + std::to_string(i) +
+                      NastyString(&rng, /*line_breaks=*/true));
+    }
+    return names;
+  };
+  const std::vector<std::string> sources = pool("s", 1 + rng.NextBounded(6));
+  const std::vector<std::string> objects = pool("o", 5 + rng.NextBounded(30));
+  const std::vector<std::string> attributes =
+      pool("a", 1 + rng.NextBounded(4));
+  std::vector<std::string> rows;
+  for (const std::string& object : objects) {
+    for (const std::string& attribute : attributes) {
+      for (const std::string& source : sources) {
+        if (!rng.NextBernoulli(0.7)) continue;
+        std::string kind = "string";
+        std::string value = NastyString(&rng, /*line_breaks=*/true);
+        if (rng.NextBernoulli(0.2)) value = "\"" + value;
+        if (rng.NextBernoulli(0.3)) {
+          kind = "int";
+          value = std::to_string(rng.NextInt(-99, 99));
+        } else if (rng.NextBernoulli(0.3)) {
+          kind = "double";
+          value = rng.NextBernoulli(0.1) ? "-0" : std::to_string(
+                                                      rng.NextInt(-9, 9)) +
+                                                      ".5";
+        }
+        rows.push_back(RandomField(&rng, source) + "," +
+                       RandomField(&rng, object) + "," +
+                       RandomField(&rng, attribute) + "," + kind + "," +
+                       RandomField(&rng, value));
+      }
+    }
+  }
+  for (uint64_t faults = rng.NextBounded(3); faults > 0 && !rows.empty();
+       --faults) {
+    const size_t at = static_cast<size_t>(rng.NextBounded(rows.size()));
+    switch (rng.NextBounded(4)) {
+      case 0:
+        rows.insert(rows.begin() + static_cast<std::ptrdiff_t>(at) + 1,
+                    rows[static_cast<size_t>(rng.NextBounded(at + 1))]);
+        break;
+      case 1:
+        rows[at] = "s,o,a,strung,1";
+        break;
+      case 2:
+        rows[at] = "s,o";
+        break;
+      default:
+        rows[at] = "s,o,a,int,12x";
+    }
+  }
+  const char* const kRowEnds[] = {"\n", "\r\n", "\r"};
+  std::string text =
+      rng.NextBernoulli(0.3) ? std::string("\xEF\xBB\xBF") : std::string();
+  text += "source,object,attribute,kind,value";
+  for (const std::string& row : rows) {
+    text += kRowEnds[rng.NextBounded(3)];
+    text += row;
+  }
+  if (rng.NextBernoulli(0.2)) {
+    text += "\ns,o,a,string,\"never closed\nacross lines";
+  } else if (rng.NextBernoulli(0.7)) {
+    text += kRowEnds[rng.NextBounded(3)];
+  }
+  return text;
+}
+
+/// Expects `cut` to be the same load as `one`: the same first error, or a
+/// store with the same fingerprint, name tables, columns, ranks and item
+/// index.
+void ExpectSameLoad(const Result<Dataset>& one, const Result<Dataset>& cut,
+                    const std::string& context) {
+  ASSERT_EQ(cut.ok(), one.ok())
+      << context << ": " << (one.ok() ? cut.status() : one.status());
+  if (!one.ok()) {
+    EXPECT_EQ(cut.status().code(), one.status().code()) << context;
+    EXPECT_EQ(cut.status().message(), one.status().message()) << context;
+    return;
+  }
+  const Dataset& a = *one;
+  const Dataset& b = *cut;
+  EXPECT_EQ(DatasetFingerprint(b), DatasetFingerprint(a)) << context;
+  ASSERT_EQ(b.num_sources(), a.num_sources()) << context;
+  ASSERT_EQ(b.num_objects(), a.num_objects()) << context;
+  ASSERT_EQ(b.num_attributes(), a.num_attributes()) << context;
+  for (SourceId i = 0; i < a.num_sources(); ++i) {
+    EXPECT_EQ(b.source_name(i), a.source_name(i)) << context;
+  }
+  for (ObjectId i = 0; i < a.num_objects(); ++i) {
+    EXPECT_EQ(b.object_name(i), a.object_name(i)) << context;
+  }
+  for (AttributeId i = 0; i < a.num_attributes(); ++i) {
+    EXPECT_EQ(b.attribute_name(i), a.attribute_name(i)) << context;
+  }
+  EXPECT_EQ(b.claim_sources(), a.claim_sources()) << context;
+  EXPECT_EQ(b.claim_objects(), a.claim_objects()) << context;
+  EXPECT_EQ(b.claim_attributes(), a.claim_attributes()) << context;
+  EXPECT_EQ(b.claim_value_ids(), a.claim_value_ids()) << context;
+  EXPECT_EQ(b.claim_value_ranks(), a.claim_value_ranks()) << context;
+  EXPECT_EQ(b.claim_items(), a.claim_items()) << context;
+  EXPECT_EQ(b.DataItems(), a.DataItems()) << context;
+  for (uint64_t key : a.DataItems()) {
+    const auto claims_a = a.ClaimsOn(ObjectFromKey(key), AttributeFromKey(key));
+    const auto claims_b = b.ClaimsOn(ObjectFromKey(key), AttributeFromKey(key));
+    EXPECT_TRUE(std::ranges::equal(claims_b, claims_a)) << context;
+  }
+  const ValueDict& dict_a = a.value_dict();
+  const ValueDict& dict_b = b.value_dict();
+  ASSERT_EQ(dict_b.size(), dict_a.size()) << context;
+  for (ValueId id = 0; id < dict_a.size(); ++id) {
+    EXPECT_EQ(dict_b.ValueAt(id), dict_a.ValueAt(id)) << context;
+    EXPECT_EQ(dict_b.rank(id), dict_a.rank(id)) << context;
+  }
+}
+
+class ChunkedLoadTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(ChunkedLoadTest, EveryChunkCountLoadsAsOneChunk) {
+  const std::string text = RandomClaimCsv(GetParam());
+  const Result<Dataset> one =
+      dataset_io_internal::DatasetFromCsvInChunks(text, 1, 1);
+  std::string_view body = text;
+  if (body.starts_with("\xEF\xBB\xBF")) body.remove_prefix(3);
+  for (size_t chunks = 2; chunks <= 8; ++chunks) {
+    const std::string context = "seed " + std::to_string(GetParam()) +
+                                ", " + std::to_string(chunks) + " chunks";
+    // The text really is cut: into as many pieces as asked, or nearly.
+    EXPECT_GE(CsvRecordCuts(body, ',', chunks).size(), chunks) << context;
+    ExpectSameLoad(one,
+                   dataset_io_internal::DatasetFromCsvInChunks(
+                       text, chunks, static_cast<int>(chunks % 4 + 1)),
+                   context);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ChunkedLoadTest,
+                         ::testing::Range(uint64_t{1}, uint64_t{81}));
 
 class ValueOrderPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 

@@ -1,12 +1,14 @@
 // Unit tests for the dictionary/arena layer behind the columnar claim
 // store (data/value_dict.h): interning stability, id round-trips, string
 // edge cases (empty, duplicate, embedded NUL), rank order, NaN/-0.0
-// semantics, arena growth without view invalidation (run under ASan in
+// semantics, per-kind rank sorts over a mixed corpus, arena growth without view invalidation (run under ASan in
 // CI's sanitizer matrix), and the Dataset freeze contract — mutation after
 // Build must abort.
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -14,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/random.h"
 #include "data/dataset.h"
 #include "data/dataset_builder.h"
 #include "data/value_dict.h"
@@ -169,6 +172,67 @@ TEST(ValueDictTest, RanksFollowTheValueTotalOrder) {
   for (size_t r = 1; r < expected_order.size(); ++r) {
     EXPECT_TRUE(dict.ValueAt(dict.id_at_rank(static_cast<int32_t>(r - 1))) <
                 dict.ValueAt(dict.id_at_rank(static_cast<int32_t>(r))));
+  }
+
+  // Freeze sorts each kind on its own. Over a seeded mixed-kind corpus
+  // holding every edge of the order — several NaNs (each its own id), both
+  // zeros (one id), both infinities, the int64 extremes, and the empty and
+  // embedded-NUL strings — interned in shuffled order with repeats, the
+  // ranks must be a sort by Value::operator< with the id as tie-break.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<Value> corpus = {
+      Value(nan),
+      Value(-nan),
+      Value(nan),
+      Value(0.0),
+      Value(-0.0),
+      Value(inf),
+      Value(-inf),
+      Value(std::numeric_limits<double>::lowest()),
+      Value(std::numeric_limits<double>::denorm_min()),
+      Value(std::numeric_limits<int64_t>::min()),
+      Value(std::numeric_limits<int64_t>::max()),
+      Value(int64_t{0}),
+      Value(int64_t{-1}),
+      Value(""),
+      Value(std::string(1, '\0')),
+      Value(std::string("a\0b", 3)),
+      Value(std::string("a\0", 2)),
+      Value("a"),
+      Value("\xc3\xa9"),
+  };
+  Rng rng(20240611);
+  for (int i = 0; i < 300; ++i) {
+    switch (rng.NextBounded(3)) {
+      case 0:
+        corpus.emplace_back(rng.NextInt(-50, 50));
+        break;
+      case 1:
+        corpus.emplace_back(static_cast<double>(rng.NextInt(-20, 20)) / 4.0);
+        break;
+      default: {
+        std::string text;
+        for (uint64_t n = rng.NextBounded(4); n > 0; --n) {
+          text += "ab\0\xff"[rng.NextBounded(4)];
+        }
+        corpus.emplace_back(std::move(text));
+      }
+    }
+  }
+  rng.Shuffle(&corpus);
+  ValueDict mixed;
+  for (const Value& v : corpus) mixed.Intern(v);
+  mixed.Freeze();
+  std::vector<ValueId> by_value(static_cast<size_t>(mixed.size()));
+  std::iota(by_value.begin(), by_value.end(), 0);
+  std::stable_sort(by_value.begin(), by_value.end(),
+                   [&mixed](ValueId a, ValueId b) {
+                     return mixed.ValueAt(a) < mixed.ValueAt(b);
+                   });
+  for (size_t r = 0; r < by_value.size(); ++r) {
+    EXPECT_EQ(mixed.id_at_rank(static_cast<int32_t>(r)), by_value[r]) << r;
+    EXPECT_EQ(mixed.rank(by_value[r]), static_cast<int32_t>(r)) << r;
   }
 }
 

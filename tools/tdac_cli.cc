@@ -6,13 +6,17 @@
 //       Generate one of the paper's datasets (ds1 ds2 ds3 exam32 exam62
 //       exam124 stocks flights) to CSV. [--objects=N --seed=S
 //       --fill-missing --range=R]
-//   tdac_cli stats --claims=c.csv
+//   tdac_cli stats --claims=c.csv [--threads=N --serial]
 //       Print dataset statistics (Table 8 columns).
 //   tdac_cli run --claims=c.csv --algorithm=Accu [--tdac] [--truth=t.csv]
 //       Resolve truths; with --truth also print the paper's metric columns.
 //       [--sparse --threads=N --serial --agglomerative --out=resolved.csv]
 //       [--deadline-ms=N --iteration-budget=N]
 //       [--checkpoint-dir=DIR --checkpoint-interval-ms=N --resume]
+//
+// --threads=N and --serial (= --threads=1) set one thread count for the
+// claim load and the run. Each command, and each run mode, reads a fixed
+// set of flags; any other flag is a usage error that names it.
 //
 // Exit codes: 0 clean run, 1 error, 2 usage, 3 degraded (the run hit the
 // deadline / iteration budget or was stopped by SIGINT/SIGTERM; outputs
@@ -21,12 +25,14 @@
 // rerunning the same command with --resume continues from where it
 // stopped.
 
+#include <algorithm>
 #include <csignal>
 #include <iostream>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "common/checkpoint.h"
 #include "common/io.h"
@@ -103,6 +109,27 @@ Flags ParseFlags(int argc, char** argv) {
   return flags;
 }
 
+/// Exits with a usage error (2) naming the first flag `flags` carries that
+/// is not in `reads`, the flags `what` (a command and its mode) reads.
+void RejectUnread(const Flags& flags, const std::string& what,
+                  const std::vector<std::string>& reads) {
+  for (const auto& [key, value] : flags.values) {
+    if (std::find(reads.begin(), reads.end(), key) == reads.end()) {
+      std::cerr << "unknown flag --" << key << " for tdac_cli " << what
+                << "\n";
+      std::exit(2);
+    }
+  }
+}
+
+/// The thread count for the load and the run: --serial forces the exact
+/// single-thread path, --threads=N caps the fan-out, and the default (0)
+/// is the TDAC_THREADS env override, else the hardware width.
+int ThreadCount(const Flags& flags) {
+  const int threads = flags.Number("threads", 0);
+  return flags.Has("serial") ? 1 : threads;
+}
+
 [[noreturn]] void Die(const Status& status) {
   std::cerr << "error: " << status << "\n";
   std::exit(1);
@@ -116,7 +143,7 @@ Flags ParseFlags(int argc, char** argv) {
          "stocks|flights>\n"
          "           --out-claims=FILE --out-truth=FILE\n"
          "           [--objects=N] [--seed=S] [--fill-missing] [--range=R]\n"
-         "  tdac_cli stats --claims=FILE\n"
+         "  tdac_cli stats --claims=FILE [--threads=N] [--serial]\n"
          "  tdac_cli run --claims=FILE --algorithm=NAME "
          "[--tdac|--tdoc|--greedy|--gen-partition]\n"
          "           [--truth=FILE] [--out=FILE] [--sparse] [--threads=N] [--serial]\n"
@@ -131,7 +158,8 @@ Flags ParseFlags(int argc, char** argv) {
   std::exit(2);
 }
 
-int CmdAlgorithms() {
+int CmdAlgorithms(const Flags& flags) {
+  RejectUnread(flags, "algorithms", {});
   for (const std::string& name : tdac::RegisteredAlgorithms()) {
     std::cout << name << "\n";
   }
@@ -145,10 +173,19 @@ int CmdGenerate(const Flags& flags) {
   const std::string out_claims = flags.Get("out-claims");
   const std::string out_truth = flags.Get("out-truth");
   if (which.empty() || out_claims.empty() || out_truth.empty()) Usage();
+  const bool synthetic = which == "ds1" || which == "ds2" || which == "ds3";
+  const bool exam =
+      which == "exam32" || which == "exam62" || which == "exam124";
+  if (!synthetic && !exam && which != "stocks" && which != "flights") Usage();
+  std::vector<std::string> reads = {"dataset", "seed", "out-claims",
+                                    "out-truth"};
+  if (synthetic) reads.push_back("objects");
+  if (exam) reads.insert(reads.end(), {"fill-missing", "range"});
+  RejectUnread(flags, "generate --dataset=" + which, reads);
 
   tdac::Dataset dataset;
   tdac::GroundTruth truth;
-  if (which == "ds1" || which == "ds2" || which == "ds3") {
+  if (synthetic) {
     auto config = tdac::PaperSyntheticConfig(which[2] - '0', seed);
     if (!config.ok()) Die(config.status());
     config->num_objects = flags.Number("objects", config->num_objects);
@@ -157,7 +194,7 @@ int CmdGenerate(const Flags& flags) {
     std::cout << "planted partition: " << data->planted.ToString() << "\n";
     dataset = std::move(data->dataset);
     truth = std::move(data->truth);
-  } else if (which == "exam32" || which == "exam62" || which == "exam124") {
+  } else if (exam) {
     tdac::ExamConfig config;
     config.num_questions = std::stoi(which.substr(4));
     config.seed = seed;
@@ -167,14 +204,12 @@ int CmdGenerate(const Flags& flags) {
     if (!data.ok()) Die(data.status());
     dataset = std::move(data->dataset);
     truth = std::move(data->truth);
-  } else if (which == "stocks" || which == "flights") {
+  } else {
     auto data = which == "stocks" ? tdac::GenerateStocks(seed)
                                   : tdac::GenerateFlights(seed);
     if (!data.ok()) Die(data.status());
     dataset = std::move(data->dataset);
     truth = std::move(data->truth);
-  } else {
-    Usage();
   }
 
   Status s = tdac::SaveDataset(dataset, out_claims);
@@ -190,7 +225,8 @@ int CmdGenerate(const Flags& flags) {
 int CmdStats(const Flags& flags) {
   const std::string path = flags.Get("claims");
   if (path.empty()) Usage();
-  auto dataset = tdac::LoadDataset(path);
+  RejectUnread(flags, "stats", {"claims", "threads", "serial"});
+  auto dataset = tdac::LoadDataset(path, ThreadCount(flags));
   if (!dataset.ok()) Die(dataset.status());
   tdac::PrintProfile(tdac::ProfileDataset(*dataset), std::cout);
   return 0;
@@ -200,8 +236,38 @@ int CmdRun(const Flags& flags) {
   const std::string claims_path = flags.Get("claims");
   const std::string algorithm_name = flags.Get("algorithm", "Accu");
   if (claims_path.empty()) Usage();
+  if (flags.Has("resume") && !flags.Has("checkpoint-dir")) {
+    std::cerr << "--resume requires --checkpoint-dir\n";
+    return 2;
+  }
+  // The mode is the first of --tdac, --tdoc, --greedy, --gen-partition
+  // given; a run without one is the base algorithm alone.
+  std::string mode;
+  for (const char* candidate : {"tdac", "tdoc", "greedy", "gen-partition"}) {
+    if (flags.Has(candidate)) {
+      mode = candidate;
+      break;
+    }
+  }
+  std::vector<std::string> reads = {"claims", "algorithm", "truth", "out",
+                                    "trust-out", "threads", "serial",
+                                    "deadline-ms", "iteration-budget",
+                                    "checkpoint-dir"};
+  if (flags.Has("checkpoint-dir")) {
+    reads.insert(reads.end(), {"checkpoint-interval-ms", "resume"});
+  }
+  if (mode == "tdac") {
+    reads.insert(reads.end(),
+                 {"tdac", "sparse", "agglomerative", "max-k", "refine"});
+  } else if (mode == "tdoc") {
+    reads.insert(reads.end(), {"tdoc", "max-k"});
+  } else if (!mode.empty()) {
+    reads.push_back(mode);
+  }
+  RejectUnread(flags, mode.empty() ? "run" : "run --" + mode, reads);
+  const int threads = ThreadCount(flags);
 
-  auto dataset = tdac::LoadDataset(claims_path);
+  auto dataset = tdac::LoadDataset(claims_path, threads);
   if (!dataset.ok()) Die(dataset.status());
 
   auto base = tdac::MakeAlgorithm(algorithm_name);
@@ -220,9 +286,6 @@ int CmdRun(const Flags& flags) {
     Status s = tdac::EnsureDirectory(ckpt_options.dir);
     if (!s.ok()) Die(s);
     checkpointer = std::make_unique<tdac::Checkpointer>(ckpt_options);
-  } else if (flags.Has("resume")) {
-    std::cerr << "--resume requires --checkpoint-dir\n";
-    return 2;
   }
 
   std::unique_ptr<tdac::Tdac> tdac_algo;
@@ -230,17 +293,11 @@ int CmdRun(const Flags& flags) {
   std::unique_ptr<tdac::GenPartitionAlgorithm> gen_algo;
   std::unique_ptr<tdac::GreedyPartitionAlgorithm> greedy_algo;
   const tdac::TruthDiscovery* algorithm = base->get();
-  if (flags.Has("tdac")) {
+  if (mode == "tdac") {
     tdac::TdacOptions options;
     options.base = base->get();
     options.sparse_aware = flags.Has("sparse");
-    // --serial forces the exact single-thread path; --threads=N caps the
-    // fan-out. Default: TDAC_THREADS env override, else hardware width.
-    if (flags.Has("serial")) {
-      options.threads = 1;
-    } else {
-      options.threads = flags.Number("threads", options.threads);
-    }
+    options.threads = threads;
     if (flags.Has("agglomerative")) {
       options.backend = tdac::ClusteringBackend::kAgglomerative;
     }
@@ -250,23 +307,20 @@ int CmdRun(const Flags& flags) {
     options.checkpointer = checkpointer.get();
     tdac_algo = std::make_unique<tdac::Tdac>(options);
     algorithm = tdac_algo.get();
-  } else if (flags.Has("tdoc")) {
+  } else if (mode == "tdoc") {
     tdac::TdocOptions options;
     options.base = base->get();
     options.max_k = flags.Number("max-k", options.max_k);
+    options.threads = threads;
     options.checkpointer = checkpointer.get();
     tdoc_algo = std::make_unique<tdac::Tdoc>(options);
     algorithm = tdoc_algo.get();
-  } else if (flags.Has("greedy") || flags.Has("gen-partition")) {
+  } else if (mode == "greedy" || mode == "gen-partition") {
     tdac::GenPartitionOptions options;
     options.base = base->get();
-    if (flags.Has("serial")) {
-      options.threads = 1;
-    } else {
-      options.threads = flags.Number("threads", options.threads);
-    }
+    options.threads = threads;
     options.checkpointer = checkpointer.get();
-    if (flags.Has("greedy")) {
+    if (mode == "greedy") {
       greedy_algo = std::make_unique<tdac::GreedyPartitionAlgorithm>(options);
       algorithm = greedy_algo.get();
     } else {
@@ -334,7 +388,7 @@ int CmdRun(const Flags& flags) {
 
 int main(int argc, char** argv) {
   Flags flags = ParseFlags(argc, argv);
-  if (flags.command == "algorithms") return CmdAlgorithms();
+  if (flags.command == "algorithms") return CmdAlgorithms(flags);
   if (flags.command == "generate") return CmdGenerate(flags);
   if (flags.command == "stats") return CmdStats(flags);
   if (flags.command == "run") return CmdRun(flags);
