@@ -12,7 +12,6 @@
 #include "common/random.h"
 #include "data/dataset_io.h"
 #include "data/dataset_view.h"
-#include "data/soa_mode.h"
 #include "gen/synthetic.h"
 #include "td/accu.h"
 #include "td/copy_detection.h"
@@ -224,18 +223,16 @@ void BM_RestrictViewCached(benchmark::State& state) {
 }
 BENCHMARK(BM_RestrictViewCached)->Arg(400)->Arg(2000);
 
-// --- Columnar (SoA) kernels vs. the legacy row path ---------------------
+// --- Columnar (SoA) kernels ---------------------------------------------
 //
-// The data-layout comparison the docs quote: the same kernel run over the
-// same dataset with the columnar store disabled (range(1) == 0, legacy
-// Claim-row loops) and enabled (range(1) == 1). Shapes are the scales the
+// The columnar kernels every base run goes through, at the scales the
 // layout work targets: ~1.2M claims tall (20k objects x 6 attributes x 10
 // sources), ~1.2M claims wide (10^4 sources), and a 100-source shape for
 // the S x S copy-detection tally (pair matrices grow quadratically in S,
 // so the wide shape stays off this one).
 //
-// CI runs `--benchmark_filter=Soa --benchmark_format=json` and publishes
-// the result as the kernel-comparison artifact.
+// CI runs `--benchmark_filter=BM_Soa` and publishes the JSON, one row per
+// kernel and shape, as the soa-kernels artifact.
 
 const tdac::GeneratedData& TallMillion() {
   static const tdac::GeneratedData data = SyntheticData(20000, 7);
@@ -272,19 +269,6 @@ const tdac::GeneratedData& HundredSources() {
   return data;
 }
 
-// Pins the kernel path for one benchmark run and restores the previous
-// setting afterwards.
-class KernelPathGuard {
- public:
-  explicit KernelPathGuard(bool soa) : was_(tdac::SoaKernelsEnabled()) {
-    tdac::SetSoaKernelsEnabled(soa);
-  }
-  ~KernelPathGuard() { tdac::SetSoaKernelsEnabled(was_); }
-
- private:
-  bool was_;
-};
-
 // Glibc heap in use: mallinfo2 uordblks (arena) + hblkhd (mmapped blocks).
 size_t HeapInUse() {
   const struct mallinfo2 info = mallinfo2();
@@ -296,7 +280,6 @@ size_t HeapInUse() {
 // grouping (the measurement BM_DatasetFromCsv takes of the claim store).
 void BM_SoaGroupClaims(benchmark::State& state,
                        const tdac::GeneratedData& data) {
-  KernelPathGuard guard(state.range(0) == 1);
   double heap_bytes = 0.0;
   for (auto _ : state) {
     const size_t before = HeapInUse();
@@ -319,12 +302,11 @@ void BM_SoaGroupClaimsTall(benchmark::State& state) {
 void BM_SoaGroupClaimsWide(benchmark::State& state) {
   BM_SoaGroupClaims(state, WideTenThousandSources());
 }
-BENCHMARK(BM_SoaGroupClaimsTall)->Arg(0)->Arg(1);
-BENCHMARK(BM_SoaGroupClaimsWide)->Arg(0)->Arg(1);
+BENCHMARK(BM_SoaGroupClaimsTall);
+BENCHMARK(BM_SoaGroupClaimsWide);
 
 void BM_SoaTruthVectorsTall(benchmark::State& state) {
   const tdac::GeneratedData& data = TallMillion();
-  KernelPathGuard guard(state.range(0) == 1);
   for (auto _ : state) {
     auto m = tdac::BuildTruthVectors(data.dataset, data.truth);
     benchmark::DoNotOptimize(m);
@@ -332,11 +314,10 @@ void BM_SoaTruthVectorsTall(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(data.dataset.num_claims()));
 }
-BENCHMARK(BM_SoaTruthVectorsTall)->Arg(0)->Arg(1);
+BENCHMARK(BM_SoaTruthVectorsTall);
 
 void BM_SoaMajorityVote(benchmark::State& state,
                         const tdac::GeneratedData& data) {
-  KernelPathGuard guard(state.range(0) == 1);
   tdac::MajorityVote algo;
   for (auto _ : state) {
     auto r = algo.Discover(data.dataset);
@@ -351,12 +332,12 @@ void BM_SoaMajorityVoteTall(benchmark::State& state) {
 void BM_SoaMajorityVoteWide(benchmark::State& state) {
   BM_SoaMajorityVote(state, WideTenThousandSources());
 }
-BENCHMARK(BM_SoaMajorityVoteTall)->Arg(0)->Arg(1);
-BENCHMARK(BM_SoaMajorityVoteWide)->Arg(0)->Arg(1);
+BENCHMARK(BM_SoaMajorityVoteTall);
+BENCHMARK(BM_SoaMajorityVoteWide);
 
-// The flat S x S tally rewrite in DetectCopying is unconditional (integer
-// pair counts are layout-independent), so this one tracks absolute
-// throughput rather than a legacy/columnar pair.
+// One Accu iteration's copy detection: the co-claim counts are taken once
+// per run (untimed here), and each iteration splits them by the elected
+// slots and scores every source pair.
 void BM_SoaDetectCopying(benchmark::State& state) {
   const tdac::GeneratedData& data = HundredSources();
   const auto store = tdac::td_internal::GroupClaimsByItem(data.dataset);
@@ -367,9 +348,11 @@ void BM_SoaDetectCopying(benchmark::State& state) {
   }
   std::vector<double> accuracy(
       static_cast<size_t>(data.dataset.num_sources()), 0.8);
+  const tdac::CoClaimCounts co_claims =
+      tdac::CountCoClaims(store, accuracy.size());
   tdac::CopyDetectionParams params;
   for (auto _ : state) {
-    auto m = tdac::DetectCopying(store, selected, accuracy, params);
+    auto m = tdac::DetectCopying(store, co_claims, selected, accuracy, params);
     benchmark::DoNotOptimize(m);
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *

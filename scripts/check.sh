@@ -122,8 +122,8 @@ case "$mode" in
     ;;
   scenarios)
     # The adversarial-scenario gate (docs/scenarios.md): the spec -> report
-    # round-trip property suite and the edge-case regression tests it rode
-    # in with (packed grouping-key width guard, generator pool validation,
+    # round-trip property suite with the registry golden, and the edge-case
+    # regression tests it rode in with (generator pool validation,
     # silhouette/reliability degenerate inputs), all under ASan+UBSan, then
     # a smoke sweep of the full 12-algorithm x 16-cell bench matrix.
     build_dir=build-asan

@@ -48,14 +48,6 @@ CoClaimCounts CountCoClaims(const td_internal::ConflictStore& store,
 }
 
 DependenceMatrix DetectCopying(const td_internal::ConflictStore& store,
-                               const std::vector<size_t>& selected,
-                               const std::vector<double>& accuracy,
-                               const CopyDetectionParams& params) {
-  return DetectCopying(store, CountCoClaims(store, accuracy.size()), selected,
-                       accuracy, params);
-}
-
-DependenceMatrix DetectCopying(const td_internal::ConflictStore& store,
                                const CoClaimCounts& co_claims,
                                const std::vector<size_t>& selected,
                                const std::vector<double>& accuracy,

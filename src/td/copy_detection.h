@@ -82,23 +82,6 @@ class DependenceMatrix {
   std::vector<double> probs_;
 };
 
-/// \brief Computes pairwise dependence probabilities.
-///
-/// For every pair of sources with common data items, the observations are
-/// summarized (relative to the current `selected` truth per item) as
-/// kt = #common items where both give the same *true* value,
-/// kf = #common items where both give the same *false* value,
-/// kd = #common items where they differ; a Bayes factor between the
-/// independent and dependent generative models yields P(dependent).
-///
-/// \param store conflict sets from GroupClaimsByItem.
-/// \param selected per item, the slot of its currently elected true value.
-/// \param accuracy current per-source accuracy estimates.
-DependenceMatrix DetectCopying(const td_internal::ConflictStore& store,
-                               const std::vector<size_t>& selected,
-                               const std::vector<double>& accuracy,
-                               const CopyDetectionParams& params);
-
 /// \brief Per unordered source pair (a < b, cell a * S + b of an S x S
 /// array), over every item of a store: on how many items the two claim the
 /// same value, and on how many they claim different values.
@@ -116,9 +99,20 @@ struct CoClaimCounts {
 CoClaimCounts CountCoClaims(const td_internal::ConflictStore& store,
                             size_t num_sources);
 
-/// DetectCopying over pre-counted co-claims of the same store; the result
-/// equals the four-argument form's. `co_claims.num_sources` must equal
-/// `accuracy.size()`.
+/// \brief Computes pairwise dependence probabilities.
+///
+/// For every pair of sources with common data items, the observations are
+/// summarized (relative to the current `selected` truth per item) as
+/// kt = #common items where both give the same *true* value,
+/// kf = #common items where both give the same *false* value,
+/// kd = #common items where they differ; a Bayes factor between the
+/// independent and dependent generative models yields P(dependent).
+///
+/// \param store conflict sets from GroupClaimsByItem.
+/// \param co_claims CountCoClaims of the same store;
+///        `co_claims.num_sources` must equal `accuracy.size()`.
+/// \param selected per item, the slot of its currently elected true value.
+/// \param accuracy current per-source accuracy estimates.
 DependenceMatrix DetectCopying(const td_internal::ConflictStore& store,
                                const CoClaimCounts& co_claims,
                                const std::vector<size_t>& selected,

@@ -1,7 +1,5 @@
 #include "td/majority_vote.h"
 
-#include "data/soa_mode.h"
-
 namespace tdac {
 
 Result<TruthDiscoveryResult> MajorityVote::DiscoverGuarded(
@@ -10,7 +8,6 @@ Result<TruthDiscoveryResult> MajorityVote::DiscoverGuarded(
   if (data.num_claims() == 0) {
     return Status::InvalidArgument("MajorityVote: empty dataset");
   }
-  const bool soa = SoaKernelsEnabled();
   TruthDiscoveryResult result;
   result.iterations = 1;
   result.converged = true;
@@ -28,23 +25,8 @@ Result<TruthDiscoveryResult> MajorityVote::DiscoverGuarded(
         result);
     // Post-hoc source trust: agreement rate with the elected values. The
     // elected slot's supporters are exactly the claims that agree.
-    if (soa) {
-      for (SourceId s : store.SupportersOf(best)) {
-        result.source_trust[static_cast<size_t>(s)] += 1.0;
-      }
-    }
-  }
-
-  if (!soa) {
-    // Legacy reference for the store pass above: compare each claim's
-    // Value with its item's prediction.
-    for (int32_t id : data.claim_ids()) {
-      // lint: claim-value-ok (legacy reference path for the store pass above)
-      const Claim& c = data.claim(static_cast<size_t>(id));
-      const Value* elected_value = result.predicted.Get(c.object, c.attribute);
-      if (elected_value != nullptr && *elected_value == c.value) {
-        result.source_trust[static_cast<size_t>(c.source)] += 1.0;
-      }
+    for (SourceId s : store.SupportersOf(best)) {
+      result.source_trust[static_cast<size_t>(s)] += 1.0;
     }
   }
   for (size_t s = 0; s < result.source_trust.size(); ++s) {

@@ -6,7 +6,6 @@
 #include "common/checkpoint.h"
 #include "common/logging.h"
 #include "data/dataset.h"
-#include "data/soa_mode.h"
 
 namespace tdac {
 
@@ -102,7 +101,7 @@ namespace {
 
 /// An empty store for `data`: the key, item-offset and supporter arrays are
 /// reserved exactly (their sizes are known up front); the slot arrays grow
-/// amortized as the grouping paths append.
+/// amortized as grouping appends.
 ConflictStore StartStore(const DatasetLike& data) {
   ConflictStore store;
   store.keys = data.DataItems();
@@ -122,64 +121,18 @@ void FinishStore(ConflictStore& store, int num_sources) {
   }
 }
 
-/// Legacy grouping: per item, copy out (Value, SourceId) pairs and sort
-/// them with full Value comparisons. Kept as the differential reference the
-/// columnar path is tested against.
-ConflictStore GroupClaimsByItemLegacy(const DatasetLike& data) {
-  const std::vector<int32_t>& value_ids = data.storage().claim_value_ids();
-  ConflictStore store = StartStore(data);
-  struct Entry {
-    Value value;
-    SourceId source;
-    ValueId id;
-  };
-  std::vector<Entry> entries;
-  for (uint64_t key : store.keys) {
-    entries.clear();
-    for (int32_t idx :
-         data.ClaimsOn(ObjectFromKey(key), AttributeFromKey(key))) {
-      const auto i = static_cast<size_t>(idx);
-      // lint: claim-value-ok (this IS the legacy reference path)
-      const Claim& c = data.claim(i);
-      entries.push_back({c.value, c.source, value_ids[i]});
-    }
-    std::sort(entries.begin(), entries.end(),
-              [](const Entry& a, const Entry& b) {
-                if (a.value < b.value) return true;
-                if (b.value < a.value) return false;
-                return a.source < b.source;
-              });
-    const Value* slot_value = nullptr;
-    for (const Entry& e : entries) {
-      if (slot_value == nullptr || !(*slot_value == e.value)) {
-        store.slot_offsets.push_back(
-            static_cast<uint32_t>(store.supporters.size()));
-        store.slot_ids.push_back(e.id);
-        slot_value = &e.value;
-      }
-      store.supporters.push_back(e.source);
-    }
-    store.item_offsets.push_back(static_cast<uint32_t>(store.num_slots()));
-  }
-  FinishStore(store, data.num_sources());
-  return store;
-}
+// The packed key below holds a rank and a source id in one 32-bit half
+// each, so packed order is exactly (rank, source) order.
+static_assert(sizeof(ValueId) == sizeof(uint32_t) &&
+                  sizeof(SourceId) == sizeof(uint32_t),
+              "grouping packs a value rank and a source id into one uint64");
 
-/// Columnar grouping: each claim of an item becomes one packed uint64,
-/// `(value rank << 32) | source`, read straight from the storage columns.
-/// Sorting the packed keys is exactly the legacy (value, source) sort —
-/// ranks are assigned in ascending Value order and equal Values share one
-/// dictionary id — and each distinct rank run becomes one slot. Sources
-/// within a run come out ascending for free.
-///
-/// Callers must check GroupKeysFitPackedWidth before taking this path: a
-/// rank or source id at or past 2^32 would alias another key's high or low
-/// half and silently reorder the sort.
-///
-/// Known divergence (unreachable through checked ingestion): two claims
-/// with *distinct NaN* payloads on one item order by interning order here
-/// vs. source order on the legacy path. FromTextChecked rejects non-finite
-/// doubles, so no built dataset carries NaN values.
+/// Each claim of an item becomes one packed uint64, `(value rank << 32) |
+/// source`, read straight from the storage columns. Ranks follow the Value
+/// total order and equal Values share one dictionary id, so sorting the
+/// packed keys sorts the item's claims by (value, source), and each
+/// distinct rank run becomes one slot. Sources within a run come out
+/// ascending for free.
 ConflictStore GroupClaimsByItemSoa(const DatasetLike& data) {
   const Dataset& storage = data.storage();
   const std::vector<int32_t>& ranks = storage.claim_value_ranks();
@@ -223,30 +176,10 @@ ConflictStore GroupClaimsByItemSoa(const DatasetLike& data) {
 
 }  // namespace
 
-bool GroupKeysFitPackedWidth(int64_t num_ranks, int64_t num_sources) {
-  return num_ranks >= 0 && num_ranks <= kPackedGroupKeyWidth &&
-         num_sources >= 0 && num_sources <= kPackedGroupKeyWidth;
-}
-
-uint64_t PackGroupKey(int64_t rank, int64_t source) {
-  TDAC_CHECK(rank >= 0 && rank < kPackedGroupKeyWidth)
-      << "PackGroupKey: rank " << rank << " out of packed width";
-  TDAC_CHECK(source >= 0 && source < kPackedGroupKeyWidth)
-      << "PackGroupKey: source " << source << " out of packed width";
-  return (static_cast<uint64_t>(rank) << 32) | static_cast<uint64_t>(source);
-}
-
+// The body keeps its `Soa` name: the hot-path-alloc lint rule finds the
+// columnar kernels by that suffix.
 ConflictStore GroupClaimsByItem(const DatasetLike& data) {
-  // Width guard: the packed sort is only lexicographic while ranks and
-  // source ids both fit their 32-bit half. Today's int32 id types cannot
-  // exceed it, but the fallback keeps the invariant explicit instead of
-  // baked into the type widths.
-  if (SoaKernelsEnabled() &&
-      GroupKeysFitPackedWidth(data.storage().value_dict().size(),
-                              data.storage().num_sources())) {
-    return GroupClaimsByItemSoa(data);
-  }
-  return GroupClaimsByItemLegacy(data);
+  return GroupClaimsByItemSoa(data);
 }
 
 size_t ElectSlot(const ConflictStore& store, size_t item,

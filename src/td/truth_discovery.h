@@ -152,37 +152,12 @@ struct ConflictStore {
 /// values sorted (total order on Value) so that downstream tie-breaking is
 /// deterministic. The store's arrays grow amortized, never per item.
 ///
-/// Two implementations fill the same store (data/soa_mode.h): the legacy
-/// path sorts (Value, SourceId) pairs per item and takes each slot's id from
-/// the slot's first claim, so a NaN payload still gets its own slot; the
-/// columnar path packs each claim's (value rank << 32 | source) into one
-/// uint64 from the storage columns and sorts those, with no Value copies or
-/// string comparisons. Outputs are identical for any dataset that passed
-/// checked ingestion (distinct non-NaN values have distinct ranks in value
-/// order; equal values share one dictionary id).
-///
-/// The packed form assumes both halves fit in 32 bits. That assumption is
-/// enforced, not implicit: the columnar path first checks
-/// `GroupKeysFitPackedWidth` against the store's dictionary size and source
-/// count and falls back to the legacy comparator when either axis is too
-/// wide, so a future widening of the id types can never silently corrupt
-/// the sort order.
+/// The sort reads the storage columns only: each claim becomes one uint64,
+/// `(value rank << 32) | source`, and there are no Value copies or string
+/// comparisons. It matches a (Value, SourceId) sort through the ValueDict
+/// contract: distinct values have distinct ranks in Value order, and equal
+/// values share one dictionary id.
 ConflictStore GroupClaimsByItem(const DatasetLike& data);
-
-/// Number of distinct values representable in one half of a packed group
-/// key: ranks and source ids must both lie in [0, 2^32).
-inline constexpr int64_t kPackedGroupKeyWidth = int64_t{1} << 32;
-
-/// True when every rank in [0, num_ranks) and every source id in
-/// [0, num_sources) fits its 32-bit half of the packed `(rank << 32) |
-/// source` group key, i.e. packed-key order is exactly lexicographic
-/// (rank, source) order. The columnar grouping sort requires this.
-bool GroupKeysFitPackedWidth(int64_t num_ranks, int64_t num_sources);
-
-/// Packs one (value rank, source id) pair into the 64-bit group key.
-/// Aborts when either half is negative or out of packed width — callers
-/// must gate on GroupKeysFitPackedWidth first.
-uint64_t PackGroupKey(int64_t rank, int64_t source);
 
 /// The slot of `item` with the highest score in `scores` (indexed by slot);
 /// a tie goes to the lowest slot, i.e. the smallest value.

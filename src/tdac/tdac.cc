@@ -7,7 +7,6 @@
 #include "common/checkpoint.h"
 #include "common/logging.h"
 #include "common/parallel.h"
-#include "common/timer.h"
 
 namespace tdac {
 
@@ -102,15 +101,9 @@ Result<TdacReport> Tdac::DiscoverWithReport(const DatasetLike& data,
       report.result.stop_reason = CombineStopReasons(
           report.result.stop_reason, next.result.stop_reason);
       report.result.converged = false;
-      report.seconds_vectors += next.seconds_vectors;
-      report.seconds_sweep += next.seconds_sweep;
-      report.seconds_discovery += next.seconds_discovery;
       break;
     }
     const bool stable = next.partition == report.partition;
-    next.seconds_vectors += report.seconds_vectors;
-    next.seconds_sweep += report.seconds_sweep;
-    next.seconds_discovery += report.seconds_discovery;
     report = std::move(next);
     if (stable) break;
   }
@@ -175,7 +168,6 @@ Result<TdacReport> Tdac::RunPass(const DatasetLike& data,
   // when we own one, else a fresh (guarded) base run. A `stop` the guard
   // tripped labels it: the reference run is then the best-so-far answer.
   auto fall_back = [&](std::optional<StopReason> stop) -> Status {
-    WallTimer timer;
     if (have_reference_result) {
       report.result = std::move(reference_result);
       have_reference_result = false;
@@ -184,7 +176,6 @@ Result<TdacReport> Tdac::RunPass(const DatasetLike& data,
       TDAC_RETURN_NOT_OK(run.status());
       report.result = std::move(run).value();
     }
-    report.seconds_discovery = timer.ElapsedSeconds();
     report.partition = AttributePartition::Single(items);
     report.chosen_k = 1;
     report.fell_back_to_base = true;
@@ -209,7 +200,6 @@ Result<TdacReport> Tdac::RunPass(const DatasetLike& data,
   // the truth vectors (exactly what BuildTruthVectors(base, data) computed
   // internally), the fallback paths, and the fill-in for groups a tripped
   // guard skipped.
-  WallTimer vector_timer;
   if (reference == nullptr) {
     const std::string ref_slot = slot_prefix + ".reference";
     if (ckpt_on) {
@@ -245,7 +235,6 @@ Result<TdacReport> Tdac::RunPass(const DatasetLike& data,
                    reference != nullptr ? *reference
                                         : reference_result.predicted,
                    axis_, items, &vectors, &masks);
-  report.seconds_vectors = vector_timer.ElapsedSeconds();
 
   if (auto stop = guard.ShouldStop()) {
     // Tripped before clustering even started.
@@ -294,7 +283,6 @@ Result<TdacReport> Tdac::RunPass(const DatasetLike& data,
 
   // Step (iii): sweep k with the clustering backend, keep the best
   // silhouette.
-  WallTimer sweep_timer;
   const int lo = std::max(2, options_.min_k);
   const int hi = options_.max_k > 0 ? std::min(options_.max_k, num_items - 1)
                                     : num_items - 1;
@@ -456,7 +444,6 @@ Result<TdacReport> Tdac::RunPass(const DatasetLike& data,
       best_k = out.effective_k;
     }
   }
-  report.seconds_sweep = sweep_timer.ElapsedSeconds();
   if (report.sweep_kmeans_non_converged > 0) {
     TDAC_LOG_WARNING << name_ << ": k-means hit max_iterations without "
                      << "converging for " << report.sweep_kmeans_non_converged
@@ -476,7 +463,6 @@ Result<TdacReport> Tdac::RunPass(const DatasetLike& data,
   report.chosen_k = best_k;
 
   // Step (iv): run the base algorithm per group and aggregate.
-  WallTimer discovery_timer;
   const auto& groups = report.partition.groups();
   std::vector<Result<TruthDiscoveryResult>> partials;
   partials.reserve(groups.size());
@@ -587,7 +573,6 @@ Result<TdacReport> Tdac::RunPass(const DatasetLike& data,
     merged.stop_reason = CombineStopReasons(merged.stop_reason, *stop);
     merged.converged = false;
   }
-  report.seconds_discovery = discovery_timer.ElapsedSeconds();
   return report;
 }
 

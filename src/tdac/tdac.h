@@ -103,12 +103,6 @@ struct TdacReport {
   /// still scores whatever clustering the cap produced).
   int sweep_kmeans_non_converged = 0;
 
-  /// Wall-clock breakdown (seconds): reference truth + vector construction,
-  /// k sweep (k-means + silhouette), per-group discovery.
-  double seconds_vectors = 0.0;
-  double seconds_sweep = 0.0;
-  double seconds_discovery = 0.0;
-
   /// The aggregated truth-discovery result.
   TruthDiscoveryResult result;
 };
@@ -131,8 +125,8 @@ class Tdac : public TruthDiscovery {
 
   std::string_view name() const override { return name_; }
 
-  /// Like Discover but also returns the chosen partition, the silhouette
-  /// sweep, and a wall-clock breakdown.
+  /// Like Discover but also returns the chosen partition and the
+  /// silhouette sweep.
   [[nodiscard]]
   Result<TdacReport> DiscoverWithReport(const DatasetLike& data) const;
 

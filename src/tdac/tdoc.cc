@@ -9,13 +9,12 @@ namespace tdac {
 namespace {
 
 /// The TD-AC options TD-OC's pass reads; the rest keep their defaults
-/// (k-means backend, dense distances, no refinement).
+/// (k-means backend, Hamming silhouette, dense distances, no refinement).
 TdacOptions PassOptions(const TdocOptions& options) {
   TDAC_CHECK(options.base != nullptr) << "Tdoc requires a base algorithm";
   TdacOptions pass;
   pass.base = options.base;
   pass.kmeans = options.kmeans;
-  pass.silhouette_metric = options.silhouette_metric;
   pass.min_k = options.min_k;
   pass.max_k = options.max_k;
   pass.threads = options.threads;

@@ -20,9 +20,6 @@ struct TdocOptions {
   /// k-means configuration; `k` is overwritten during the sweep.
   KMeansOptions kmeans;
 
-  /// Distance for the silhouette (Hamming on binary object truth vectors).
-  DistanceMetric silhouette_metric = DistanceMetric::kHamming;
-
   /// Sweep bounds over the number of object clusters. Objects are usually
   /// plentiful (hundreds+), so unlike TD-AC's attribute sweep the default
   /// upper bound is capped rather than |O| - 1.

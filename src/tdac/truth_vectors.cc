@@ -1,36 +1,8 @@
 #include "tdac/truth_vectors.h"
 
 #include "data/dataset.h"
-#include "data/soa_mode.h"
 
 namespace tdac {
-namespace {
-
-/// Legacy attribute-axis build: one GroundTruth hash lookup and one Value
-/// comparison per claim. Kept as the differential reference for the
-/// columnar path.
-void FillTruthVectorsLegacy(const DatasetLike& data,
-                            const GroundTruth& reference,
-                            const std::vector<int>& row_of,
-                            size_t num_sources,
-                            std::vector<FeatureVector>* vectors,
-                            std::vector<std::vector<uint8_t>>* masks) {
-  for (int32_t id : data.claim_ids()) {
-    // lint: claim-value-ok (legacy reference path for the SoA fill below)
-    const Claim& c = data.claim(static_cast<size_t>(id));
-    const int r = row_of[static_cast<size_t>(c.attribute)];
-    if (r < 0) continue;
-    const size_t col = static_cast<size_t>(c.object) * num_sources +
-                       static_cast<size_t>(c.source);
-    (*masks)[static_cast<size_t>(r)][col] = 1;
-    const Value* truth = reference.Get(c.object, c.attribute);
-    if (truth != nullptr && *truth == c.value) {
-      (*vectors)[static_cast<size_t>(r)][col] = 1.0;
-    }
-  }
-}
-
-}  // namespace
 
 void FillTruthVectors(const DatasetLike& data, const GroundTruth& reference,
                       PartitionAxis axis, const std::vector<int32_t>& items,
@@ -52,20 +24,13 @@ void FillTruthVectors(const DatasetLike& data, const GroundTruth& reference,
   for (size_t r = 0; r < items.size(); ++r) {
     row_of[static_cast<size_t>(items[r])] = static_cast<int>(r);
   }
-  if (by_attribute && !SoaKernelsEnabled()) {
-    FillTruthVectorsLegacy(data, reference, row_of, num_sources, vectors,
-                           masks);
-    return;
-  }
 
-  // Columnar build: resolve the reference value to a dictionary id once per
-  // data item (`ValueDict::Find`), then stream that item's claims comparing
-  // int32 ids against it — no per-claim hashing, no Value comparisons. A
-  // reference value absent from the dictionary (or NaN, which nothing
-  // compares equal to) yields kInvalidId, which no claim id matches —
-  // exactly the legacy "no truth hit" outcome. The cells written are the
-  // same idempotent 1-writes as the legacy fill, so the matrix is
-  // bit-identical.
+  // Resolve the reference value to a dictionary id once per data item
+  // (`ValueDict::Find`), then stream that item's claims comparing int32 ids
+  // against it: no per-claim hashing, no Value comparisons. Equal values
+  // share one id, so an id match is a Value match. A reference value absent
+  // from the dictionary (or NaN, which nothing compares equal to) yields
+  // kInvalidId, which no claim id matches: no truth hit.
   const Dataset& storage = data.storage();
   const std::vector<int32_t>& sources = storage.claim_sources();
   const std::vector<int32_t>& value_ids = storage.claim_value_ids();

@@ -41,8 +41,10 @@ TEST(CopyDetectionTest, SharedFalseValuesImplyDependence) {
   const auto store = GroupClaimsByItem(d);
   auto selected = MajoritySelection(store);
   std::vector<double> accuracy(4, 0.8);
+  const CoClaimCounts counts = CountCoClaims(store, accuracy.size());
   CopyDetectionParams params;
-  DependenceMatrix m = DetectCopying(store, selected, accuracy, params);
+  DependenceMatrix m =
+      DetectCopying(store, counts, selected, accuracy, params);
   // The copier pair (ids 2 and 3) should look far more dependent than the
   // honest pair (ids 0 and 1) that only shares *true* values.
   EXPECT_GT(m.prob(2, 3), 0.9);
@@ -61,8 +63,10 @@ TEST(CopyDetectionTest, SharedTrueValuesExculpateByDefault) {
   const auto store = GroupClaimsByItem(d);
   auto selected = MajoritySelection(store);
   std::vector<double> accuracy(3, 0.8);
+  const CoClaimCounts counts = CountCoClaims(store, accuracy.size());
   CopyDetectionParams params;
-  DependenceMatrix m = DetectCopying(store, selected, accuracy, params);
+  DependenceMatrix m =
+      DetectCopying(store, counts, selected, accuracy, params);
   // Honest agreement on truths is (weakly) exculpatory in robust mode: the
   // pair shares fewer false values than even an independent pair under a
   // noisy election would.
@@ -70,7 +74,8 @@ TEST(CopyDetectionTest, SharedTrueValuesExculpateByDefault) {
 
   // The strict Dong-2009 likelihood instead accumulates same-true evidence.
   params.count_true_agreement = true;
-  DependenceMatrix strict = DetectCopying(store, selected, accuracy, params);
+  DependenceMatrix strict =
+      DetectCopying(store, counts, selected, accuracy, params);
   EXPECT_GT(strict.prob(0, 1), m.prob(0, 1));
 }
 
@@ -85,8 +90,9 @@ TEST(CopyDetectionTest, DisagreeingSourcesAreIndependent) {
   const auto store = GroupClaimsByItem(d);
   auto selected = MajoritySelection(store);
   std::vector<double> accuracy(2, 0.8);
+  const CoClaimCounts counts = CountCoClaims(store, accuracy.size());
   DependenceMatrix m =
-      DetectCopying(store, selected, accuracy, CopyDetectionParams{});
+      DetectCopying(store, counts, selected, accuracy, CopyDetectionParams{});
   EXPECT_LT(m.prob(0, 1), 0.2);
 }
 
@@ -98,8 +104,9 @@ TEST(CopyDetectionTest, NoCommonItemsMeansZeroProbability) {
   const auto store = GroupClaimsByItem(d);
   auto selected = MajoritySelection(store);
   std::vector<double> accuracy(2, 0.8);
+  const CoClaimCounts counts = CountCoClaims(store, accuracy.size());
   DependenceMatrix m =
-      DetectCopying(store, selected, accuracy, CopyDetectionParams{});
+      DetectCopying(store, counts, selected, accuracy, CopyDetectionParams{});
   EXPECT_DOUBLE_EQ(m.prob(0, 1), 0.0);
 }
 
@@ -115,8 +122,9 @@ TEST(CopyDetectionTest, MatrixIsSymmetric) {
   const auto store = GroupClaimsByItem(d);
   auto selected = MajoritySelection(store);
   std::vector<double> accuracy(3, 0.7);
+  const CoClaimCounts counts = CountCoClaims(store, accuracy.size());
   DependenceMatrix m =
-      DetectCopying(store, selected, accuracy, CopyDetectionParams{});
+      DetectCopying(store, counts, selected, accuracy, CopyDetectionParams{});
   for (SourceId a = 0; a < 3; ++a) {
     for (SourceId b = 0; b < 3; ++b) {
       EXPECT_DOUBLE_EQ(m.prob(a, b), m.prob(b, a));
@@ -145,15 +153,18 @@ TEST(CopyDetectionTest, ElectionNoiseFloorForgivesRareFalseShares) {
   const auto store = GroupClaimsByItem(d);
   auto selected = MajoritySelection(store);
   std::vector<double> accuracy(5, 0.9);
+  const CoClaimCounts counts = CountCoClaims(store, accuracy.size());
 
   CopyDetectionParams with_floor;
   with_floor.election_noise = 0.05;
-  DependenceMatrix m1 = DetectCopying(store, selected, accuracy, with_floor);
+  DependenceMatrix m1 =
+      DetectCopying(store, counts, selected, accuracy, with_floor);
   EXPECT_LT(m1.prob(0, 1), 0.5);
 
   CopyDetectionParams no_floor = with_floor;
   no_floor.election_noise = 0.0;
-  DependenceMatrix m2 = DetectCopying(store, selected, accuracy, no_floor);
+  DependenceMatrix m2 =
+      DetectCopying(store, counts, selected, accuracy, no_floor);
   EXPECT_GT(m2.prob(0, 1), m1.prob(0, 1));
 }
 
@@ -174,13 +185,16 @@ TEST(CopyDetectionTest, DisagreementWeightExculpates) {
   const auto store = GroupClaimsByItem(d);
   auto selected = MajoritySelection(store);
   std::vector<double> accuracy(4, 0.7);
+  const CoClaimCounts counts = CountCoClaims(store, accuracy.size());
 
   CopyDetectionParams light;
   light.disagreement_weight = 0.0;
   CopyDetectionParams heavy;
   heavy.disagreement_weight = 1.0;
-  DependenceMatrix ml = DetectCopying(store, selected, accuracy, light);
-  DependenceMatrix mh = DetectCopying(store, selected, accuracy, heavy);
+  DependenceMatrix ml =
+      DetectCopying(store, counts, selected, accuracy, light);
+  DependenceMatrix mh =
+      DetectCopying(store, counts, selected, accuracy, heavy);
   EXPECT_LE(mh.prob(2, 3), ml.prob(2, 3));
 }
 
@@ -253,8 +267,9 @@ TEST(CopyDetectionTest, ProbabilitiesAreInUnitInterval) {
   const auto store = GroupClaimsByItem(d);
   auto selected = MajoritySelection(store);
   std::vector<double> accuracy(3, 0.6);
+  const CoClaimCounts counts = CountCoClaims(store, accuracy.size());
   DependenceMatrix m =
-      DetectCopying(store, selected, accuracy, CopyDetectionParams{});
+      DetectCopying(store, counts, selected, accuracy, CopyDetectionParams{});
   for (SourceId a = 0; a < 3; ++a) {
     for (SourceId b = 0; b < 3; ++b) {
       EXPECT_GE(m.prob(a, b), 0.0);

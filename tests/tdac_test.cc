@@ -297,18 +297,5 @@ TEST(TdacTest, NameEncodesBase) {
   EXPECT_EQ(Tdac(opts).name(), "TD-AC(F=MajorityVote)");
 }
 
-TEST(TdacTest, TimingBreakdownPopulated) {
-  GeneratedData data = Correlated();
-  MajorityVote base;
-  TdacOptions opts;
-  opts.base = &base;
-  Tdac tdac(opts);
-  auto report = tdac.DiscoverWithReport(data.dataset);
-  ASSERT_TRUE(report.ok());
-  EXPECT_GE(report->seconds_vectors, 0.0);
-  EXPECT_GE(report->seconds_sweep, 0.0);
-  EXPECT_GE(report->seconds_discovery, 0.0);
-}
-
 }  // namespace
 }  // namespace tdac

@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include "data/soa_mode.h"
 #include "gen/scenario.h"
 #include "td/registry.h"
 #include "test_util.h"
@@ -47,10 +46,7 @@ class AllocationCounter {
 using td_internal::ConflictStore;
 using td_internal::ElectSlot;
 using td_internal::GroupClaimsByItem;
-using td_internal::GroupKeysFitPackedWidth;
-using td_internal::kPackedGroupKeyWidth;
 using td_internal::MeanAbsDelta;
-using td_internal::PackGroupKey;
 using td_internal::Step;
 using testutil::BuildDataset;
 
@@ -140,27 +136,6 @@ TEST(GroupClaimsByItemTest, ItemsFollowDataItemOrder) {
   }
 }
 
-// Both grouping paths fill the same store, array for array.
-TEST(GroupClaimsByItemTest, LegacyAndColumnarPathsFillTheSameStore) {
-  ScenarioSpec spec;
-  spec.num_objects = 30;
-  spec.adversary = AdversaryMode::kNearDuplicate;
-  auto generated = GenerateScenario(spec);
-  ASSERT_TRUE(generated.ok()) << generated.status();
-  const Dataset& d = generated->dataset;
-  SetSoaKernelsEnabled(false);
-  const ConflictStore legacy = GroupClaimsByItem(d);
-  SetSoaKernelsEnabled(true);
-  const ConflictStore columnar = GroupClaimsByItem(d);
-  EXPECT_EQ(legacy.keys, columnar.keys);
-  EXPECT_EQ(legacy.item_offsets, columnar.item_offsets);
-  EXPECT_EQ(legacy.slot_ids, columnar.slot_ids);
-  EXPECT_EQ(legacy.slot_offsets, columnar.slot_offsets);
-  EXPECT_EQ(legacy.supporters, columnar.supporters);
-  EXPECT_EQ(legacy.claim_counts, columnar.claim_counts);
-  EXPECT_GT(columnar.num_slots(), columnar.num_items());
-}
-
 // Regression: grouping used to build three vectors per item plus one per
 // value (41,134 allocations on this cell), and the algorithms kept
 // per-item state and scratch (Accu's run made 126,915 allocations,
@@ -202,43 +177,6 @@ TEST(ConflictStoreAllocationTest, GroupingAndBaseRunsAllocateNothingPerItem) {
     ASSERT_TRUE(ok) << name;
     EXPECT_LT(run, 2 * items + 500) << name;
   }
-}
-
-// Regression for the packed `(rank << 32) | source` grouping key: the
-// 32-bit halves are an enforced invariant now, not an implicit one. At
-// exactly 2^32 distinct ranks (ids 0..2^32-1) everything still fits; one
-// past it the packed sort would alias keys, so the guard must refuse and
-// GroupClaimsByItem falls back to the legacy (Value, SourceId) comparator.
-TEST(PackedGroupKeyTest, WidthGuardAtTheBoundary) {
-  EXPECT_TRUE(GroupKeysFitPackedWidth(0, 0));
-  EXPECT_TRUE(GroupKeysFitPackedWidth(kPackedGroupKeyWidth, 10));
-  EXPECT_TRUE(GroupKeysFitPackedWidth(10, kPackedGroupKeyWidth));
-  EXPECT_FALSE(GroupKeysFitPackedWidth(kPackedGroupKeyWidth + 1, 10));
-  EXPECT_FALSE(GroupKeysFitPackedWidth(10, kPackedGroupKeyWidth + 1));
-  EXPECT_FALSE(GroupKeysFitPackedWidth(-1, 10));
-  EXPECT_FALSE(GroupKeysFitPackedWidth(10, -1));
-}
-
-TEST(PackedGroupKeyTest, PackedOrderIsLexicographicAtExtremes) {
-  const int64_t max_half = kPackedGroupKeyWidth - 1;
-  // rank dominates source: the largest source under a smaller rank still
-  // sorts below the smallest source under a larger rank.
-  EXPECT_LT(PackGroupKey(0, max_half), PackGroupKey(1, 0));
-  EXPECT_LT(PackGroupKey(max_half - 1, max_half), PackGroupKey(max_half, 0));
-  // Within a rank, source order is preserved.
-  EXPECT_LT(PackGroupKey(max_half, 0), PackGroupKey(max_half, max_half));
-  // Round trip at the extreme corner.
-  const uint64_t key = PackGroupKey(max_half, max_half);
-  EXPECT_EQ(static_cast<int64_t>(key >> 32), max_half);
-  EXPECT_EQ(static_cast<int64_t>(key & 0xffffffffULL), max_half);
-}
-
-TEST(PackedGroupKeyDeathTest, OutOfWidthAborts) {
-  EXPECT_DEATH((void)PackGroupKey(kPackedGroupKeyWidth, 0),
-               "out of packed width");
-  EXPECT_DEATH((void)PackGroupKey(0, kPackedGroupKeyWidth),
-               "out of packed width");
-  EXPECT_DEATH((void)PackGroupKey(-1, 0), "out of packed width");
 }
 
 TEST(ElectSlotTest, FirstMaximumWinsOnTies) {
