@@ -9,6 +9,7 @@
 
 #include "clustering/kmeans.h"
 #include "clustering/silhouette.h"
+#include "common/parallel.h"
 #include "common/random.h"
 #include "data/dataset_io.h"
 #include "data/dataset_view.h"
@@ -372,15 +373,20 @@ BENCHMARK(BM_SoaDetectCopying);
 // kBytesPerClaim cites. CI runs `--benchmark_filter=BM_DatasetFromCsv` and
 // publishes the JSON, both rows, as the ingest artifact.
 
+tdac::GeneratedData GenerateDs2TwentyThousand() {
+  auto config = tdac::PaperSyntheticConfig(2, 42);
+  if (!config.ok()) std::abort();
+  config->num_objects = 20000;
+  auto data = tdac::GenerateSynthetic(*config);
+  if (!data.ok()) std::abort();
+  return data.MoveValue();
+}
+
+// The generated store is dropped once rendered, so the load's timing and
+// heap counters see no other 1.2M-claim store alive.
 const std::string& Ds2TwentyThousandCsv() {
-  static const std::string csv = [] {
-    auto config = tdac::PaperSyntheticConfig(2, 42);
-    if (!config.ok()) std::abort();
-    config->num_objects = 20000;
-    auto data = tdac::GenerateSynthetic(*config);
-    if (!data.ok()) std::abort();
-    return tdac::DatasetToCsv(data->dataset);
-  }();
+  static const std::string csv =
+      tdac::DatasetToCsv(GenerateDs2TwentyThousand().dataset);
   return csv;
 }
 
@@ -410,6 +416,28 @@ void BM_DatasetFromCsv(benchmark::State& state) {
       claims == 0 ? 0.0 : heap_bytes / static_cast<double>(claims);
 }
 BENCHMARK(BM_DatasetFromCsv)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
+
+// --- Base runs at the run width ----------------------------------------
+//
+// One Accu run over the same DS2 at 20k objects (20k objects x 6
+// attributes x 10 sources, 1.2M claims), generated once outside the
+// timing, at the run width in the argument: 1 (one item block, the serial
+// path) and 4 (item blocks of about 2^15 claims on the pool). The ratio of
+// the two rows is the parallel speedup of a base run. CI's "Columnar
+// kernels" step runs it with the other BM_Soa rows.
+void BM_SoaAccuTall(benchmark::State& state) {
+  static const tdac::GeneratedData generated = GenerateDs2TwentyThousand();
+  const tdac::Dataset& data = generated.dataset;
+  const tdac::RunWidthScope width(static_cast<int>(state.range(0)));
+  const tdac::Accu accu;
+  for (auto _ : state) {
+    auto r = accu.Discover(data);
+    benchmark::DoNotOptimize(r);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(data.num_claims()));
+}
+BENCHMARK(BM_SoaAccuTall)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -15,7 +15,8 @@ struct ParallelForOptions {
   ThreadPool* pool = nullptr;
 
   /// Caps the number of threads working on this loop (caller included).
-  /// 0 means the pool's full width; 1 forces the exact serial path.
+  /// 0 means the run width (CurrentRunWidth()); 1 forces the exact serial
+  /// path. Either way the pool's size is the ceiling.
   int max_parallelism = 0;
 
   /// Loops with fewer iterations than this stay serial (fan-out overhead
@@ -45,7 +46,13 @@ struct ParallelForOptions {
 /// Nesting-safe: a body may itself call ParallelFor. Helper tasks that the
 /// pool cannot schedule (all workers busy) are simply never needed — the
 /// caller finishes the iterations itself and stale helpers no-op later —
-/// so no cyclic wait can arise.
+/// so no cyclic wait can arise. Every body runs with the loop's width as
+/// its run width, so a loop it starts with the default `max_parallelism`
+/// is no wider than this one.
+///
+/// A loop whose width resolves to 1 (or with fewer than
+/// `min_parallel_iterations` iterations) runs inline and leaves the pool
+/// alone: a serial run never starts the global pool.
 ///
 /// Exceptions thrown by `body` do not cancel remaining iterations (every
 /// index still runs, keeping side effects thread-count-invariant); the
@@ -58,6 +65,29 @@ void ParallelFor(size_t n, const std::function<void(size_t)>& body,
 /// (clamped to ThreadPool::kMaxThreads), 0 or negative yield the process
 /// default (TDAC_THREADS env override, else hardware concurrency).
 int EffectiveThreadCount(int requested);
+
+/// The width this thread's loops default to: the innermost RunWidthScope,
+/// or inside a ParallelFor body the width of that loop; outside both, the
+/// process default (EffectiveThreadCount(0)).
+int CurrentRunWidth();
+
+/// \brief Sets the run width for the code on this thread until the scope
+/// ends: the one place a resolved thread count (`--threads`, a request's
+/// `threads=`, TdacOptions::threads) reaches the loops of the base runs it
+/// calls. `threads` > 0 sets that width (clamped like EffectiveThreadCount);
+/// 0 or negative keeps the width the caller already runs at. Scopes nest
+/// and restore the previous width on exit.
+class RunWidthScope {
+ public:
+  explicit RunWidthScope(int threads);
+  ~RunWidthScope();
+
+  RunWidthScope(const RunWidthScope&) = delete;
+  RunWidthScope& operator=(const RunWidthScope&) = delete;
+
+ private:
+  int previous_;
+};
 
 }  // namespace tdac
 

@@ -157,6 +157,12 @@ int32_t Dataset::BuildIndexes() {
   // Each Dataset instance is indexed exactly once; the value dictionary is
   // ranked here and then frozen together with the columns.
   TDAC_CHECK(!frozen_) << "Dataset::BuildIndexes on a frozen store";
+  // The appended columns grew by doubling; a frozen store never grows
+  // again, so it keeps no slack.
+  claim_sources_.shrink_to_fit();
+  claim_objects_.shrink_to_fit();
+  claim_attributes_.shrink_to_fit();
+  claim_value_ids_.shrink_to_fit();
   const size_t n = num_claims();
   claim_ids_.resize(n);
   std::iota(claim_ids_.begin(), claim_ids_.end(), 0);

@@ -35,6 +35,9 @@ class GroundTruth {
   size_t size() const { return truth_.size(); }
   bool empty() const { return truth_.empty(); }
 
+  /// Makes room for `items` data items without rehashing.
+  void Reserve(size_t items) { truth_.reserve(items); }
+
   /// Merges `other` into this; on key collisions `other` wins. Used by
   /// TD-AC to aggregate per-partition predictions.
   void MergeFrom(const GroundTruth& other) {

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "common/checkpoint.h"
+#include "common/parallel.h"
 #include "data/dataset_io.h"
 #include "data/dataset_like.h"
 #include "td/registry.h"
@@ -25,10 +26,11 @@ constexpr double kExpiredDeadlineMs = 1e-3;
 /// the item index and the value dictionary, spread over the claims.
 /// Measured with bench_micro_kernels' BM_DatasetFromCsv as the glibc heap
 /// in use (mallinfo2 uordblks + hblkhd) after DatasetFromCsv minus before
-/// it, on DS2 at 20k objects (1.2M claims, 352k distinct values): 83.3 MB,
-/// 69.5 bytes per claim. Coarse on purpose — eviction only needs big
-/// datasets to weigh proportionally more.
-constexpr size_t kBytesPerClaim = 69;
+/// it, on DS2 at 20k objects (1.2M claims, 352k distinct values): 69.0 MB,
+/// 57.5 bytes per claim, at 1 and at 4 load threads (the built claim
+/// columns keep no growth slack). Coarse on purpose — eviction only needs
+/// big datasets to weigh proportionally more.
+constexpr size_t kBytesPerClaim = 57;
 
 uint64_t MixHash(uint64_t h, uint64_t value) {
   h ^= value + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
@@ -336,6 +338,9 @@ void ServeEngine::Execute(Admitted admitted) {
     }
   }
 
+  // The request's threads= is the width of the whole execution: TD-AC's
+  // sweep and groups, and the base algorithm's blocks (default 1, serial).
+  const RunWidthScope width(std::max(1, request.threads));
   Result<TruthDiscoveryResult> outcome = [&]() -> Result<TruthDiscoveryResult> {
     TDAC_ASSIGN_OR_RETURN(std::unique_ptr<TruthDiscovery> base,
                           MakeAlgorithm(request.algorithm));

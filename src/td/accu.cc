@@ -38,13 +38,16 @@ Result<TruthDiscoveryResult> Accu::DiscoverGuarded(
   // Vote count C(v) of each slot; it starts as the supporter count for the
   // initial election, a majority vote per item.
   std::vector<double> vote(store.num_slots());
-  for (size_t v = 0; v < vote.size(); ++v) {
-    vote[v] = static_cast<double>(store.SupportersOf(v).size());
-  }
   std::vector<size_t> selected(store.num_items());
-  for (size_t it = 0; it < store.num_items(); ++it) {
-    selected[it] = td_internal::ElectSlot(store, it, vote);
-  }
+  td_internal::ForEachItemBlock(store, [&](size_t b) {
+    for (size_t it = store.item_blocks[b]; it < store.item_blocks[b + 1];
+         ++it) {
+      for (size_t v = store.first_slot(it); v < store.end_slot(it); ++v) {
+        vote[v] = static_cast<double>(store.SupportersOf(v).size());
+      }
+      selected[it] = td_internal::ElectSlot(store, it, vote);
+    }
+  });
 
   // AccuSim: sim(w, v) for each value pair of an item.
   const bool similar = options_.similarity_weight > 0.0;
@@ -64,13 +67,11 @@ Result<TruthDiscoveryResult> Accu::DiscoverGuarded(
   // Probability of each slot's value (filled each iteration).
   std::vector<double> probs(store.num_slots());
   // Per iteration: each source's vote weight and its rank by descending
-  // accuracy (ties by id). Scratch: one slot's supporters in rank order,
-  // one item's unadjusted votes.
+  // accuracy (ties by id), and per item block whether an election changed.
   std::vector<double> weight(num_sources);
   std::vector<SourceId> by_accuracy(num_sources);
   std::vector<uint32_t> rank(num_sources);
-  std::vector<SourceId> order;
-  std::vector<double> unadjusted;
+  std::vector<uint8_t> block_changed(store.num_blocks());
   std::vector<double> new_accuracy(num_sources);
 
   TruthDiscoveryResult result;
@@ -96,66 +97,80 @@ Result<TruthDiscoveryResult> Accu::DiscoverGuarded(
       rank[static_cast<size_t>(by_accuracy[r])] = static_cast<uint32_t>(r);
     }
 
-    bool selection_changed = false;
-    for (size_t it = 0; it < store.num_items(); ++it) {
-      const size_t first = store.first_slot(it);
-      const size_t end = store.end_slot(it);
-      for (size_t v = first; v < end; ++v) {
-        // Count higher-accuracy sources first; each later source is
-        // discounted by its probability of copying an earlier one.
-        const std::span<const SourceId> supporters = store.SupportersOf(v);
-        order.assign(supporters.begin(), supporters.end());
-        std::sort(order.begin(), order.end(), [&](SourceId a, SourceId b) {
-          return rank[static_cast<size_t>(a)] < rank[static_cast<size_t>(b)];
-        });
-        vote[v] = 0.0;
-        for (size_t i = 0; i < order.size(); ++i) {
-          double independence = 1.0;
-          if (options_.detect_copying) {
-            for (size_t j = 0; j < i; ++j) {
-              independence *= 1.0 - options_.copy.copy_rate *
-                                        dependence.prob(order[i], order[j]);
+    // Items depend only on this iteration's weights, ranks and dependence
+    // matrix, so blocks run concurrently. Each block allocates its own
+    // scratch (one slot's supporters in rank order, one item's unadjusted
+    // votes) on the thread that runs it, so blocks share no cache lines.
+    td_internal::ForEachItemBlock(store, [&](size_t b) {
+      std::vector<SourceId> order;
+      std::vector<double> unadjusted;
+      bool changed = false;
+      for (size_t it = store.item_blocks[b]; it < store.item_blocks[b + 1];
+           ++it) {
+        const size_t first = store.first_slot(it);
+        const size_t end = store.end_slot(it);
+        for (size_t v = first; v < end; ++v) {
+          // Count higher-accuracy sources first; each later source is
+          // discounted by its probability of copying an earlier one.
+          const std::span<const SourceId> supporters = store.SupportersOf(v);
+          order.assign(supporters.begin(), supporters.end());
+          std::sort(order.begin(), order.end(), [&](SourceId a, SourceId c) {
+            return rank[static_cast<size_t>(a)] < rank[static_cast<size_t>(c)];
+          });
+          vote[v] = 0.0;
+          for (size_t i = 0; i < order.size(); ++i) {
+            double independence = 1.0;
+            if (options_.detect_copying) {
+              for (size_t j = 0; j < i; ++j) {
+                independence *= 1.0 - options_.copy.copy_rate *
+                                          dependence.prob(order[i], order[j]);
+              }
             }
+            vote[v] += weight[static_cast<size_t>(order[i])] * independence;
           }
-          vote[v] += weight[static_cast<size_t>(order[i])] * independence;
         }
-      }
 
-      const size_t n = end - first;
-      if (similar && n > 1) {
-        // C*(v) = C(v) + rho * sum_{w != v} sim(w, v) C(w).
-        unadjusted.assign(vote.begin() + first, vote.begin() + end);
-        const double* sim = similarity.Block(it);
-        for (size_t v = 0; v < n; ++v) {
-          double extra = 0.0;
-          for (size_t w = 0; w < n; ++w) {
-            if (w == v) continue;
-            extra += sim[w * n + v] * unadjusted[w];
+        const size_t n = end - first;
+        if (similar && n > 1) {
+          // C*(v) = C(v) + rho * sum_{w != v} sim(w, v) C(w).
+          unadjusted.assign(vote.begin() + first, vote.begin() + end);
+          const double* sim = similarity.Block(it);
+          for (size_t v = 0; v < n; ++v) {
+            double extra = 0.0;
+            for (size_t w = 0; w < n; ++w) {
+              if (w == v) continue;
+              extra += sim[w * n + v] * unadjusted[w];
+            }
+            vote[first + v] =
+                unadjusted[v] + options_.similarity_weight * extra;
           }
-          vote[first + v] =
-              unadjusted[v] + options_.similarity_weight * extra;
         }
-      }
 
-      // P(v) = exp(C(v)) / (sum over observed + unclaimed candidates).
-      // Stable log-sum-exp with the unclaimed candidates carrying C = 0.
-      double unclaimed =
-          options_.include_unclaimed_mass
-              ? std::max(0.0, n_false + 1.0 - static_cast<double>(n))
-              : 0.0;
-      double mx = *std::max_element(vote.begin() + first, vote.begin() + end);
-      if (unclaimed > 0.0) mx = std::max(mx, 0.0);
-      double denom = unclaimed * std::exp(-mx);
-      for (size_t v = first; v < end; ++v) {
-        probs[v] = std::exp(vote[v] - mx);
-        denom += probs[v];
-      }
-      for (size_t v = first; v < end; ++v) probs[v] /= denom;
+        // P(v) = exp(C(v)) / (sum over observed + unclaimed candidates).
+        // Stable log-sum-exp with the unclaimed candidates carrying C = 0.
+        double unclaimed =
+            options_.include_unclaimed_mass
+                ? std::max(0.0, n_false + 1.0 - static_cast<double>(n))
+                : 0.0;
+        double mx =
+            *std::max_element(vote.begin() + first, vote.begin() + end);
+        if (unclaimed > 0.0) mx = std::max(mx, 0.0);
+        double denom = unclaimed * std::exp(-mx);
+        for (size_t v = first; v < end; ++v) {
+          probs[v] = std::exp(vote[v] - mx);
+          denom += probs[v];
+        }
+        for (size_t v = first; v < end; ++v) probs[v] /= denom;
 
-      const size_t best = td_internal::ElectSlot(store, it, vote);
-      if (best != selected[it]) selection_changed = true;
-      selected[it] = best;
-    }
+        const size_t best = td_internal::ElectSlot(store, it, vote);
+        if (best != selected[it]) changed = true;
+        selected[it] = best;
+      }
+      block_changed[b] = changed ? 1 : 0;
+    });
+    const bool selection_changed =
+        std::find(block_changed.begin(), block_changed.end(), 1) !=
+        block_changed.end();
 
     // Non-finite: keep the accuracies; probs is re-derived from them on the
     // next run.
@@ -177,6 +192,7 @@ Result<TruthDiscoveryResult> Accu::DiscoverGuarded(
                                   options_.base.convergence_threshold);
   });
 
+  td_internal::ReservePredictions(store, result);
   for (size_t it = 0; it < store.num_items(); ++it) {
     td_internal::RecordPrediction(store, it, selected[it],
                                   probs[selected[it]], result);

@@ -1,11 +1,49 @@
 #include "td/copy_detection.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/logging.h"
 #include "common/math_util.h"
+#include "common/parallel.h"
 
 namespace tdac {
+
+namespace {
+
+/// Heap the extra per-range count matrices of one phase may take.
+constexpr size_t kCountRangeBytes = size_t{64} << 20;
+
+/// Item ranges for the phases that keep S x S integer counts: runs of
+/// whole item blocks, at most two per thread of the run width and no more
+/// than kCountRangeBytes of matrices, so there are few to allocate and
+/// sum. Range r is items [cuts[r], cuts[r + 1]).
+std::vector<uint32_t> CountRanges(const td_internal::ConflictStore& store,
+                                  size_t num_sources) {
+  const size_t blocks = store.num_blocks();
+  const size_t matrix_bytes =
+      std::max<size_t>(1, num_sources * num_sources * sizeof(int));
+  const size_t ranges = std::max<size_t>(
+      1, std::min({blocks, 2 * static_cast<size_t>(CurrentRunWidth()),
+                   kCountRangeBytes / matrix_bytes}));
+  std::vector<uint32_t> cuts(ranges + 1);
+  for (size_t r = 0; r <= ranges; ++r) {
+    cuts[r] = store.item_blocks[r * blocks / ranges];
+  }
+  return cuts;
+}
+
+/// Adds every range's counts into range 0's: integer sums, exact in any
+/// order.
+void SumInto(std::vector<std::vector<int>>& parts) {
+  for (size_t r = 1; r < parts.size(); ++r) {
+    for (size_t cell = 0; cell < parts[0].size(); ++cell) {
+      parts[0][cell] += parts[r][cell];
+    }
+  }
+}
+
+}  // namespace
 
 CoClaimCounts CountCoClaims(const td_internal::ConflictStore& store,
                             size_t num_sources) {
@@ -15,35 +53,49 @@ CoClaimCounts CountCoClaims(const td_internal::ConflictStore& store,
   // iteration. S is bounded by the real datasets (hundreds), so the
   // matrices stay small. One flat int array per count kind
   // (structure-of-arrays): each inner loop touches exactly one kind.
-  CoClaimCounts counts;
-  counts.num_sources = num_sources;
-  counts.same.assign(num_sources * num_sources, 0);
-  counts.different.assign(num_sources * num_sources, 0);
-  for (size_t it = 0; it < store.num_items(); ++it) {
-    const size_t end = store.end_slot(it);
-    // Sources sharing a value agree; sources with different values differ.
-    for (size_t v = store.first_slot(it); v < end; ++v) {
-      const std::span<const SourceId> sup = store.SupportersOf(v);
-      // Supporters are ascending, so sup[i] < sup[j] for i < j and the
-      // upper-triangle cell needs no operand swap.
-      for (size_t i = 0; i < sup.size(); ++i) {
-        const size_t base = static_cast<size_t>(sup[i]) * num_sources;
-        for (size_t j = i + 1; j < sup.size(); ++j) {
-          ++counts.same[base + static_cast<size_t>(sup[j])];
+  // Each item range counts into its own pair of matrices.
+  const std::vector<uint32_t> cuts = CountRanges(store, num_sources);
+  const size_t ranges = cuts.size() - 1;
+  std::vector<std::vector<int>> same(ranges);
+  std::vector<std::vector<int>> different(ranges);
+  ParallelFor(ranges, [&](size_t r) {
+    same[r].assign(num_sources * num_sources, 0);
+    different[r].assign(num_sources * num_sources, 0);
+    std::vector<int>& same_r = same[r];
+    std::vector<int>& different_r = different[r];
+    for (size_t it = cuts[r]; it < cuts[r + 1]; ++it) {
+      const size_t end = store.end_slot(it);
+      // Sources sharing a value agree; sources with different values
+      // differ.
+      for (size_t v = store.first_slot(it); v < end; ++v) {
+        const std::span<const SourceId> sup = store.SupportersOf(v);
+        // Supporters are ascending, so sup[i] < sup[j] for i < j and the
+        // upper-triangle cell needs no operand swap.
+        for (size_t i = 0; i < sup.size(); ++i) {
+          const size_t base = static_cast<size_t>(sup[i]) * num_sources;
+          for (size_t j = i + 1; j < sup.size(); ++j) {
+            ++same_r[base + static_cast<size_t>(sup[j])];
+          }
         }
-      }
-      for (size_t w = v + 1; w < end; ++w) {
-        for (SourceId si : sup) {
-          for (SourceId sj : store.SupportersOf(w)) {
-            const SourceId lo = si < sj ? si : sj;
-            const SourceId hi = si < sj ? sj : si;
-            ++counts.different[static_cast<size_t>(lo) * num_sources +
-                               static_cast<size_t>(hi)];
+        for (size_t w = v + 1; w < end; ++w) {
+          for (SourceId si : sup) {
+            for (SourceId sj : store.SupportersOf(w)) {
+              const SourceId lo = si < sj ? si : sj;
+              const SourceId hi = si < sj ? sj : si;
+              ++different_r[static_cast<size_t>(lo) * num_sources +
+                            static_cast<size_t>(hi)];
+            }
           }
         }
       }
     }
-  }
+  });
+  SumInto(same);
+  SumInto(different);
+  CoClaimCounts counts;
+  counts.num_sources = num_sources;
+  counts.same = std::move(same[0]);
+  counts.different = std::move(different[0]);
   return counts;
 }
 
@@ -60,23 +112,31 @@ DependenceMatrix DetectCopying(const td_internal::ConflictStore& store,
   DependenceMatrix matrix(num_sources);
 
   // kt counts the pairs agreeing on an item's elected value; kf is the rest
-  // of co_claims.same, and kd is co_claims.different.
+  // of co_claims.same, and kd is co_claims.different. Each item range
+  // counts into its own matrix.
   const size_t s_count = static_cast<size_t>(num_sources);
-  std::vector<int> same_true(s_count * s_count, 0);
-  for (size_t it = 0; it < store.num_items(); ++it) {
-    // A selection outside the item's slots elects none of its values.
-    if (selected[it] < store.first_slot(it) ||
-        selected[it] >= store.end_slot(it)) {
-      continue;
-    }
-    const std::span<const SourceId> sup = store.SupportersOf(selected[it]);
-    for (size_t i = 0; i < sup.size(); ++i) {
-      const size_t base = static_cast<size_t>(sup[i]) * s_count;
-      for (size_t j = i + 1; j < sup.size(); ++j) {
-        ++same_true[base + static_cast<size_t>(sup[j])];
+  const std::vector<uint32_t> cuts = CountRanges(store, s_count);
+  std::vector<std::vector<int>> kt(cuts.size() - 1);
+  ParallelFor(kt.size(), [&](size_t r) {
+    kt[r].assign(s_count * s_count, 0);
+    std::vector<int>& kt_r = kt[r];
+    for (size_t it = cuts[r]; it < cuts[r + 1]; ++it) {
+      // A selection outside the item's slots elects none of its values.
+      if (selected[it] < store.first_slot(it) ||
+          selected[it] >= store.end_slot(it)) {
+        continue;
+      }
+      const std::span<const SourceId> sup = store.SupportersOf(selected[it]);
+      for (size_t i = 0; i < sup.size(); ++i) {
+        const size_t base = static_cast<size_t>(sup[i]) * s_count;
+        for (size_t j = i + 1; j < sup.size(); ++j) {
+          ++kt_r[base + static_cast<size_t>(sup[j])];
+        }
       }
     }
-  }
+  });
+  SumInto(kt);
+  const std::vector<int>& same_true = kt[0];
 
   const double n = std::max(1, params.n_false_values);
   const double c = Clamp(params.copy_rate, 1e-3, 1.0 - 1e-3);

@@ -26,9 +26,12 @@ Result<TruthDiscoveryResult> Crh::DiscoverGuarded(
   td_internal::Iterate(options_.base, guard, result, [&] {
     // Truth step: weighted vote per item.
     td_internal::SlotSums(store, weight, votes);
-    for (size_t it = 0; it < store.num_items(); ++it) {
-      selected[it] = td_internal::ElectSlot(store, it, votes);
-    }
+    td_internal::ForEachItemBlock(store, [&](size_t b) {
+      for (size_t it = store.item_blocks[b]; it < store.item_blocks[b + 1];
+           ++it) {
+        selected[it] = td_internal::ElectSlot(store, it, votes);
+      }
+    });
 
     // Weight step: 0/1 loss against the current election.
     std::fill(loss.begin(), loss.end(), 0.0);
@@ -67,6 +70,7 @@ Result<TruthDiscoveryResult> Crh::DiscoverGuarded(
                                   options_.base.convergence_threshold);
   });
 
+  td_internal::ReservePredictions(store, result);
   for (size_t it = 0; it < store.num_items(); ++it) {
     td_internal::RecordPrediction(
         store, it, selected[it],

@@ -52,22 +52,29 @@ Result<TruthDiscoveryResult> Investment::DiscoverGuarded(
 
     // Collected investment and beliefs per item.
     td_internal::SlotSums(store, invest, collected);
-    for (size_t it = 0; it < store.num_items(); ++it) {
-      const size_t first = store.first_slot(it);
-      const size_t n = store.end_slot(it) - first;
-      BeliefsFromInvestments({collected.data() + first, n},
-                             {belief.data() + first, n});
-    }
-
-    // Pay back investors proportionally to their share.
-    std::fill(new_trust.begin(), new_trust.end(), 0.0);
-    for (size_t v = 0; v < belief.size(); ++v) {
-      if (collected[v] <= 0.0) continue;
-      for (SourceId s : store.SupportersOf(v)) {
-        new_trust[static_cast<size_t>(s)] +=
-            belief[v] * invest[static_cast<size_t>(s)] / collected[v];
+    td_internal::ForEachItemBlock(store, [&](size_t b) {
+      for (size_t it = store.item_blocks[b]; it < store.item_blocks[b + 1];
+           ++it) {
+        const size_t first = store.first_slot(it);
+        const size_t n = store.end_slot(it) - first;
+        BeliefsFromInvestments({collected.data() + first, n},
+                               {belief.data() + first, n});
       }
-    }
+    });
+
+    // Pay back investors proportionally to their share: each source sums
+    // its slots in ascending order, as a scatter over the slots would.
+    ParallelFor(
+        num_sources,
+        [&](size_t s) {
+          double paid = 0.0;
+          for (uint32_t v : store.SlotsOf(s)) {
+            if (collected[v] <= 0.0) continue;
+            paid += belief[v] * invest[s] / collected[v];
+          }
+          new_trust[s] = paid;
+        },
+        td_internal::StoreLoopOptions(store));
     td_internal::MaxNormalize(new_trust);
 
     // The growth exponent can overflow pow(); keep the last finite trust.

@@ -18,6 +18,7 @@ Result<TruthDiscoveryResult> MajorityVote::DiscoverGuarded(
   for (size_t v = 0; v < votes.size(); ++v) {
     votes[v] = static_cast<double>(store.SupportersOf(v).size());
   }
+  td_internal::ReservePredictions(store, result);
   for (size_t it = 0; it < store.num_items(); ++it) {
     const size_t best = td_internal::ElectSlot(store, it, votes);
     td_internal::RecordPrediction(

@@ -99,33 +99,65 @@ Result<TruthDiscoveryResult> DeserializeTruthDiscoveryResult(
 namespace td_internal {
 namespace {
 
-/// An empty store for `data`: the key, item-offset and supporter arrays are
-/// reserved exactly (their sizes are known up front); the slot arrays grow
-/// amortized as grouping appends.
-ConflictStore StartStore(const DatasetLike& data) {
-  ConflictStore store;
-  store.keys = data.DataItems();
-  store.item_offsets.reserve(store.keys.size() + 1);
-  store.item_offsets.push_back(0);
-  store.supporters.reserve(data.num_claims());
-  store.dict = &data.storage().value_dict();
-  return store;
-}
-
-/// Closes the slot offsets and counts each source's claims.
-void FinishStore(ConflictStore& store, int num_sources) {
-  store.slot_offsets.push_back(static_cast<uint32_t>(store.supporters.size()));
-  store.claim_counts.assign(static_cast<size_t>(num_sources), 0.0);
-  for (SourceId s : store.supporters) {
-    store.claim_counts[static_cast<size_t>(s)] += 1.0;
-  }
-}
-
 // The packed key below holds a rank and a source id in one 32-bit half
 // each, so packed order is exactly (rank, source) order.
 static_assert(sizeof(ValueId) == sizeof(uint32_t) &&
                   sizeof(SourceId) == sizeof(uint32_t),
               "grouping packs a value rank and a source id into one uint64");
+
+/// Every item's claims, in store order, and the claims before each item
+/// block (then the total).
+struct ItemClaims {
+  std::vector<std::span<const int32_t>> spans;
+  std::vector<uint32_t> block_starts;
+};
+
+/// Looks up every item's claims (`store.keys` is set) and cuts the items
+/// into ConflictStore::item_blocks: one block below the grain or at run
+/// width 1, else about one per kItemBlockClaims claims, a block ending
+/// before the first item whose preceding claims reach its share of the
+/// total. The lookups run over equal item ranges in parallel.
+ItemClaims CutItemBlocks(const DatasetLike& data, ConflictStore& store) {
+  const size_t num_items = store.num_items();
+  const size_t claims = data.num_claims();
+  const size_t wanted =
+      CurrentRunWidth() > 1 ? std::max<size_t>(1, claims / kItemBlockClaims)
+                            : 1;
+  ItemClaims out;
+  out.spans.resize(num_items);
+  ParallelFor(wanted, [&](size_t r) {
+    for (size_t it = r * num_items / wanted;
+         it < (r + 1) * num_items / wanted; ++it) {
+      const uint64_t key = store.keys[it];
+      out.spans[it] = data.ClaimsOn(ObjectFromKey(key), AttributeFromKey(key));
+    }
+  });
+  store.item_blocks.assign(1, 0);
+  out.block_starts.assign(1, 0);
+  size_t before = 0;
+  size_t share = 1;
+  for (size_t it = 0; it < num_items; ++it) {
+    if (share < wanted && before >= share * claims / wanted &&
+        it > store.item_blocks.back()) {
+      store.item_blocks.push_back(static_cast<uint32_t>(it));
+      out.block_starts.push_back(static_cast<uint32_t>(before));
+      while (share < wanted && before >= share * claims / wanted) ++share;
+    }
+    before += out.spans[it].size();
+  }
+  store.item_blocks.push_back(static_cast<uint32_t>(num_items));
+  out.block_starts.push_back(static_cast<uint32_t>(before));
+  return out;
+}
+
+/// One item block's share of the store while it is grouped: its slots'
+/// dictionary ids and first supporters, and its claims per source (then
+/// where its slots start in each source's run of `source_slots`).
+struct BlockSlots {
+  std::vector<ValueId> ids;
+  std::vector<uint32_t> starts;
+  std::vector<uint32_t> per_source;
+};
 
 /// Each claim of an item becomes one packed uint64, `(value rank << 32) |
 /// source`, read straight from the storage columns. Ranks follow the Value
@@ -133,44 +165,119 @@ static_assert(sizeof(ValueId) == sizeof(uint32_t) &&
 /// packed keys sorts the item's claims by (value, source), and each
 /// distinct rank run becomes one slot. Sources within a run come out
 /// ascending for free.
+///
+/// Blocks group concurrently. A block writes its supporters in place (its
+/// first claim is known from the cut) and its slots into block-local
+/// arrays, which a second pass copies to their place once every block's
+/// slot count is known. The same pass fills the source-major index: a
+/// source's slots from block 0, then block 1, …, each block's ascending.
 ConflictStore GroupClaimsByItemSoa(const DatasetLike& data) {
   const Dataset& storage = data.storage();
   const std::vector<int32_t>& ranks = storage.claim_value_ranks();
   const std::vector<int32_t>& sources = storage.claim_sources();
   const ValueDict& dict = storage.value_dict();
-  ConflictStore store = StartStore(data);
-  // lint: hot-path-alloc-ok (one scratch buffer reused across all items)
-  std::vector<uint64_t> packed;
-  for (uint64_t key : store.keys) {
-    const auto claim_indices =
-        data.ClaimsOn(ObjectFromKey(key), AttributeFromKey(key));
-    packed.clear();
-    packed.reserve(claim_indices.size());
-    for (int32_t idx : claim_indices) {
-      const auto i = static_cast<size_t>(idx);
-      packed.push_back(
-          (static_cast<uint64_t>(static_cast<uint32_t>(ranks[i])) << 32) |
-          static_cast<uint32_t>(sources[i]));
-    }
-    std::sort(packed.begin(), packed.end());
-    int64_t prev_rank = -1;
-    for (uint64_t p : packed) {
-      const auto rank = static_cast<int32_t>(p >> 32);
-      if (rank != prev_rank) {
-        // lint: hot-path-alloc-ok (flat array: amortized, never per item)
-        store.slot_offsets.push_back(
-            static_cast<uint32_t>(store.supporters.size()));
-        // lint: hot-path-alloc-ok (flat array: amortized, never per item)
-        store.slot_ids.push_back(dict.id_at_rank(rank));
-        prev_rank = rank;
+  const auto num_sources = static_cast<size_t>(data.num_sources());
+  ConflictStore store;
+  store.keys = data.DataItems();
+  store.dict = &dict;
+  const ItemClaims item_claims = CutItemBlocks(data, store);
+  const std::vector<uint32_t>& claim_starts = item_claims.block_starts;
+  const size_t blocks = store.num_blocks();
+  const size_t claims = claim_starts.back();
+  store.item_offsets.assign(store.num_items() + 1, 0);
+  store.supporters.resize(claims);
+
+  // lint: hot-path-alloc-ok (one entry per item block, not per item)
+  std::vector<BlockSlots> parts(blocks);
+  ForEachItemBlock(store, [&](size_t b) {
+    BlockSlots& part = parts[b];
+    const size_t block_claims = claim_starts[b + 1] - claim_starts[b];
+    part.ids.reserve(block_claims);
+    part.starts.reserve(block_claims);
+    part.per_source.assign(num_sources, 0);
+    // lint: hot-path-alloc-ok (one scratch buffer reused across the block)
+    std::vector<uint64_t> packed;
+    uint32_t next = claim_starts[b];
+    for (size_t it = store.item_blocks[b]; it < store.item_blocks[b + 1];
+         ++it) {
+      const std::span<const int32_t> claim_indices = item_claims.spans[it];
+      packed.clear();
+      packed.reserve(claim_indices.size());
+      for (int32_t idx : claim_indices) {
+        const auto i = static_cast<size_t>(idx);
+        packed.push_back(
+            (static_cast<uint64_t>(static_cast<uint32_t>(ranks[i])) << 32) |
+            static_cast<uint32_t>(sources[i]));
       }
-      // lint: hot-path-alloc-ok (reserved to the claim count in StartStore)
-      store.supporters.push_back(static_cast<SourceId>(p & 0xffffffffULL));
+      std::sort(packed.begin(), packed.end());
+      int64_t prev_rank = -1;
+      for (uint64_t p : packed) {
+        const auto rank = static_cast<int32_t>(p >> 32);
+        if (rank != prev_rank) {
+          part.starts.push_back(next);
+          part.ids.push_back(dict.id_at_rank(rank));
+          prev_rank = rank;
+        }
+        const auto source = static_cast<SourceId>(p & 0xffffffffULL);
+        store.supporters[next++] = source;
+        ++part.per_source[static_cast<size_t>(source)];
+      }
+      // Block-local for now; shifted by the block's first slot below.
+      store.item_offsets[it + 1] = static_cast<uint32_t>(part.ids.size());
     }
-    // lint: hot-path-alloc-ok (reserved to the item count in StartStore)
-    store.item_offsets.push_back(static_cast<uint32_t>(store.num_slots()));
+  });
+
+  // lint: hot-path-alloc-ok (one entry per item block, not per item)
+  std::vector<uint32_t> first_slot(blocks + 1, 0);
+  for (size_t b = 0; b < blocks; ++b) {
+    first_slot[b + 1] =
+        first_slot[b] + static_cast<uint32_t>(parts[b].ids.size());
   }
-  FinishStore(store, data.num_sources());
+  store.slot_ids.resize(first_slot[blocks]);
+  store.slot_offsets.resize(first_slot[blocks] + 1);
+  store.slot_offsets.back() = static_cast<uint32_t>(claims);
+  // Each source's run of the index holds its claims, block by block:
+  // per_source becomes where block b's slots of the source start.
+  store.claim_counts.assign(num_sources, 0.0);
+  store.source_offsets.assign(num_sources + 1, 0);
+  uint32_t offset = 0;
+  for (size_t s = 0; s < num_sources; ++s) {
+    store.source_offsets[s] = offset;
+    for (BlockSlots& part : parts) {
+      const uint32_t count = part.per_source[s];
+      part.per_source[s] = offset;
+      offset += count;
+    }
+    store.claim_counts[s] =
+        static_cast<double>(offset - store.source_offsets[s]);
+  }
+  store.source_offsets[num_sources] = offset;
+  store.source_slots.resize(claims);
+
+  ForEachItemBlock(store, [&](size_t b) {
+    BlockSlots& part = parts[b];
+    const uint32_t base = first_slot[b];
+    std::copy(part.ids.begin(), part.ids.end(),
+              store.slot_ids.begin() + base);
+    std::copy(part.starts.begin(), part.starts.end(),
+              store.slot_offsets.begin() + base);
+    for (size_t it = store.item_blocks[b]; it < store.item_blocks[b + 1];
+         ++it) {
+      store.item_offsets[it + 1] += base;
+    }
+    // The block's own slot starts bound its supporters: the next block's
+    // first slot offset is written concurrently.
+    for (size_t j = 0; j < part.starts.size(); ++j) {
+      const uint32_t end = j + 1 < part.starts.size() ? part.starts[j + 1]
+                                                      : claim_starts[b + 1];
+      for (uint32_t k = part.starts[j]; k < end; ++k) {
+        const auto s = static_cast<size_t>(store.supporters[k]);
+        store.source_slots[part.per_source[s]++] =
+            base + static_cast<uint32_t>(j);
+      }
+    }
+    part = BlockSlots();
+  });
   return store;
 }
 
@@ -180,6 +287,17 @@ ConflictStore GroupClaimsByItemSoa(const DatasetLike& data) {
 // columnar kernels by that suffix.
 ConflictStore GroupClaimsByItem(const DatasetLike& data) {
   return GroupClaimsByItemSoa(data);
+}
+
+ParallelForOptions StoreLoopOptions(const ConflictStore& store) {
+  ParallelForOptions options;
+  if (store.num_blocks() < 2) options.max_parallelism = 1;
+  return options;
+}
+
+void ForEachItemBlock(const ConflictStore& store,
+                      const std::function<void(size_t block)>& body) {
+  ParallelFor(store.num_blocks(), body, StoreLoopOptions(store));
 }
 
 size_t ElectSlot(const ConflictStore& store, size_t item,
@@ -208,6 +326,12 @@ void RecordPrediction(const ConflictStore& store, size_t item, size_t slot,
   result.confidence[key] = confidence;
 }
 
+void ReservePredictions(const ConflictStore& store,
+                        TruthDiscoveryResult& result) {
+  result.predicted.Reserve(store.num_items());
+  result.confidence.reserve(store.num_items());
+}
+
 PairTable BuildPairTable(
     const ConflictStore& store, bool symmetric,
     const std::function<double(const Value&, const Value&)>& entry) {
@@ -219,44 +343,52 @@ PairTable BuildPairTable(
     table.offsets.push_back(table.offsets.back() + n * n);
   }
   table.entries.assign(table.offsets.back(), 0.0);
-  std::vector<Value> values;
-  for (size_t it = 0; it < store.num_items(); ++it) {
-    values.clear();
-    for (size_t v = store.first_slot(it); v < store.end_slot(it); ++v) {
-      values.push_back(store.ValueOf(v));
-    }
-    const size_t n = values.size();
-    double* block = table.entries.data() + table.offsets[it];
-    for (size_t w = 0; w < n; ++w) {
-      for (size_t v = symmetric ? w + 1 : 0; v < n; ++v) {
-        if (v == w) continue;
-        block[w * n + v] = entry(values[w], values[v]);
-        if (symmetric) block[v * n + w] = block[w * n + v];
+  ForEachItemBlock(store, [&](size_t b) {
+    std::vector<Value> values;
+    for (size_t it = store.item_blocks[b]; it < store.item_blocks[b + 1];
+         ++it) {
+      values.clear();
+      for (size_t v = store.first_slot(it); v < store.end_slot(it); ++v) {
+        values.push_back(store.ValueOf(v));
+      }
+      const size_t n = values.size();
+      double* block = table.entries.data() + table.offsets[it];
+      for (size_t w = 0; w < n; ++w) {
+        for (size_t v = symmetric ? w + 1 : 0; v < n; ++v) {
+          if (v == w) continue;
+          block[w * n + v] = entry(values[w], values[v]);
+          if (symmetric) block[v * n + w] = block[w * n + v];
+        }
       }
     }
-  }
+  });
   return table;
 }
 
 void SlotSums(const ConflictStore& store, const std::vector<double>& per_source,
               std::vector<double>& per_slot) {
-  for (size_t v = 0; v < store.num_slots(); ++v) {
-    double sum = 0.0;
-    for (SourceId s : store.SupportersOf(v)) {
-      sum += per_source[static_cast<size_t>(s)];
+  ForEachItemBlock(store, [&](size_t b) {
+    const size_t end = store.first_slot(store.item_blocks[b + 1]);
+    for (size_t v = store.first_slot(store.item_blocks[b]); v < end; ++v) {
+      double sum = 0.0;
+      for (SourceId s : store.SupportersOf(v)) {
+        sum += per_source[static_cast<size_t>(s)];
+      }
+      per_slot[v] = sum;
     }
-    per_slot[v] = sum;
-  }
+  });
 }
 
 void SourceSums(const ConflictStore& store, const std::vector<double>& per_slot,
                 std::vector<double>& per_source) {
-  std::fill(per_source.begin(), per_source.end(), 0.0);
-  for (size_t v = 0; v < store.num_slots(); ++v) {
-    for (SourceId s : store.SupportersOf(v)) {
-      per_source[static_cast<size_t>(s)] += per_slot[v];
-    }
-  }
+  ParallelFor(
+      per_source.size(),
+      [&](size_t s) {
+        double sum = 0.0;
+        for (uint32_t v : store.SlotsOf(s)) sum += per_slot[v];
+        per_source[s] = sum;
+      },
+      StoreLoopOptions(store));
 }
 
 void MaxNormalize(std::vector<double>& values) {

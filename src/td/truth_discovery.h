@@ -10,6 +10,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/parallel.h"
 #include "common/result.h"
 #include "common/run_guard.h"
 #include "common/status.h"
@@ -120,6 +121,22 @@ namespace td_internal {
 /// front to back visits items in DataItems() order, slots in value order and
 /// sources ascending: the order every floating-point sum of the base
 /// algorithms is taken in.
+///
+/// Two more arrays serve the parallel phases of a run:
+///
+///   source s -> slots [source_offsets[s], source_offsets[s + 1]) of
+///               `source_slots`, ascending: the source-major transpose, so a
+///               per-source sum runs over one source's slots in the order
+///               a front-to-back scatter would add them;
+///   block b  -> items [item_blocks[b], item_blocks[b + 1]): runs of whole
+///               items with about equal claim counts, cut once when the
+///               store is grouped. A store under kItemBlockClaims claims,
+///               or grouped at run width 1, is one block.
+///
+/// An item touches only its own slots and supporters, so blocks run
+/// concurrently and each writes disjoint state; no floating-point sum
+/// crosses a block boundary, which keeps results bit-identical at every
+/// width.
 struct ConflictStore {
   /// Data item keys, in DataItems() order.
   std::vector<uint64_t> keys;
@@ -133,24 +150,43 @@ struct ConflictStore {
   std::vector<SourceId> supporters;
   /// Claims per SourceId (exact integer counts held as doubles).
   std::vector<double> claim_counts;
+  /// num_sources + 1 offsets into `source_slots`.
+  std::vector<uint32_t> source_offsets;
+  /// The slots every source supports, source by source, each ascending.
+  std::vector<uint32_t> source_slots;
+  /// num_blocks() + 1 item indices, from 0 to num_items(), increasing.
+  std::vector<uint32_t> item_blocks;
   /// The storage dictionary `slot_ids` index; it outlives the store.
   const ValueDict* dict = nullptr;
 
   size_t num_items() const { return keys.size(); }
   size_t num_slots() const { return slot_ids.size(); }
+  size_t num_blocks() const { return item_blocks.size() - 1; }
   size_t first_slot(size_t item) const { return item_offsets[item]; }
   size_t end_slot(size_t item) const { return item_offsets[item + 1]; }
   std::span<const SourceId> SupportersOf(size_t slot) const {
     return {supporters.data() + slot_offsets[slot],
             supporters.data() + slot_offsets[slot + 1]};
   }
+  /// The slots `source` supports, ascending.
+  std::span<const uint32_t> SlotsOf(size_t source) const {
+    return {source_slots.data() + source_offsets[source],
+            source_slots.data() + source_offsets[source + 1]};
+  }
   /// The slot's value, materialized from the dictionary.
   Value ValueOf(size_t slot) const { return dict->ValueAt(slot_ids[slot]); }
 };
 
+/// Claims per item block, about: the grain below which a run's phases stay
+/// serial because fanning out would cost more than it saves.
+inline constexpr size_t kItemBlockClaims = size_t{1} << 15;
+
 /// Groups the dataset's claims by data item into one ConflictStore, with
 /// values sorted (total order on Value) so that downstream tie-breaking is
-/// deterministic. The store's arrays grow amortized, never per item.
+/// deterministic. Cuts the item blocks at the run width (CurrentRunWidth)
+/// and groups them concurrently into block-local slot arrays, which are
+/// then concatenated in block order; the result is the same at every
+/// width but for `item_blocks`.
 ///
 /// The sort reads the storage columns only: each claim becomes one uint64,
 /// `(value rank << 32) | source`, and there are no Value copies or string
@@ -158,6 +194,15 @@ struct ConflictStore {
 /// contract: distinct values have distinct ranks in Value order, and equal
 /// values share one dictionary id.
 ConflictStore GroupClaimsByItem(const DatasetLike& data);
+
+/// Runs `body(b)` for every item block b of `store`: in parallel at the run
+/// width when there is more than one block, inline otherwise.
+void ForEachItemBlock(const ConflictStore& store,
+                      const std::function<void(size_t block)>& body);
+
+/// ParallelFor options for a loop over `store`'s sources or blocks: the
+/// run width for a store of several blocks, else serial.
+ParallelForOptions StoreLoopOptions(const ConflictStore& store);
 
 /// The slot of `item` with the highest score in `scores` (indexed by slot);
 /// a tie goes to the lowest slot, i.e. the smallest value.
@@ -173,12 +218,18 @@ double ScoreShare(const ConflictStore& store, size_t item, size_t slot,
 void RecordPrediction(const ConflictStore& store, size_t item, size_t slot,
                       double confidence, TruthDiscoveryResult& result);
 
+/// Reserves the result's prediction and confidence maps for every item of
+/// `store`, so the serial recording pass never rehashes.
+void ReservePredictions(const ConflictStore& store,
+                        TruthDiscoveryResult& result);
+
 /// Elects every item's highest-scoring slot (ElectSlot) and records it with
 /// `confidence(item, slot)`, items in store order.
 template <typename Confidence>
 void RecordElection(const ConflictStore& store,
                     const std::vector<double>& scores,
                     TruthDiscoveryResult& result, Confidence confidence) {
+  ReservePredictions(store, result);
   for (size_t item = 0; item < store.num_items(); ++item) {
     const size_t slot = ElectSlot(store, item, scores);
     RecordPrediction(store, item, slot, confidence(item, slot), result);
@@ -200,7 +251,9 @@ struct PairTable {
 
 /// Builds a PairTable with entry (w, v) = `entry(value w, value v)` for
 /// every w != v, materializing each item's values once. With `symmetric`,
-/// `entry` is called for w < v only and mirrored into (v, w).
+/// `entry` is called for w < v only and mirrored into (v, w). Item blocks
+/// fill concurrently, so `entry` must be safe to call from several
+/// threads at once.
 PairTable BuildPairTable(
     const ConflictStore& store, bool symmetric,
     const std::function<double(const Value&, const Value&)>& entry);
@@ -257,11 +310,13 @@ void Iterate(const TruthDiscoveryOptions& options, const RunGuard& guard,
 
 /// per_slot[v] = the sum of per_source[s] over slot v's supporters, added
 /// from 0.0 in ascending source order. `per_slot` has num_slots() entries.
+/// Item blocks run in parallel.
 void SlotSums(const ConflictStore& store, const std::vector<double>& per_source,
               std::vector<double>& per_slot);
 
 /// per_source[s] = the sum of per_slot[v] over the slots s supports, added
-/// from 0.0 in store order; 0.0 for a source with no claims.
+/// from 0.0 in ascending slot order (store order); 0.0 for a source with no
+/// claims. Reads the source-major index, so sources run in parallel.
 void SourceSums(const ConflictStore& store, const std::vector<double>& per_slot,
                 std::vector<double>& per_source);
 

@@ -43,23 +43,26 @@ Result<TruthDiscoveryResult> TruthFinder::DiscoverGuarded(
 
     // Value confidence scores.
     td_internal::SlotSums(store, tau, sigma);
-    for (size_t it = 0; it < store.num_items(); ++it) {
-      const size_t first = store.first_slot(it);
-      const size_t n = store.end_slot(it) - first;
-      for (size_t v = 0; v < n; ++v) {
-        double adjusted = sigma[first + v];
-        if (implied) {
-          const double* imp = implication.Block(it);
-          double extra = 0.0;
-          for (size_t w = 0; w < n; ++w) {
-            if (w == v) continue;
-            extra += imp[w * n + v] * sigma[first + w];
+    td_internal::ForEachItemBlock(store, [&](size_t b) {
+      for (size_t it = store.item_blocks[b]; it < store.item_blocks[b + 1];
+           ++it) {
+        const size_t first = store.first_slot(it);
+        const size_t n = store.end_slot(it) - first;
+        for (size_t v = 0; v < n; ++v) {
+          double adjusted = sigma[first + v];
+          if (implied) {
+            const double* imp = implication.Block(it);
+            double extra = 0.0;
+            for (size_t w = 0; w < n; ++w) {
+              if (w == v) continue;
+              extra += imp[w * n + v] * sigma[first + w];
+            }
+            adjusted = sigma[first + v] + options_.implication_weight * extra;
           }
-          adjusted = sigma[first + v] + options_.implication_weight * extra;
+          conf[first + v] = Logistic(options_.dampening * adjusted);
         }
-        conf[first + v] = Logistic(options_.dampening * adjusted);
       }
-    }
+    });
 
     // New trust: mean confidence of the values each source claims.
     td_internal::SourceSums(store, conf, new_trust);

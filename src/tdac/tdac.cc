@@ -129,6 +129,9 @@ Result<TdacReport> Tdac::RunPass(const DatasetLike& data,
   if (data.num_claims() == 0) {
     return Status::InvalidArgument(name_ + ": empty dataset");
   }
+  // The pass's width: the reference run's blocks use it, and each group
+  // run inherits the width of the groups loop.
+  const RunWidthScope width(options_.threads);
   // The axis decides only what is clustered (attributes or objects), their
   // truth vectors, and how a group restricts the data; the rest of the pass
   // is the same code for TD-AC and TD-OC.
@@ -243,7 +246,7 @@ Result<TdacReport> Tdac::RunPass(const DatasetLike& data,
   }
 
   ParallelForOptions par;
-  par.max_parallelism = EffectiveThreadCount(options_.threads);
+  par.max_parallelism = CurrentRunWidth();
   par.guard = &guard;
 
   // The one distance matrix of the pass: the silhouette at every k and the

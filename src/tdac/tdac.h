@@ -52,12 +52,15 @@ struct TdacOptions {
   bool sparse_aware = false;
 
   /// Parallel-computation extension (paper conclusion, perspective (ii)):
-  /// the distance matrix rows, the k sweep, and the per-group base runs
-  /// fan out over the shared thread pool. 0 means the process default
+  /// the distance matrix rows, the k sweep, the per-group base runs and
+  /// the base runs' own item blocks fan out over the shared thread pool.
+  /// This is the pass's run width (RunWidthScope): the reference run takes
+  /// it, and each group run the width of the groups loop. 0 keeps the
+  /// caller's width, which outside any scope is the process default
   /// (`TDAC_THREADS` env override, else hardware concurrency); 1 forces
   /// the exact serial path. Results are bit-identical at every thread
   /// count: each parallel unit is seeded independently and reduced in
-  /// deterministic (k / group) order.
+  /// deterministic (k / group / block) order.
   int threads = 0;
 
   /// Sweep bounds; the paper sweeps k in [2, |A| - 1]. max_k <= 0 means

@@ -26,10 +26,11 @@ struct TdocOptions {
   int min_k = 2;
   int max_k = 8;
 
-  /// Threads for the pass (TdacOptions::threads): 0 means the process
-  /// default (`TDAC_THREADS` env override, else hardware concurrency); 1
-  /// forces the exact serial path. Results are bit-identical at every
-  /// thread count.
+  /// Threads for the pass (TdacOptions::threads), its base runs included:
+  /// 0 keeps the caller's run width, which outside any RunWidthScope is
+  /// the process default (`TDAC_THREADS` env override, else hardware
+  /// concurrency); 1 forces the exact serial path. Results are
+  /// bit-identical at every thread count.
   int threads = 0;
 
   /// Durable checkpoint/resume (docs/checkpointing.md). Not owned; null

@@ -257,6 +257,31 @@ TEST(CliTest, ThreadFlagsReachTheLoadAndTdoc) {
   EXPECT_EQ(ReadAll(threaded), ReadAll(serial));
 }
 
+// A base-only run reads --threads too: at --threads=4 its store, above the
+// item-block grain, runs its phases over blocks on the pool, and every
+// output byte matches --serial.
+TEST(CliTest, BaseRunWritesTheSameBytesAtEveryWidth) {
+  testutil::ScratchDir scratch;
+  const std::string claims = scratch.path() + "/claims.csv";
+  ASSERT_EQ(RunCli("generate --dataset=ds2 --objects=2000 --out-claims=" +
+                   claims + " --out-truth=" + scratch.path() + "/truth.csv"),
+            0);
+  const std::string run = "run --claims=" + claims + " --algorithm=Accu";
+  const std::string out = " --out=" + scratch.path() + "/";
+  const std::string trust = " --trust-out=" + scratch.path() + "/";
+  ASSERT_EQ(RunCli(run + " --serial" + out + "serial.csv" + trust +
+                   "serial_trust.csv"),
+            0);
+  ASSERT_EQ(RunCli(run + " --threads=4" + out + "threaded.csv" + trust +
+                   "threaded_trust.csv"),
+            0);
+  const std::string serial = ReadAll(scratch.path() + "/serial.csv");
+  EXPECT_FALSE(serial.empty());
+  EXPECT_TRUE(ReadAll(scratch.path() + "/threaded.csv") == serial);
+  EXPECT_EQ(ReadAll(scratch.path() + "/threaded_trust.csv"),
+            ReadAll(scratch.path() + "/serial_trust.csv"));
+}
+
 TEST(CliTest, DirectoryAsClaimFileIsAnIoError) {
   testutil::ScratchDir scratch;
   std::string err;

@@ -372,6 +372,22 @@ TEST(IngestionErrorsTest, EarlierOfTwoBadRowsInDifferentChunksIsNamed) {
   }
 }
 
+// A built store keeps no slack in its claim columns, whether its load was
+// one chunk or four merged chunks: the columns grow by doubling while
+// claims are appended, and a frozen store never grows again.
+TEST(DatasetIoTest, BuiltClaimColumnsKeepNoSlack) {
+  const std::string csv = ClaimLines(5000, {});
+  for (size_t chunks : {1, 4}) {
+    auto r = dataset_io_internal::DatasetFromCsvInChunks(csv, chunks, 4);
+    ASSERT_TRUE(r.ok()) << r.status();
+    ASSERT_EQ(r->num_claims(), 5000u);
+    EXPECT_EQ(r->claim_sources().capacity(), 5000u) << chunks;
+    EXPECT_EQ(r->claim_objects().capacity(), 5000u) << chunks;
+    EXPECT_EQ(r->claim_attributes().capacity(), 5000u) << chunks;
+    EXPECT_EQ(r->claim_value_ids().capacity(), 5000u) << chunks;
+  }
+}
+
 TEST(IngestionErrorsTest, DuplicateTruthRowIsRefused) {
   Dataset d = SmallDataset();
   const std::string csv =

@@ -1,5 +1,6 @@
-// Locks down the parallel execution layer's central promise: TD-AC and
-// partition scoring produce *bit-identical* output at every thread count.
+// Locks down the parallel execution layer's central promise: TD-AC,
+// partition scoring and the base algorithms' own item blocks produce
+// *bit-identical* output at every thread count.
 // Every comparison below is exact (EXPECT_EQ on doubles, not NEAR) — the
 // parallel paths seed per-task RNGs independently of scheduling and reduce
 // in deterministic order, so nothing may drift.
@@ -11,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/parallel.h"
 #include "common/thread_pool.h"
 #include "gen/synthetic.h"
 #include "partition/attribute_partition.h"
@@ -19,6 +21,8 @@
 #include "partition/group_runner.h"
 #include "td/accu.h"
 #include "td/majority_vote.h"
+#include "td/registry.h"
+#include "td/truth_discovery.h"
 #include "tdac/tdac.h"
 
 namespace tdac {
@@ -79,6 +83,65 @@ void ExpectTdacInvariant(TdacOptions options, const Dataset& data,
     EXPECT_EQ(serial->silhouette, parallel->silhouette) << at;
     EXPECT_EQ(serial->silhouette_by_k, parallel->silhouette_by_k) << at;
     ExpectIdenticalResults(serial->result, parallel->result, at);
+  }
+}
+
+// DS2 at 2,000 objects: 120k claims, several kItemBlockClaims grains, so
+// a base run at width > 1 cuts its store into item blocks and runs its
+// phases over them. Every golden input is one block; this one is not.
+const Dataset& AboveGrainData() {
+  static const Dataset data = [] {
+    auto config = PaperSyntheticConfig(2, 42);
+    EXPECT_TRUE(config.ok());
+    config->num_objects = 2000;
+    auto generated = GenerateSynthetic(*config);
+    EXPECT_TRUE(generated.ok());
+    return std::move(generated->dataset);
+  }();
+  return data;
+}
+
+TEST(ParallelDeterminismTest, BaseRunsAboveTheGrainAreByteIdentical) {
+  const Dataset& data = AboveGrainData();
+  ASSERT_GE(data.num_claims(), 3 * td_internal::kItemBlockClaims);
+  for (const std::string& name : RegisteredAlgorithms()) {
+    auto algorithm = MakeAlgorithm(name);
+    ASSERT_TRUE(algorithm.ok()) << name;
+    std::string serial;
+    for (int width : ThreadCounts()) {
+      const RunWidthScope scope(width);
+      auto result = (*algorithm)->Discover(data);
+      ASSERT_TRUE(result.ok()) << name << ": " << result.status();
+      const std::string bytes = SerializeTruthDiscoveryResult(*result);
+      if (width == 1) {
+        serial = bytes;
+      } else {
+        EXPECT_TRUE(bytes == serial)
+            << name << " differs at width " << width;
+      }
+    }
+  }
+}
+
+TEST(ParallelDeterminismTest, TdacAboveTheGrainIsByteIdentical) {
+  const Dataset& data = AboveGrainData();
+  Accu base;
+  TdacOptions options;
+  options.base = &base;
+  std::string serial;
+  AttributePartition serial_partition;
+  for (int threads : ThreadCounts()) {
+    options.threads = threads;
+    auto report = Tdac(options).DiscoverWithReport(data);
+    ASSERT_TRUE(report.ok()) << report.status();
+    const std::string bytes = SerializeTruthDiscoveryResult(report->result);
+    if (threads == 1) {
+      serial = bytes;
+      serial_partition = report->partition;
+    } else {
+      EXPECT_EQ(report->partition, serial_partition) << threads;
+      EXPECT_TRUE(bytes == serial) << "TD-AC differs at threads=" << threads;
+    }
   }
 }
 

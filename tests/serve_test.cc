@@ -312,6 +312,37 @@ TEST_F(ServeEngineTest, TdacModeRunsAndCachesSeparatelyFromBase) {
   EXPECT_EQ(engine.stats().executions, 2u);
 }
 
+// threads= is the width of a base execution too: on a store above the
+// item-block grain, Accu's phases run over blocks at threads=4, and the
+// answer is the serial one.
+TEST_F(ServeEngineTest, BaseRequestAnswersAlikeAtEveryWidth) {
+  auto config = PaperSyntheticConfig(2, /*seed=*/42);
+  ASSERT_TRUE(config.ok()) << config.status();
+  config->num_objects = 2000;
+  auto data = GenerateSynthetic(*config);
+  ASSERT_TRUE(data.ok()) << data.status();
+  const std::string tall = scratch_.path() + "/tall.csv";
+  ASSERT_TRUE(SaveDataset(data->dataset, tall).ok());
+
+  ServeEngine engine(ServeOptions{});
+  std::vector<ServeResponse> answers;
+  for (int threads : {1, 4}) {
+    ServeRequest request = Request("width");
+    request.claims_path = tall;
+    request.no_cache = true;
+    request.threads = threads;
+    const ServeResponse response = engine.ExecuteBlocking(request);
+    ASSERT_EQ(response.outcome, ServeResponse::Outcome::kOk)
+        << FormatResponseLine(response);
+    EXPECT_EQ(response.items, data->dataset.DataItems().size());
+    EXPECT_FALSE(response.cached);
+    answers.push_back(response);
+  }
+  EXPECT_EQ(answers[0].stop_reason, answers[1].stop_reason);
+  EXPECT_EQ(answers[0].items, answers[1].items);
+  EXPECT_EQ(answers[0].iterations, answers[1].iterations);
+}
+
 TEST_F(ServeEngineTest, MissingFileYieldsErrorNotCrash) {
   ServeEngine engine(ServeOptions{});
   ServeRequest request = Request("bad");

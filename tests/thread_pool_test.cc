@@ -4,11 +4,13 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdlib>
+#include <fstream>
 #include <future>
 #include <mutex>
 #include <numeric>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -17,6 +19,9 @@
 #include "common/parallel.h"
 #include "common/result.h"
 #include "common/status.h"
+#include "gen/synthetic.h"
+#include "td/accu.h"
+#include "td/truth_discovery.h"
 
 namespace tdac {
 namespace {
@@ -314,6 +319,86 @@ TEST(ParallelForTest, UsesGlobalPoolByDefault) {
   });
   EXPECT_GE(seen.size(), 1u);
   EXPECT_LE(seen.size(), static_cast<size_t>(ThreadPool::Global().num_threads()));
+}
+
+TEST(ParallelForTest, RunWidthScopesNestAndRestore) {
+  const int outside = CurrentRunWidth();
+  EXPECT_EQ(outside, ThreadPool::DefaultThreadCount());
+  {
+    const RunWidthScope three(3);
+    EXPECT_EQ(CurrentRunWidth(), 3);
+    {
+      const RunWidthScope keep(0);  // 0 keeps the caller's width
+      EXPECT_EQ(CurrentRunWidth(), 3);
+      const RunWidthScope huge(ThreadPool::kMaxThreads + 9);
+      EXPECT_EQ(CurrentRunWidth(), ThreadPool::kMaxThreads);
+    }
+    EXPECT_EQ(CurrentRunWidth(), 3);
+  }
+  EXPECT_EQ(CurrentRunWidth(), outside);
+}
+
+// A body runs at its loop's width, so a loop it starts with the default
+// options is no wider than the loop around it, on any pool.
+TEST(ParallelForTest, NestedLoopRunsNoWiderThanItsParent) {
+  ThreadPool pool(8);
+  ParallelForOptions outer;
+  outer.pool = &pool;
+  outer.max_parallelism = 2;
+  ParallelForOptions inner;
+  inner.pool = &pool;
+  std::mutex mutex;
+  std::vector<std::set<std::thread::id>> seen(4);
+  std::vector<int> widths(4, 0);
+  ParallelFor(
+      seen.size(),
+      [&](size_t i) {
+        widths[i] = CurrentRunWidth();
+        ParallelFor(
+            64,
+            [&](size_t) {
+              std::this_thread::sleep_for(std::chrono::microseconds(200));
+              std::lock_guard<std::mutex> lock(mutex);
+              seen[i].insert(std::this_thread::get_id());
+            },
+            inner);
+      },
+      outer);
+  for (size_t i = 0; i < seen.size(); ++i) {
+    EXPECT_EQ(widths[i], 2) << i;
+    EXPECT_GE(seen[i].size(), 1u) << i;
+    EXPECT_LE(seen[i].size(), 2u) << i;
+  }
+}
+
+// This process's thread count, from /proc/self/status; -1 if unreadable.
+int ProcessThreads() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("Threads:", 0) == 0) return std::stoi(line.substr(8));
+  }
+  return -1;
+}
+
+// A width-1 run starts no thread: every loop runs inline, so the global
+// pool is never built. The death-test child is a fresh process, where
+// nothing has built the pool yet.
+TEST(ParallelForDeathTest, WidthOneRunNeverStartsTheGlobalPool) {
+  if (ProcessThreads() < 0) GTEST_SKIP() << "no /proc/self/status";
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(
+      {
+        const int before = ProcessThreads();
+        const RunWidthScope width(1);
+        auto config = PaperSyntheticConfig(2, 42);
+        config->num_objects = 2000;  // several item-block grains
+        auto data = GenerateSynthetic(*config);
+        const bool ran = data.ok() && Accu().Discover(data->dataset).ok();
+        ParallelFor(64, [](size_t) {});
+        std::_Exit(ran && ProcessThreads() == before ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0), "");
 }
 
 TEST(ParallelForTest, EffectiveThreadCountResolution) {

@@ -1,12 +1,18 @@
 #include "td/truth_discovery.h"
 
 #include <atomic>
+#include <cmath>
 #include <cstdlib>
 #include <new>
+#include <string>
 
 #include <gtest/gtest.h>
 
+#include "common/parallel.h"
+#include "common/random.h"
+#include "data/dataset_builder.h"
 #include "gen/scenario.h"
+#include "gen/synthetic.h"
 #include "td/registry.h"
 #include "test_util.h"
 
@@ -133,6 +139,148 @@ TEST(GroupClaimsByItemTest, ItemsFollowDataItemOrder) {
   ASSERT_EQ(store.num_items(), 3u);
   for (size_t i = 1; i < store.num_items(); ++i) {
     EXPECT_LT(store.keys[i - 1], store.keys[i]);
+  }
+}
+
+// A seeded store of `objects` x 3 attributes over sources s1..s7 that
+// claim each item with probability 0.6, from a domain of three values, so
+// items have one to three slots. One more object is claimed by s1 alone
+// (a one-claim item per attribute), and source "idle" claims nothing.
+Dataset SeededData(uint64_t seed, int objects) {
+  Rng rng(seed);
+  DatasetBuilder builder;
+  builder.AddSource("idle");
+  for (int o = 0; o < objects; ++o) {
+    for (int a = 0; a < 3; ++a) {
+      for (int s = 1; s <= 7; ++s) {
+        if (!rng.NextBernoulli(0.6)) continue;
+        EXPECT_TRUE(builder
+                        .AddClaim("s" + std::to_string(s),
+                                  "o" + std::to_string(o),
+                                  "a" + std::to_string(a),
+                                  Value(rng.NextInt(0, 2)))
+                        .ok());
+      }
+    }
+  }
+  for (int a = 0; a < 3; ++a) {
+    EXPECT_TRUE(
+        builder.AddClaim("s1", "solo", "a" + std::to_string(a), Value(1.5))
+            .ok());
+  }
+  auto built = builder.Build();
+  EXPECT_TRUE(built.ok()) << built.status();
+  return built.MoveValue();
+}
+
+// The slot-major scatter SourceSums replaced: from 0.0, per_slot[v] added
+// to each supporter's sum for every slot v, front to back.
+std::vector<double> ScatterSums(const ConflictStore& store,
+                                const std::vector<double>& per_slot) {
+  std::vector<double> per_source(store.claim_counts.size(), 0.0);
+  for (size_t v = 0; v < store.num_slots(); ++v) {
+    for (SourceId s : store.SupportersOf(v)) {
+      per_source[static_cast<size_t>(s)] += per_slot[v];
+    }
+  }
+  return per_source;
+}
+
+// Per-source sums over the source-major index add each source's slots in
+// ascending order, the order the scatter adds them in, so they match it
+// bit for bit. Slot values span nine orders of magnitude, where any other
+// order rounds differently. Stores grouped at width 4 hold several item
+// blocks; their index is filled block by block.
+TEST(SourceSumsTest, SourceMajorSumsMatchTheSlotMajorScatterBitForBit) {
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    const Dataset d = SeededData(seed, seed % 2 == 0 ? 6000 : 40);
+    for (int width : {1, 4}) {
+      const RunWidthScope scope(width);
+      const ConflictStore store = GroupClaimsByItem(d);
+      const std::string at =
+          "seed " + std::to_string(seed) + " width " + std::to_string(width);
+      ASSERT_EQ(store.claim_counts[0], 0.0) << at;  // "idle"
+      Rng rng(seed * 31);
+      std::vector<double> per_slot(store.num_slots());
+      for (double& x : per_slot) {
+        x = rng.NextDouble() * std::pow(10.0, rng.NextInt(-4, 4));
+      }
+      std::vector<double> sums(store.claim_counts.size(), -1.0);
+      td_internal::SourceSums(store, per_slot, sums);
+      const std::vector<double> expected = ScatterSums(store, per_slot);
+      for (size_t s = 0; s < sums.size(); ++s) {
+        EXPECT_EQ(sums[s], expected[s]) << at << " source " << s;
+      }
+      for (size_t s = 0; s < sums.size(); ++s) {
+        EXPECT_EQ(store.SlotsOf(s).size(),
+                  static_cast<size_t>(store.claim_counts[s]))
+            << at << " source " << s;
+      }
+    }
+  }
+}
+
+// DS2 at 2,000 objects: 120k claims, several kItemBlockClaims grains.
+const Dataset& AboveGrainData() {
+  static const Dataset data = [] {
+    auto config = PaperSyntheticConfig(2, 42);
+    EXPECT_TRUE(config.ok());
+    config->num_objects = 2000;
+    auto generated = GenerateSynthetic(*config);
+    EXPECT_TRUE(generated.ok());
+    return std::move(generated->dataset);
+  }();
+  return data;
+}
+
+// The item blocks partition the items into nonempty runs, in order, of
+// about equal claim counts; the store is the serial one in every other
+// array, whatever the width it was grouped at.
+TEST(ItemBlocksTest, BlocksCoverEveryItemOnceInOrder) {
+  const Dataset& d = AboveGrainData();
+  ASSERT_GE(d.num_claims(), 3 * td_internal::kItemBlockClaims);
+  ConflictStore serial;
+  {
+    const RunWidthScope scope(1);
+    serial = GroupClaimsByItem(d);
+  }
+  EXPECT_EQ(serial.item_blocks,
+            (std::vector<uint32_t>{0, static_cast<uint32_t>(
+                                          serial.num_items())}));
+  size_t widest_item = 0;
+  for (size_t it = 0; it < serial.num_items(); ++it) {
+    widest_item = std::max<size_t>(
+        widest_item, serial.slot_offsets[serial.end_slot(it)] -
+                         serial.slot_offsets[serial.first_slot(it)]);
+  }
+  for (int width : {2, 4}) {
+    const RunWidthScope scope(width);
+    const ConflictStore store = GroupClaimsByItem(d);
+    const std::string at = "width " + std::to_string(width);
+    const std::vector<uint32_t>& blocks = store.item_blocks;
+    ASSERT_EQ(store.num_blocks(), d.num_claims() / td_internal::kItemBlockClaims)
+        << at;
+    EXPECT_EQ(blocks.front(), 0u) << at;
+    EXPECT_EQ(blocks.back(), store.num_items()) << at;
+    const double share = static_cast<double>(d.num_claims()) /
+                         static_cast<double>(store.num_blocks());
+    for (size_t b = 0; b < store.num_blocks(); ++b) {
+      EXPECT_LT(blocks[b], blocks[b + 1]) << at << " block " << b;
+      const double claims =
+          store.slot_offsets[store.first_slot(blocks[b + 1])] -
+          store.slot_offsets[store.first_slot(blocks[b])];
+      EXPECT_LE(std::fabs(claims - share),
+                static_cast<double>(widest_item) + 1.0)
+          << at << " block " << b;
+    }
+    EXPECT_EQ(store.keys, serial.keys) << at;
+    EXPECT_EQ(store.item_offsets, serial.item_offsets) << at;
+    EXPECT_EQ(store.slot_ids, serial.slot_ids) << at;
+    EXPECT_EQ(store.slot_offsets, serial.slot_offsets) << at;
+    EXPECT_EQ(store.supporters, serial.supporters) << at;
+    EXPECT_EQ(store.claim_counts, serial.claim_counts) << at;
+    EXPECT_EQ(store.source_offsets, serial.source_offsets) << at;
+    EXPECT_EQ(store.source_slots, serial.source_slots) << at;
   }
 }
 

@@ -15,8 +15,9 @@
 //       [--checkpoint-dir=DIR --checkpoint-interval-ms=N --resume]
 //
 // --threads=N and --serial (= --threads=1) set one thread count for the
-// claim load and the run. Each command, and each run mode, reads a fixed
-// set of flags; any other flag is a usage error that names it.
+// claim load and the run, the base algorithm's own phases included. Each
+// command, and each run mode, reads a fixed set of flags; any other flag
+// is a usage error that names it.
 //
 // Exit codes: 0 clean run, 1 error, 2 usage, 3 degraded (the run hit the
 // deadline / iteration budget or was stopped by SIGINT/SIGTERM; outputs
@@ -36,6 +37,7 @@
 
 #include "common/checkpoint.h"
 #include "common/io.h"
+#include "common/parallel.h"
 #include "common/run_guard.h"
 #include "common/string_util.h"
 #include "common/timer.h"
@@ -266,6 +268,9 @@ int CmdRun(const Flags& flags) {
   }
   RejectUnread(flags, mode.empty() ? "run" : "run --" + mode, reads);
   const int threads = ThreadCount(flags);
+  // Every loop of the run, down to the base algorithm's blocks, runs at
+  // this width (TD-AC and the partition searches also get it explicitly).
+  const tdac::RunWidthScope width(threads);
 
   auto dataset = tdac::LoadDataset(claims_path, threads);
   if (!dataset.ok()) Die(dataset.status());
