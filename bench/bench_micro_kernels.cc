@@ -306,10 +306,17 @@ void BM_SoaGroupClaimsWide(benchmark::State& state) {
 BENCHMARK(BM_SoaGroupClaimsTall);
 BENCHMARK(BM_SoaGroupClaimsWide);
 
+// The attribute truth-vector fill as TD-AC runs it: against the reference
+// run's predictions (Accu's, taken once, untimed).
 void BM_SoaTruthVectorsTall(benchmark::State& state) {
   const tdac::GeneratedData& data = TallMillion();
+  static const tdac::TruthDiscoveryResult reference = [&] {
+    auto run = tdac::Accu().Discover(data.dataset);
+    if (!run.ok()) std::abort();
+    return run.MoveValue();
+  }();
   for (auto _ : state) {
-    auto m = tdac::BuildTruthVectors(data.dataset, data.truth);
+    auto m = tdac::BuildTruthVectors(data.dataset, reference.predicted);
     benchmark::DoNotOptimize(m);
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *

@@ -39,25 +39,28 @@ class ConfidenceWeightedVote : public tdac::TruthDiscovery {
     result.iterations = 1;
     result.converged = true;
     result.source_trust = first.source_trust;
-    for (uint64_t key : data.DataItems()) {
-      tdac::ObjectId o = tdac::ObjectFromKey(key);
-      tdac::AttributeId a = tdac::AttributeFromKey(key);
-      std::vector<tdac::Value> values;
+    // Claims are read from the storage columns: a claim's value is a
+    // dictionary id, and equal ids are equal values.
+    const tdac::Dataset& storage = data.storage();
+    const std::vector<uint64_t>& items = data.DataItems();
+    for (size_t row = 0; row < items.size(); ++row) {
+      std::vector<tdac::ValueId> values;
       std::vector<double> weights;
-      for (int32_t idx : data.ClaimsOn(o, a)) {
-        const tdac::Claim& c = data.claim(static_cast<size_t>(idx));
-        double w =
-            0.05 + result.source_trust[static_cast<size_t>(c.source)];
+      for (int32_t idx : data.ClaimsAt(row)) {
+        const auto i = static_cast<size_t>(idx);
+        const tdac::ValueId value = storage.claim_value_ids()[i];
+        double w = 0.05 + result.source_trust[static_cast<size_t>(
+                              storage.claim_sources()[i])];
         bool merged = false;
         for (size_t v = 0; v < values.size(); ++v) {
-          if (values[v] == c.value) {
+          if (values[v] == value) {
             weights[v] += w;
             merged = true;
             break;
           }
         }
         if (!merged) {
-          values.push_back(c.value);
+          values.push_back(value);
           weights.push_back(w);
         }
       }
@@ -67,8 +70,9 @@ class ConfidenceWeightedVote : public tdac::TruthDiscovery {
         total += weights[v];
         if (weights[v] > weights[best]) best = v;
       }
-      result.predicted.Set(o, a, values[best]);
-      result.confidence[key] = total > 0 ? weights[best] / total : 0.0;
+      // Items are recorded in DataItems() order, keys ascending.
+      result.predicted.Add(items[row], values[best],
+                           total > 0 ? weights[best] / total : 0.0);
     }
     return result;
   }

@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <iostream>
+#include <optional>
 
 #include "data/dataset_builder.h"
 #include "td/truth_finder.h"
@@ -79,8 +80,10 @@ int main() {
   for (uint64_t key : dataset->DataItems()) {
     tdac::ObjectId o = tdac::ObjectFromKey(key);
     tdac::AttributeId a = tdac::AttributeFromKey(key);
-    const tdac::Value* base_v = base_result->predicted.Get(o, a);
-    const tdac::Value* tdac_v = report->result.predicted.Get(o, a);
+    const std::optional<tdac::Value> base_v =
+        base_result->predicted.Get(o, a, *dataset);
+    const std::optional<tdac::Value> tdac_v =
+        report->result.predicted.Get(o, a, *dataset);
     std::cout << "  " << dataset->object_name(o) << "/"
               << dataset->attribute_name(a) << ": "
               << (base_v ? base_v->ToString() : "?") << "  |  "

@@ -47,10 +47,10 @@ size_t ClosingQuote(std::string_view text, size_t open) {
 
 }  // namespace
 
-void CsvWriter::WriteRow(const std::vector<std::string>& fields) {
+void CsvWriter::WriteRow(std::span<const std::string_view> fields) {
   for (size_t i = 0; i < fields.size(); ++i) {
     if (i > 0) buffer_ += delimiter_;
-    const std::string& f = fields[i];
+    const std::string_view f = fields[i];
     if (NeedsQuoting(f, delimiter_)) {
       buffer_ += '"';
       for (char c : f) {

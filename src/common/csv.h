@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <functional>
+#include <initializer_list>
 #include <span>
 #include <string>
 #include <string_view>
@@ -22,8 +23,12 @@ class CsvWriter {
  public:
   explicit CsvWriter(char delimiter = ',') : delimiter_(delimiter) {}
 
-  /// Appends one record to the in-memory buffer.
-  void WriteRow(const std::vector<std::string>& fields);
+  /// Appends one record to the in-memory buffer: `fields` in order, each
+  /// quoted when it holds the delimiter, a quote, CR or LF.
+  void WriteRow(std::span<const std::string_view> fields);
+  void WriteRow(std::initializer_list<std::string_view> fields) {
+    WriteRow(std::span<const std::string_view>(fields.begin(), fields.size()));
+  }
 
   /// Returns everything written so far.
   const std::string& contents() const { return buffer_; }

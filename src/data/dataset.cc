@@ -37,9 +37,7 @@ std::span<const int32_t> Dataset::ClaimsOn(ObjectId object,
   const uint64_t key = ObjectAttrKey(object, attribute);
   const auto it = std::lower_bound(items_.begin(), items_.end(), key);
   if (it == items_.end() || *it != key) return {};
-  const auto row = static_cast<size_t>(it - items_.begin());
-  return {item_claims_.begin() + item_offsets_[row],
-          item_claims_.begin() + item_offsets_[row + 1]};
+  return ClaimsAt(static_cast<size_t>(it - items_.begin()));
 }
 
 double Dataset::DataCoverageRate() const {

@@ -107,6 +107,13 @@ class Dataset : public DatasetLike {
   /// in ascending key order (object-major).
   const std::vector<uint64_t>& DataItems() const override { return items_; }
 
+  /// Row `row` of the item index.
+  std::span<const int32_t> ClaimsAt(size_t row) const override {
+    return {item_claims_.begin() + item_offsets_[row],
+            item_claims_.begin() + item_offsets_[row + 1]};
+  }
+  size_t StorageRow(size_t row) const override { return row; }
+
   const Dataset& storage() const override { return *this; }
 
   /// Data Coverage Rate in percent, per the paper's Eq. 7 (Section 4.4):

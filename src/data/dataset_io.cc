@@ -140,18 +140,35 @@ Status LoadClaims(std::string_view text, bool header_first, size_t* line,
       });
 }
 
+/// A writer whose first row is `header`'s comma-separated names.
+CsvWriter WithHeader(std::string_view header) {
+  const std::vector<std::string> names = Split(header, ',');
+  CsvWriter w;
+  w.WriteRow(std::vector<std::string_view>(names.begin(), names.end()));
+  return w;
+}
+
+/// The text of dictionary value `id`: a view of a string payload in place,
+/// else a number rendered into `buffer` (Value::ToString).
+std::string_view ValueText(const ValueDict& dict, ValueId id,
+                           std::string& buffer) {
+  if (dict.kind(id) == Value::Kind::kString) return dict.StringAt(id);
+  buffer = dict.ValueAt(id).ToString();
+  return buffer;
+}
+
 }  // namespace
 
 std::string DatasetToCsv(const Dataset& dataset) {
-  CsvWriter w;
-  w.WriteRow(Split(kClaimHeader, ','));
+  CsvWriter w = WithHeader(kClaimHeader);
   const ValueDict& dict = dataset.value_dict();
+  std::string number;
   for (size_t i = 0; i < dataset.num_claims(); ++i) {
     const ValueId value = dataset.claim_value_ids()[i];
     w.WriteRow({dataset.source_name(dataset.claim_sources()[i]),
                 dataset.object_name(dataset.claim_objects()[i]),
                 dataset.attribute_name(dataset.claim_attributes()[i]),
-                KindName(dict.kind(value)), dict.ValueAt(value).ToString()});
+                KindName(dict.kind(value)), ValueText(dict, value, number)});
   }
   return w.contents();
 }
@@ -235,14 +252,28 @@ Result<Dataset> LoadDataset(const std::string& path, int threads) {
 
 std::string GroundTruthToCsv(const GroundTruth& truth,
                              const Dataset& dataset) {
-  CsvWriter w;
-  w.WriteRow(Split(kTruthHeader, ','));
+  CsvWriter w = WithHeader(kTruthHeader);
   for (uint64_t key : truth.SortedKeys()) {
     ObjectId o = ObjectFromKey(key);
     AttributeId a = AttributeFromKey(key);
     const Value* v = truth.Get(o, a);
     w.WriteRow({dataset.object_name(o), dataset.attribute_name(a),
                 KindName(v->kind()), v->ToString()});
+  }
+  return w.contents();
+}
+
+std::string GroundTruthToCsv(const Predictions& predicted,
+                             const Dataset& dataset) {
+  CsvWriter w = WithHeader(kTruthHeader);
+  const ValueDict& dict = dataset.value_dict();
+  std::string number;
+  for (size_t i = 0; i < predicted.size(); ++i) {
+    const uint64_t key = predicted.keys[i];
+    const ValueId value = predicted.value_ids[i];
+    w.WriteRow({dataset.object_name(ObjectFromKey(key)),
+                dataset.attribute_name(AttributeFromKey(key)),
+                KindName(dict.kind(value)), ValueText(dict, value, number)});
   }
   return w.contents();
 }
@@ -293,10 +324,14 @@ Status SaveGroundTruth(const GroundTruth& truth, const Dataset& dataset,
   return AtomicWriteFile(path, GroundTruthToCsv(truth, dataset));
 }
 
+Status SaveGroundTruth(const Predictions& predicted, const Dataset& dataset,
+                       const std::string& path) {
+  return AtomicWriteFile(path, GroundTruthToCsv(predicted, dataset));
+}
+
 std::string SourceTrustToCsv(const std::vector<double>& trust,
                              const Dataset& dataset) {
-  CsvWriter w;
-  w.WriteRow(Split(kTrustHeader, ','));
+  CsvWriter w = WithHeader(kTrustHeader);
   const size_t n = std::min(trust.size(),
                             static_cast<size_t>(dataset.num_sources()));
   for (size_t s = 0; s < n; ++s) {

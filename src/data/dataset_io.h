@@ -10,6 +10,7 @@
 #include "common/status.h"
 #include "data/dataset.h"
 #include "data/ground_truth.h"
+#include "data/predictions.h"
 
 namespace tdac {
 
@@ -60,6 +61,12 @@ Result<Dataset> LoadDataset(const std::string& path, int threads = 0);
 /// Renders `truth` (with names resolved via `dataset`) as truth-file CSV.
 std::string GroundTruthToCsv(const GroundTruth& truth, const Dataset& dataset);
 
+/// Renders a run's predictions on `dataset` as truth-file CSV: the bytes
+/// GroundTruthToCsv writes for the same values, streamed in key order with
+/// each value read through `dataset`'s dictionary.
+std::string GroundTruthToCsv(const Predictions& predicted,
+                             const Dataset& dataset);
+
 /// Parses truth-file CSV, resolving names against `dataset`. Rows naming
 /// unknown objects/attributes fail with NotFound; a second row for one
 /// (object, attribute) fails with AlreadyExists.
@@ -68,6 +75,9 @@ std::string GroundTruthToCsv(const GroundTruth& truth, const Dataset& dataset);
 
 [[nodiscard]]
 Status SaveGroundTruth(const GroundTruth& truth, const Dataset& dataset,
+                       const std::string& path);
+[[nodiscard]]
+Status SaveGroundTruth(const Predictions& predicted, const Dataset& dataset,
                        const std::string& path);
 [[nodiscard]] Result<GroundTruth> LoadGroundTruth(const std::string& path,
                                                   const Dataset& dataset);

@@ -17,11 +17,11 @@ class Dataset;
 ///
 /// Everything a truth-discovery algorithm consumes goes through this
 /// interface: claim iteration (`claim_ids()` over the `storage()` columns),
-/// the per-item conflict index (`DataItems()` + `ClaimsOn()`), and the
-/// id-space counts. Claim ids are indices into the *storage* dataset's
-/// claim columns, so they are stable across every view of the same storage
-/// and a view's `ClaimsOn` can return a span of the storage's item index
-/// without copying.
+/// the per-item conflict index (`DataItems()` + `ClaimsAt()` by row, or
+/// `ClaimsOn()` by key), and the id-space counts. Claim ids are indices
+/// into the *storage* dataset's claim columns, so they are stable across
+/// every view of the same storage and a view's `ClaimsOn` can return a
+/// span of the storage's item index without copying.
 ///
 /// Id spaces (sources / objects / attributes) are always the storage's:
 /// restricting never renumbers, so predictions computed on a restriction
@@ -55,6 +55,14 @@ class DatasetLike {
   /// Keys (see ObjectAttrKey) of every data item with at least one claim,
   /// in ascending key order (object-major).
   virtual const std::vector<uint64_t>& DataItems() const = 0;
+
+  /// The claims of the data item DataItems()[row]: its ClaimsOn span,
+  /// found without a key search. Loops over DataItems() read claims here.
+  virtual std::span<const int32_t> ClaimsAt(size_t row) const = 0;
+
+  /// The row of DataItems()[row] in the storage's DataItems(): `row`
+  /// itself for a Dataset.
+  virtual size_t StorageRow(size_t row) const = 0;
 
   /// The underlying storage dataset: itself for a `Dataset`, the root
   /// parent for a `DatasetView`. Views of views share one storage.

@@ -18,12 +18,7 @@ DatasetView::DatasetView(const DatasetLike& parent,
     keep_[static_cast<size_t>(a)] = 1;
   }
   FilterClaimIds(parent, storage_->claim_attributes());
-  items_.reserve(parent.DataItems().size());
-  for (uint64_t key : parent.DataItems()) {
-    if (keep_[static_cast<size_t>(AttributeFromKey(key))]) {
-      items_.push_back(key);
-    }
-  }
+  FilterItems(parent);
 }
 
 DatasetView::DatasetView(const DatasetLike& parent, ObjectAxis,
@@ -36,12 +31,7 @@ DatasetView::DatasetView(const DatasetLike& parent, ObjectAxis,
     keep_[static_cast<size_t>(o)] = 1;
   }
   FilterClaimIds(parent, storage_->claim_objects());
-  items_.reserve(parent.DataItems().size());
-  for (uint64_t key : parent.DataItems()) {
-    if (keep_[static_cast<size_t>(ObjectFromKey(key))]) {
-      items_.push_back(key);
-    }
-  }
+  FilterItems(parent);
 }
 
 void DatasetView::FilterClaimIds(const DatasetLike& parent,
@@ -60,6 +50,21 @@ void DatasetView::FilterClaimIds(const DatasetLike& parent,
         keep_[static_cast<size_t>(axis[static_cast<size_t>(id)])]);
   }
   claim_ids_.resize(kept);
+}
+
+void DatasetView::FilterItems(const DatasetLike& parent) {
+  const std::vector<uint64_t>& parent_items = parent.DataItems();
+  items_.reserve(parent_items.size());
+  storage_rows_.reserve(parent_items.size());
+  for (size_t r = 0; r < parent_items.size(); ++r) {
+    const uint64_t key = parent_items[r];
+    const int32_t axis_id =
+        restrict_objects_ ? ObjectFromKey(key) : AttributeFromKey(key);
+    if (keep_[static_cast<size_t>(axis_id)]) {
+      items_.push_back(key);
+      storage_rows_.push_back(static_cast<uint32_t>(parent.StorageRow(r)));
+    }
+  }
 }
 
 std::span<const int32_t> DatasetView::ClaimsOn(ObjectId object,

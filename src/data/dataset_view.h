@@ -63,6 +63,12 @@ class DatasetView final : public DatasetLike {
                                     AttributeId attribute) const override;
   const std::vector<uint64_t>& DataItems() const override { return items_; }
 
+  /// The storage's row of the item: its claims come whole (see above).
+  std::span<const int32_t> ClaimsAt(size_t row) const override {
+    return storage_->ClaimsAt(storage_rows_[row]);
+  }
+  size_t StorageRow(size_t row) const override { return storage_rows_[row]; }
+
   const Dataset& storage() const override { return *storage_; }
 
   /// Materializes the view into an owning `Dataset` — the equivalent of
@@ -75,6 +81,10 @@ class DatasetView final : public DatasetLike {
   void FilterClaimIds(const DatasetLike& parent,
                       const std::vector<int32_t>& axis);
 
+  /// Keeps the parent's items whose id on the restricted axis is kept,
+  /// with their storage rows.
+  void FilterItems(const DatasetLike& parent);
+
   const DatasetLike* parent_;
   const Dataset* storage_;
 
@@ -82,8 +92,9 @@ class DatasetView final : public DatasetLike {
   std::vector<char> keep_;
   bool restrict_objects_ = false;
 
-  std::vector<int32_t> claim_ids_;  // ascending storage claim indices
-  std::vector<uint64_t> items_;     // surviving data items, ascending
+  std::vector<int32_t> claim_ids_;      // ascending storage claim indices
+  std::vector<uint64_t> items_;         // surviving data items, ascending
+  std::vector<uint32_t> storage_rows_;  // items_[r]'s row in the storage
 };
 
 /// \brief A bounded per-parent cache of restriction views, so the repeated

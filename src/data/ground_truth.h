@@ -11,9 +11,10 @@ namespace tdac {
 
 /// \brief The one true value per data item (object, attribute).
 ///
-/// Used in two roles: as the gold standard when evaluating algorithms
-/// (`eval/metrics.h`), and as the *reference truth* produced by a base
-/// algorithm when TD-AC builds attribute truth vectors (paper Eq. 1).
+/// The gold standard when evaluating algorithms (`eval/metrics.h`), an
+/// oracle for partition search, and a truth CSV loaded by name. A run's
+/// own predictions are columnar instead (`data/predictions.h`), since
+/// every value they elect is one of the dataset's.
 class GroundTruth {
  public:
   GroundTruth() = default;
@@ -34,21 +35,6 @@ class GroundTruth {
 
   size_t size() const { return truth_.size(); }
   bool empty() const { return truth_.empty(); }
-
-  /// Makes room for `items` data items without rehashing.
-  void Reserve(size_t items) { truth_.reserve(items); }
-
-  /// Merges `other` into this; on key collisions `other` wins. Used by
-  /// TD-AC to aggregate per-partition predictions.
-  void MergeFrom(const GroundTruth& other) {
-    // Per-key map assignment commutes across distinct keys, and equal keys
-    // always resolve to `other`'s value, so traversal order is immaterial.
-    // lint: unordered-ok (key-wise assignment)
-    for (const auto& [key, value] : other.truth_) truth_[key] = value;
-  }
-
-  /// Keys of all recorded data items, unordered (map iteration order).
-  const std::unordered_map<uint64_t, Value>& items() const { return truth_; }
 
   /// Keys in ascending order (deterministic iteration for tests/IO).
   std::vector<uint64_t> SortedKeys() const;

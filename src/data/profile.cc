@@ -1,6 +1,7 @@
 #include "data/profile.h"
 
 #include <algorithm>
+#include <span>
 
 #include "common/string_util.h"
 #include "common/table_printer.h"
@@ -27,9 +28,8 @@ DatasetProfile ProfileDataset(const Dataset& data) {
   size_t distinct_total = 0;
   const std::vector<int32_t>& value_ids = data.claim_value_ids();
   std::vector<int32_t> item_values;  // one item's value ids, sorted
-  for (uint64_t key : data.DataItems()) {
-    const auto& claim_indices =
-        data.ClaimsOn(ObjectFromKey(key), AttributeFromKey(key));
+  for (size_t row = 0; row < data.DataItems().size(); ++row) {
+    const std::span<const int32_t> claim_indices = data.ClaimsAt(row);
     claims_total += claim_indices.size();
     p.max_claims_per_item = std::max(p.max_claims_per_item,
                                      claim_indices.size());

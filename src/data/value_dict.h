@@ -101,6 +101,11 @@ class ValueDict {
   /// kind mismatch.
   std::string_view StringAt(ValueId id) const;
 
+  /// True when `id` holds a NaN payload, which equals no value.
+  bool IsNaN(ValueId id) const {
+    return IsNaN(entries_[static_cast<size_t>(id)]);
+  }
+
   /// `ValueAt(id).Hash()`, without materializing the value.
   uint64_t Hash(ValueId id) const {
     return entries_[static_cast<size_t>(id)].hash;

@@ -24,23 +24,26 @@ Result<CalibrationReport> EvaluateCalibration(
 
   std::vector<double> conf_sum(static_cast<size_t>(num_bins), 0.0);
   std::vector<double> correct(static_cast<size_t>(num_bins), 0.0);
-  for (uint64_t key : data.DataItems()) {
-    ObjectId o = ObjectFromKey(key);
-    AttributeId a = AttributeFromKey(key);
-    const Value* elected = result.predicted.Get(o, a);
-    const Value* g = gold.Get(o, a);
-    auto conf_it = result.confidence.find(key);
-    if (elected == nullptr || g == nullptr ||
-        conf_it == result.confidence.end()) {
-      continue;
-    }
-    double confidence = Clamp(conf_it->second, 0.0, 1.0);
+  // Predicted items come in key order, as DataItems() does; those of them
+  // the data holds and the gold covers are evaluated.
+  const Predictions& predicted = result.predicted;
+  const std::vector<uint64_t>& items = data.DataItems();
+  size_t row = 0;
+  for (size_t i = 0; i < predicted.size(); ++i) {
+    const uint64_t key = predicted.keys[i];
+    while (row < items.size() && items[row] < key) ++row;
+    if (row == items.size() || items[row] != key) continue;
+    const Value* g = gold.Get(ObjectFromKey(key), AttributeFromKey(key));
+    if (g == nullptr) continue;
+    double confidence = Clamp(predicted.confidences[i], 0.0, 1.0);
     int bin = std::min(num_bins - 1,
                        static_cast<int>(confidence * num_bins));
     auto& cb = report.bins[static_cast<size_t>(bin)];
     ++cb.count;
     conf_sum[static_cast<size_t>(bin)] += confidence;
-    if (*elected == *g) correct[static_cast<size_t>(bin)] += 1.0;
+    if (predicted.ValueAt(i, data) == *g) {
+      correct[static_cast<size_t>(bin)] += 1.0;
+    }
     ++report.items_evaluated;
   }
   if (report.items_evaluated == 0) {

@@ -5,6 +5,7 @@
 
 #include "data/dataset_like.h"
 #include "data/ground_truth.h"
+#include "data/predictions.h"
 
 namespace tdac {
 
@@ -45,6 +46,12 @@ PerformanceMetrics MetricsFromCounts(const ConfusionCounts& counts);
 /// Evaluates `predicted` against `gold` over all claims in `data`.
 PerformanceMetrics Evaluate(const DatasetLike& data,
                             const GroundTruth& predicted,
+                            const GroundTruth& gold);
+
+/// The same for a run's predictions (on `data`'s storage), compared by
+/// value id: the same counts as the GroundTruth form of the same values.
+PerformanceMetrics Evaluate(const DatasetLike& data,
+                            const Predictions& predicted,
                             const GroundTruth& gold);
 
 }  // namespace tdac

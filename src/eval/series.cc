@@ -35,7 +35,7 @@ std::string FigureSeries::ToCsv() const {
   CsvWriter w;
   std::vector<std::string> header{x_label_};
   header.insert(header.end(), series_names.begin(), series_names.end());
-  w.WriteRow(header);
+  w.WriteRow(std::vector<std::string_view>(header.begin(), header.end()));
   for (const std::string& x : xs) {
     std::vector<std::string> row{x};
     for (const std::string& s : series_names) {
@@ -45,7 +45,7 @@ std::string FigureSeries::ToCsv() const {
       }
       row.push_back(cell);
     }
-    w.WriteRow(row);
+    w.WriteRow(std::vector<std::string_view>(row.begin(), row.end()));
   }
   return w.contents();
 }

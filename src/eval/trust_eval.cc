@@ -58,14 +58,14 @@ std::vector<double> EmpiricalSourceAccuracy(const Dataset& data,
   std::vector<double> total(static_cast<size_t>(data.num_sources()), 0.0);
   const std::vector<int32_t>& sources = data.claim_sources();
   const std::vector<int32_t>& value_ids = data.claim_value_ids();
-  for (uint64_t key : data.DataItems()) {
-    const ObjectId o = ObjectFromKey(key);
-    const AttributeId a = AttributeFromKey(key);
-    const Value* g = gold.Get(o, a);
+  const std::vector<uint64_t>& items = data.DataItems();
+  for (size_t row = 0; row < items.size(); ++row) {
+    const Value* g =
+        gold.Get(ObjectFromKey(items[row]), AttributeFromKey(items[row]));
     if (g == nullptr) continue;
     // One dictionary lookup per item; id equality is Value equality.
     const ValueId truth = data.value_dict().Find(*g);
-    for (int32_t idx : data.ClaimsOn(o, a)) {
+    for (int32_t idx : data.ClaimsAt(row)) {
       const auto s = static_cast<size_t>(sources[static_cast<size_t>(idx)]);
       total[s] += 1.0;
       if (value_ids[static_cast<size_t>(idx)] == truth) correct[s] += 1.0;

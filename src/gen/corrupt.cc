@@ -58,7 +58,9 @@ std::string BusiestAttribute(const Rows& rows) {
 
 std::string Render(const Rows& rows) {
   CsvWriter writer;
-  for (const auto& row : rows) writer.WriteRow(row);
+  for (const auto& row : rows) {
+    writer.WriteRow(std::vector<std::string_view>(row.begin(), row.end()));
+  }
   return writer.contents();
 }
 

@@ -50,7 +50,7 @@ Result<const GroupRunner::GroupRun*> GroupRunner::Run(
         restrictions_.Attributes(group);
     const DatasetView& restricted = *view;
     GroupRun& run = entry->run;
-    run.claim_counts.assign(static_cast<size_t>(data_->num_sources()), 0);
+    run.claim_counts = ClaimsPerSource(restricted);
     if (restricted.num_claims() > 0) {
       Result<TruthDiscoveryResult> r = base_->Discover(restricted, *guard_);
       if (!r.ok()) {
@@ -59,18 +59,9 @@ Result<const GroupRunner::GroupRun*> GroupRunner::Run(
       }
       TruthDiscoveryResult& result = r.value();
       run.predicted = std::move(result.predicted);
-      run.confidence = std::move(result.confidence);
       run.trust = std::move(result.source_trust);
       run.stop_reason = result.stop_reason;
       run.converged = result.converged;
-      // Stream the storage's source column instead of dereferencing whole
-      // Claim structs — the source id is the only field this tally needs.
-      const std::vector<int32_t>& sources =
-          restricted.storage().claim_sources();
-      for (int32_t id : restricted.claim_ids()) {
-        ++run.claim_counts[static_cast<size_t>(
-            sources[static_cast<size_t>(id)])];
-      }
     } else {
       run.trust.assign(static_cast<size_t>(data_->num_sources()), 0.0);
     }
@@ -103,9 +94,9 @@ Result<double> GroupRunner::Score(const AttributePartition& partition,
       return Status::InvalidArgument(
           "GroupRunner::Score: Oracle weighting requires a gold truth");
     }
-    GroundTruth merged;
-    for (const GroupRun* run : runs) merged.MergeFrom(run->predicted);
-    return Evaluate(*data_, merged, *oracle).accuracy;
+    std::vector<const Predictions*> predictions;
+    for (const GroupRun* run : runs) predictions.push_back(&run->predicted);
+    return Evaluate(*data_, MergePredictions(predictions), *oracle).accuracy;
   }
 
   // Mean over sources of the collapsed per-group accuracy vector.
@@ -138,40 +129,22 @@ Result<TruthDiscoveryResult> GroupRunner::Aggregate(
   ParallelFor(
       groups.size(), [&](size_t g) { fetched[g] = Run(groups[g]); }, popts);
 
-  TruthDiscoveryResult result;
-  result.iterations = -1;  // search-based algorithms render "-"
-  result.converged = true;
-  const size_t num_sources = static_cast<size_t>(data_->num_sources());
-  std::vector<double> trust_weighted(num_sources, 0.0);
-  std::vector<double> trust_claims(num_sources, 0.0);
-  // Serial reduction in partition order keeps the merge (and therefore the
-  // result) bit-identical at every thread count.
+  // The merge reduces serially in partition order, which keeps the result
+  // bit-identical at every thread count.
+  std::vector<GroupRunPart> parts;
+  parts.reserve(groups.size());
+  StopReason stop_reason = StopReason::kConverged;
   for (size_t g = 0; g < groups.size(); ++g) {
     TDAC_RETURN_NOT_OK(fetched[g].status());
     const GroupRun* run = fetched[g].value();
-    result.predicted.MergeFrom(run->predicted);
-    // Groups partition the attributes, so the per-group confidence maps
-    // carry disjoint item keys; key-wise insertion commutes.
-    // lint: unordered-ok (disjoint keys)
-    for (const auto& [key, conf] : run->confidence) {
-      result.confidence[key] = conf;
-    }
-    result.stop_reason = CombineStopReasons(result.stop_reason,
-                                            run->stop_reason);
-    for (size_t s = 0; s < num_sources; ++s) {
-      if (run->trust.empty()) continue;
-      trust_weighted[s] +=
-          run->trust[s] * static_cast<double>(run->claim_counts[s]);
-      trust_claims[s] += static_cast<double>(run->claim_counts[s]);
-    }
+    parts.push_back({&run->predicted, &run->trust, &run->claim_counts});
+    stop_reason = CombineStopReasons(stop_reason, run->stop_reason);
   }
-  if (result.degraded()) result.converged = false;
-  result.source_trust.assign(num_sources, 0.0);
-  for (size_t s = 0; s < num_sources; ++s) {
-    if (trust_claims[s] > 0) {
-      result.source_trust[s] = trust_weighted[s] / trust_claims[s];
-    }
-  }
+  TruthDiscoveryResult result =
+      MergeGroupRuns(parts, static_cast<size_t>(data_->num_sources()));
+  result.iterations = -1;  // search-based algorithms render "-"
+  result.stop_reason = stop_reason;
+  result.converged = !result.degraded();
   return result;
 }
 

@@ -36,8 +36,7 @@ class GroupRunner {
  public:
   /// Outcome of the base algorithm on one group's restriction.
   struct GroupRun {
-    GroundTruth predicted;
-    std::unordered_map<uint64_t, double> confidence;
+    Predictions predicted;
     std::vector<double> trust;         // per source
     std::vector<size_t> claim_counts;  // per source, claims inside the group
     StopReason stop_reason = StopReason::kConverged;

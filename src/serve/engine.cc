@@ -394,8 +394,8 @@ void ServeEngine::Execute(Admitted admitted) {
     // Only clean results are cached: a degraded best-so-far iterate under
     // one budget is not the answer under another.
     if (!request.no_cache && !outcome->degraded()) {
-      results_.Put(key,
-                   std::make_shared<const TruthDiscoveryResult>(*outcome));
+      results_.Put(key, std::make_shared<const TruthDiscoveryResult>(
+                            std::move(outcome).value()));
     }
   }
 

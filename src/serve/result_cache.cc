@@ -6,11 +6,10 @@
 namespace tdac {
 namespace {
 
-/// Flat per-element cost estimates (node/bucket overhead plus payload).
-/// Deliberately coarse: eviction only needs results to weigh in proportion
-/// to the data they hold.
-constexpr size_t kBytesPerPredictedItem = 64;
-constexpr size_t kBytesPerConfidenceEntry = 48;
+/// A predicted item is one entry in each of the three prediction arrays:
+/// its key, its value id and its confidence.
+constexpr size_t kBytesPerPredictedItem =
+    sizeof(uint64_t) + sizeof(ValueId) + sizeof(double);
 constexpr size_t kBytesPerSourceTrust = sizeof(double);
 
 }  // namespace
@@ -18,7 +17,6 @@ constexpr size_t kBytesPerSourceTrust = sizeof(double);
 size_t ApproxResultBytes(const TruthDiscoveryResult& result) {
   return sizeof(TruthDiscoveryResult) +
          result.predicted.size() * kBytesPerPredictedItem +
-         result.confidence.size() * kBytesPerConfidenceEntry +
          result.source_trust.size() * kBytesPerSourceTrust;
 }
 

@@ -33,8 +33,8 @@ struct ResultCacheKey {
 };
 
 /// Approximate resident size of one cached result: the struct itself plus
-/// per-item, per-confidence-entry, and per-source costs (hash-map nodes
-/// and small strings included as flat estimates — the point is to make a
+/// its arrays, 20 bytes per predicted item (key, value id, confidence) and
+/// 8 per source (allocator slack is not counted — the point is to make a
 /// million-object result weigh a million times a thirty-object one, not to
 /// be byte-exact).
 size_t ApproxResultBytes(const TruthDiscoveryResult& result);

@@ -192,7 +192,7 @@ Result<TruthDiscoveryResult> Accu::DiscoverGuarded(
                                   options_.base.convergence_threshold);
   });
 
-  td_internal::ReservePredictions(store, result);
+  td_internal::StartPredictions(store, result);
   for (size_t it = 0; it < store.num_items(); ++it) {
     td_internal::RecordPrediction(store, it, selected[it],
                                   probs[selected[it]], result);

@@ -22,7 +22,10 @@ Result<TruthDiscoveryResult> TruthDiscovery::Discover(
   return result;
 }
 
-std::string SerializeTruthDiscoveryResult(const TruthDiscoveryResult& result) {
+std::string SerializeTruthDiscoveryResult(const TruthDiscoveryResult& result,
+                                          const DatasetLike& data) {
+  const ValueDict& dict = data.storage().value_dict();
+  const Predictions& predicted = result.predicted;
   PayloadWriter out;
   (out << "R" << result.iterations << result.converged
        << static_cast<int>(result.stop_reason))
@@ -30,43 +33,49 @@ std::string SerializeTruthDiscoveryResult(const TruthDiscoveryResult& result) {
   out << "T" << result.source_trust.size();
   for (double trust : result.source_trust) out << trust;
   out.End();
-  const std::vector<uint64_t> keys = result.predicted.SortedKeys();
-  (out << "I" << keys.size()).End();
-  for (uint64_t key : keys) {
-    const Value* value =
-        result.predicted.Get(ObjectFromKey(key), AttributeFromKey(key));
-    (out << key << static_cast<int>(value->kind()) << value->ToString()).End();
+  (out << "I" << predicted.size()).End();
+  for (size_t i = 0; i < predicted.size(); ++i) {
+    const ValueId id = predicted.value_ids[i];
+    (out << predicted.keys[i] << static_cast<int>(dict.kind(id))
+         << dict.ValueAt(id).ToString())
+        .End();
   }
-  std::vector<uint64_t> conf_keys;
-  conf_keys.reserve(result.confidence.size());
-  // lint: unordered-ok (keys collected then sorted before emission)
-  for (const auto& [key, unused] : result.confidence) conf_keys.push_back(key);
-  std::sort(conf_keys.begin(), conf_keys.end());
-  (out << "C" << conf_keys.size()).End();
-  for (uint64_t key : conf_keys) {
-    (out << key << result.confidence.at(key)).End();
+  (out << "C" << predicted.size()).End();
+  for (size_t i = 0; i < predicted.size(); ++i) {
+    (out << predicted.keys[i] << predicted.confidences[i]).End();
   }
   return out.Take();
 }
 
 Result<TruthDiscoveryResult> DeserializeTruthDiscoveryResult(
-    std::string_view payload) {
+    std::string_view payload, const DatasetLike& data) {
   const auto malformed = [](const std::string& what) {
     return Status::InvalidArgument("malformed result payload: " + what);
   };
+  const ValueDict& dict = data.storage().value_dict();
+  const std::vector<int32_t>& claim_values = data.storage().claim_value_ids();
+  const std::vector<uint64_t>& items = data.DataItems();
   PayloadReader in(payload);
   TruthDiscoveryResult result;
+  Predictions& predicted = result.predicted;
   std::string tags[4];
   int stop = 0;
   in >> tags[0] >> result.iterations >> result.converged >> stop >> tags[1];
   result.source_trust.resize(in.Count());
   for (double& trust : result.source_trust) in >> trust;
+  if (in.ok() && !result.source_trust.empty() &&
+      result.source_trust.size() != static_cast<size_t>(data.num_sources())) {
+    return Status::InvalidArgument("trust vector does not fit the dataset");
+  }
   in >> tags[2];
+  // Keys ascend in both runs, so one cursor walks `items` alongside.
+  size_t row = 0;
   for (size_t i = in.Count(); i > 0 && in.ok(); --i) {
     uint64_t key = 0;
     int kind = 0;
     std::string text;
     in >> key >> kind >> text;
+    if (!in.ok()) break;
     if (kind < static_cast<int>(Value::Kind::kString) ||
         kind > static_cast<int>(Value::Kind::kDouble)) {
       return malformed("unknown value kind " + std::to_string(kind));
@@ -74,15 +83,40 @@ Result<TruthDiscoveryResult> DeserializeTruthDiscoveryResult(
     TDAC_ASSIGN_OR_RETURN(
         Value value,
         Value::FromTextChecked(static_cast<Value::Kind>(kind), text));
-    result.predicted.Set(ObjectFromKey(key), AttributeFromKey(key),
-                         std::move(value));
+    if (!predicted.empty() && key <= predicted.keys.back()) {
+      return malformed("predicted items out of order");
+    }
+    while (row < items.size() && items[row] < key) ++row;
+    if (row == items.size() || items[row] != key) {
+      return Status::InvalidArgument(
+          "result predicts an item the dataset does not hold");
+    }
+    // An elected value is one the item's claims carry.
+    const ValueId id = dict.Find(value);
+    const std::span<const int32_t> claims = data.ClaimsAt(row);
+    if (id == kInvalidId ||
+        std::none_of(claims.begin(), claims.end(), [&](int32_t claim) {
+          return claim_values[static_cast<size_t>(claim)] == id;
+        })) {
+      return Status::InvalidArgument("result predicts a value (" +
+                                     value.ToString() +
+                                     ") no claim on its item carries");
+    }
+    predicted.Add(key, id, 0.0);
   }
   in >> tags[3];
-  for (size_t i = in.Count(); i > 0 && in.ok(); --i) {
+  const size_t confidences = in.Count();
+  if (in.ok() && confidences != predicted.size()) {
+    return Status::InvalidArgument(
+        "result confidences do not match its predictions");
+  }
+  for (size_t i = 0; i < confidences && in.ok(); ++i) {
     uint64_t key = 0;
-    double conf = 0.0;
-    in >> key >> conf;
-    result.confidence[key] = conf;
+    in >> key >> predicted.confidences[i];
+    if (in.ok() && key != predicted.keys[i]) {
+      return Status::InvalidArgument(
+          "result confidences do not match its predictions");
+    }
   }
   TDAC_RETURN_NOT_OK(in.Finish());
   if (tags[0] != "R" || tags[1] != "T" || tags[2] != "I" || tags[3] != "C") {
@@ -94,6 +128,41 @@ Result<TruthDiscoveryResult> DeserializeTruthDiscoveryResult(
   }
   result.stop_reason = static_cast<StopReason>(stop);
   return result;
+}
+
+TruthDiscoveryResult MergeGroupRuns(std::span<const GroupRunPart> parts,
+                                    size_t num_sources) {
+  TruthDiscoveryResult merged;
+  std::vector<const Predictions*> predictions;
+  predictions.reserve(parts.size());
+  std::vector<double> trust_weighted(num_sources, 0.0);
+  std::vector<double> trust_claims(num_sources, 0.0);
+  for (const GroupRunPart& part : parts) {
+    predictions.push_back(part.predicted);
+    if (part.trust->empty()) continue;
+    for (size_t s = 0; s < num_sources; ++s) {
+      const auto claims = static_cast<double>((*part.claims)[s]);
+      trust_weighted[s] += (*part.trust)[s] * claims;
+      trust_claims[s] += claims;
+    }
+  }
+  merged.predicted = MergePredictions(predictions);
+  merged.source_trust.assign(num_sources, 0.0);
+  for (size_t s = 0; s < num_sources; ++s) {
+    if (trust_claims[s] > 0) {
+      merged.source_trust[s] = trust_weighted[s] / trust_claims[s];
+    }
+  }
+  return merged;
+}
+
+std::vector<size_t> ClaimsPerSource(const DatasetLike& data) {
+  std::vector<size_t> claims(static_cast<size_t>(data.num_sources()), 0);
+  const std::vector<int32_t>& sources = data.storage().claim_sources();
+  for (int32_t id : data.claim_ids()) {
+    ++claims[static_cast<size_t>(sources[static_cast<size_t>(id)])];
+  }
+  return claims;
 }
 
 namespace td_internal {
@@ -112,11 +181,11 @@ struct ItemClaims {
   std::vector<uint32_t> block_starts;
 };
 
-/// Looks up every item's claims (`store.keys` is set) and cuts the items
-/// into ConflictStore::item_blocks: one block below the grain or at run
-/// width 1, else about one per kItemBlockClaims claims, a block ending
-/// before the first item whose preceding claims reach its share of the
-/// total. The lookups run over equal item ranges in parallel.
+/// Reads every item's claims (`store.keys` is DataItems(), so item i is
+/// row i) and cuts the items into ConflictStore::item_blocks: one block
+/// below the grain or at run width 1, else about one per kItemBlockClaims
+/// claims, a block ending before the first item whose preceding claims
+/// reach its share of the total.
 ItemClaims CutItemBlocks(const DatasetLike& data, ConflictStore& store) {
   const size_t num_items = store.num_items();
   const size_t claims = data.num_claims();
@@ -125,13 +194,7 @@ ItemClaims CutItemBlocks(const DatasetLike& data, ConflictStore& store) {
                             : 1;
   ItemClaims out;
   out.spans.resize(num_items);
-  ParallelFor(wanted, [&](size_t r) {
-    for (size_t it = r * num_items / wanted;
-         it < (r + 1) * num_items / wanted; ++it) {
-      const uint64_t key = store.keys[it];
-      out.spans[it] = data.ClaimsOn(ObjectFromKey(key), AttributeFromKey(key));
-    }
-  });
+  for (size_t it = 0; it < num_items; ++it) out.spans[it] = data.ClaimsAt(it);
   store.item_blocks.assign(1, 0);
   out.block_starts.assign(1, 0);
   size_t before = 0;
@@ -318,18 +381,11 @@ double ScoreShare(const ConflictStore& store, size_t item, size_t slot,
   return total > 0.0 ? scores[slot] / total : 0.0;
 }
 
-void RecordPrediction(const ConflictStore& store, size_t item, size_t slot,
-                      double confidence, TruthDiscoveryResult& result) {
-  const uint64_t key = store.keys[item];
-  result.predicted.Set(ObjectFromKey(key), AttributeFromKey(key),
-                       store.ValueOf(slot));
-  result.confidence[key] = confidence;
-}
-
-void ReservePredictions(const ConflictStore& store,
-                        TruthDiscoveryResult& result) {
-  result.predicted.Reserve(store.num_items());
-  result.confidence.reserve(store.num_items());
+void StartPredictions(const ConflictStore& store,
+                      TruthDiscoveryResult& result) {
+  result.predicted.keys = store.keys;
+  result.predicted.value_ids.assign(store.num_items(), kInvalidId);
+  result.predicted.confidences.assign(store.num_items(), 0.0);
 }
 
 PairTable BuildPairTable(
@@ -415,8 +471,7 @@ void SanitizeResult(TruthDiscoveryResult& result) {
       had_non_finite = true;
     }
   }
-  // lint: unordered-ok (order-independent per-entry mutation, no reduction)
-  for (auto& [key, conf] : result.confidence) {
+  for (double& conf : result.predicted.confidences) {
     if (!std::isfinite(conf)) {
       conf = 0.0;
       had_non_finite = true;

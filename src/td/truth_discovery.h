@@ -7,7 +7,6 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "common/parallel.h"
@@ -15,7 +14,7 @@
 #include "common/run_guard.h"
 #include "common/status.h"
 #include "data/dataset_like.h"
-#include "data/ground_truth.h"
+#include "data/predictions.h"
 #include "data/value_dict.h"
 
 namespace tdac {
@@ -35,14 +34,12 @@ struct TruthDiscoveryOptions {
 
 /// \brief Output of a truth-discovery run.
 struct TruthDiscoveryResult {
-  /// The predicted true value for every data item that has at least one
-  /// claim.
-  GroundTruth predicted;
-
-  /// Confidence (algorithm-specific scale; probabilities for the Bayesian
-  /// family, logistic confidences for TruthFinder, vote fractions for
-  /// MajorityVote) of the selected value per data item key.
-  std::unordered_map<uint64_t, double> confidence;
+  /// The elected value of every data item that has at least one claim, in
+  /// DataItems() order, with its confidence (algorithm-specific scale;
+  /// probabilities for the Bayesian family, logistic confidences for
+  /// TruthFinder, vote fractions for MajorityVote). Value ids index the
+  /// dictionary of the storage the run read.
+  Predictions predicted;
 
   /// Final per-source trust/accuracy estimate, indexed by SourceId.
   std::vector<double> source_trust;
@@ -62,16 +59,44 @@ struct TruthDiscoveryResult {
   bool degraded() const { return IsDegraded(stop_reason); }
 };
 
-/// Serializes a result into a checkpoint payload: predictions in sorted key
-/// order, Value payloads token-escaped, and every double as its IEEE-754
-/// bits, so Serialize → Deserialize is a bit-exact round trip.
-std::string SerializeTruthDiscoveryResult(const TruthDiscoveryResult& result);
+/// Serializes a result of a run on `data` (or on a view of its storage)
+/// into a checkpoint payload: predictions in sorted key order, their values
+/// read through `data`'s dictionary and token-escaped, and every double as
+/// its IEEE-754 bits, so Serialize → Deserialize is a bit-exact round trip.
+std::string SerializeTruthDiscoveryResult(const TruthDiscoveryResult& result,
+                                          const DatasetLike& data);
 
-/// Inverse of SerializeTruthDiscoveryResult; fails with InvalidArgument on
-/// any malformed field (a checkpoint payload that passed its CRC but was
-/// written by something else entirely).
+/// Inverse of SerializeTruthDiscoveryResult against `data`: each value is
+/// resolved through `data`'s dictionary. Fails with InvalidArgument on any
+/// malformed field (a checkpoint payload that passed its CRC but was
+/// written by something else entirely), and on one that does not fit
+/// `data`: a non-empty trust vector not sized to its sources, a predicted
+/// item it does not hold, a value no claim on the item carries, or
+/// confidences keyed otherwise than the predictions.
 [[nodiscard]] Result<TruthDiscoveryResult> DeserializeTruthDiscoveryResult(
-    std::string_view payload);
+    std::string_view payload, const DatasetLike& data);
+
+/// A base run on one group of a partition, as MergeGroupRuns reads it.
+struct GroupRunPart {
+  const Predictions* predicted = nullptr;
+  /// Per-source trust; an empty vector leaves the group out of the trust
+  /// average.
+  const std::vector<double>* trust = nullptr;
+  /// The group's claims per source (ClaimsPerSource of its restriction).
+  const std::vector<size_t>* claims = nullptr;
+};
+
+/// Merges base runs on disjoint groups of items (TD-AC's clusters, a
+/// searched partition's groups): every group's predictions, keys ascending
+/// (MergePredictions), and each source's trust averaged over the groups in
+/// group order, weighted by the source's claims in each; 0 for a source
+/// without claims. Iterations, convergence and the stop reason are left
+/// for the caller to label.
+TruthDiscoveryResult MergeGroupRuns(std::span<const GroupRunPart> parts,
+                                    size_t num_sources);
+
+/// Claims per SourceId in `data`.
+std::vector<size_t> ClaimsPerSource(const DatasetLike& data);
 
 /// \brief Abstract interface implemented by every algorithm (the paper's
 /// "base truth discovery algorithm" F).
@@ -214,14 +239,19 @@ size_t ElectSlot(const ConflictStore& store, size_t item,
 double ScoreShare(const ConflictStore& store, size_t item, size_t slot,
                   const std::vector<double>& scores);
 
-/// Records `slot`'s value as `item`'s prediction, with `confidence`.
-void RecordPrediction(const ConflictStore& store, size_t item, size_t slot,
-                      double confidence, TruthDiscoveryResult& result);
+/// Records `slot`'s value as `item`'s prediction, with `confidence`: writes
+/// the item's slot of the arrays StartPredictions sized.
+inline void RecordPrediction(const ConflictStore& store, size_t item,
+                             size_t slot, double confidence,
+                             TruthDiscoveryResult& result) {
+  result.predicted.value_ids[item] = store.slot_ids[slot];
+  result.predicted.confidences[item] = confidence;
+}
 
-/// Reserves the result's prediction and confidence maps for every item of
-/// `store`, so the serial recording pass never rehashes.
-void ReservePredictions(const ConflictStore& store,
-                        TruthDiscoveryResult& result);
+/// Sizes the result's predictions to the items of `store`, keys set; every
+/// item must then be recorded (RecordPrediction).
+void StartPredictions(const ConflictStore& store,
+                      TruthDiscoveryResult& result);
 
 /// Elects every item's highest-scoring slot (ElectSlot) and records it with
 /// `confidence(item, slot)`, items in store order.
@@ -229,7 +259,7 @@ template <typename Confidence>
 void RecordElection(const ConflictStore& store,
                     const std::vector<double>& scores,
                     TruthDiscoveryResult& result, Confidence confidence) {
-  ReservePredictions(store, result);
+  StartPredictions(store, result);
   for (size_t item = 0; item < store.num_items(); ++item) {
     const size_t slot = ElectSlot(store, item, scores);
     RecordPrediction(store, item, slot, confidence(item, slot), result);

@@ -37,19 +37,6 @@ struct SweepOutcome {
   bool kmeans_converged = true;
 };
 
-/// A result restored from a checkpoint, checked to fit `data`: the trust
-/// merge indexes a non-empty source_trust by source id.
-Result<TruthDiscoveryResult> RestoreResult(std::string_view payload,
-                                           const DatasetLike& data) {
-  TDAC_ASSIGN_OR_RETURN(TruthDiscoveryResult result,
-                        DeserializeTruthDiscoveryResult(payload));
-  if (!result.source_trust.empty() &&
-      result.source_trust.size() != static_cast<size_t>(data.num_sources())) {
-    return Status::InvalidArgument("trust vector does not fit the dataset");
-  }
-  return result;
-}
-
 }  // namespace
 
 Tdac::Tdac(TdacOptions options)
@@ -92,9 +79,9 @@ Result<TdacReport> Tdac::DiscoverWithReport(const DatasetLike& data,
       report.result.converged = false;
       break;
     }
-    GroundTruth reference = report.result.predicted;
-    TDAC_ASSIGN_OR_RETURN(TdacReport next,
-                          RunPass(data, &cache, &reference, guard, round + 1));
+    TDAC_ASSIGN_OR_RETURN(
+        TdacReport next,
+        RunPass(data, &cache, &report.result.predicted, guard, round + 1));
     if (next.result.degraded()) {
       // Keep the previous round's complete result over a partial round,
       // labeled with the reason the new round was cut short.
@@ -124,7 +111,7 @@ Result<TdacReport> Tdac::DiscoverWithReport(const DatasetLike& data,
 
 Result<TdacReport> Tdac::RunPass(const DatasetLike& data,
                                  RestrictionCache* cache,
-                                 const GroundTruth* reference,
+                                 const Predictions* reference,
                                  const RunGuard& guard, int round) const {
   if (data.num_claims() == 0) {
     return Status::InvalidArgument(name_ + ": empty dataset");
@@ -209,7 +196,8 @@ Result<TdacReport> Tdac::RunPass(const DatasetLike& data,
       TDAC_ASSIGN_OR_RETURN(std::optional<std::string> stored,
                             ckpt->LoadForResume(ref_slot, ctx));
       if (stored) {
-        Result<TruthDiscoveryResult> parsed = RestoreResult(*stored, data);
+        Result<TruthDiscoveryResult> parsed =
+            DeserializeTruthDiscoveryResult(*stored, data);
         if (parsed.ok()) {
           reference_result = parsed.MoveValue();
           have_reference_result = true;
@@ -228,7 +216,8 @@ Result<TdacReport> Tdac::RunPass(const DatasetLike& data,
       // recomputed on resume, never resumed from.
       if (ckpt_on && !reference_result.degraded()) {
         TDAC_RETURN_NOT_OK(ckpt->StoreNow(
-            ref_slot, ctx, SerializeTruthDiscoveryResult(reference_result)));
+            ref_slot, ctx,
+            SerializeTruthDiscoveryResult(reference_result, data)));
       }
     }
   }
@@ -499,79 +488,53 @@ Result<TdacReport> Tdac::RunPass(const DatasetLike& data,
       groups.size(), [&](size_t g) { partials[g] = run_group(g); },
       [&](size_t g) { return partials[g].status(); },
       [&](PayloadWriter& out, size_t g) {
-        (out << SerializeTruthDiscoveryResult(partials[g].value())).End();
+        (out << SerializeTruthDiscoveryResult(partials[g].value(), data))
+            .End();
       },
       [&](PayloadReader& in, size_t g) -> Status {
         std::string result;
         if (!(in >> result).ok()) return Status::OK();  // Finish() reports it
-        TDAC_ASSIGN_OR_RETURN(partials[g], RestoreResult(result, data));
+        TDAC_ASSIGN_OR_RETURN(partials[g],
+                              DeserializeTruthDiscoveryResult(result, data));
         // Restored groups still serve the trust merge below from their
         // (cached, zero-copy) views.
         views[g] = restrict_to(groups[g]);
         return Status::OK();
       }));
 
-  TruthDiscoveryResult& merged = report.result;
-  merged.iterations = 1;  // TD-AC runs a single outer pass (paper Table 4)
-  merged.converged = true;
-  std::vector<double> trust_weighted(static_cast<size_t>(data.num_sources()),
-                                     0.0);
-  std::vector<double> trust_claims(static_cast<size_t>(data.num_sources()),
-                                   0.0);
+  // Each group's trust counts by the source's claims in the group, read
+  // off the view the group ran on. A group without trust did not run (or
+  // had no claims) and counts for nothing.
+  std::vector<std::vector<size_t>> claims(groups.size());
+  std::vector<GroupRunPart> parts(groups.size());
   for (size_t g = 0; g < groups.size(); ++g) {
     TDAC_RETURN_NOT_OK(partials[g].status());
-    TruthDiscoveryResult& partial = partials[g].value();
-    merged.predicted.MergeFrom(partial.predicted);
-    // lint: unordered-ok (disjoint keys across groups)
-    for (auto& [key, conf] : partial.confidence) merged.confidence[key] = conf;
-    merged.converged = merged.converged && partial.converged;
-    if (!partial.predicted.empty()) {
-      merged.stop_reason =
-          CombineStopReasons(merged.stop_reason, partial.stop_reason);
-    }
-    if (!partial.source_trust.empty()) {
-      // Weight each group's trust estimate by the source's claim volume in
-      // that group, read off the view the group already ran on.
-      std::vector<double> counts(trust_claims.size(), 0.0);
-      const std::vector<int32_t>& sources =
-          views[g]->storage().claim_sources();
-      for (int32_t id : views[g]->claim_ids()) {
-        counts[static_cast<size_t>(sources[static_cast<size_t>(id)])] += 1.0;
-      }
-      for (size_t s = 0; s < trust_weighted.size(); ++s) {
-        trust_weighted[s] += partial.source_trust[s] * counts[s];
-        trust_claims[s] += counts[s];
-      }
-    }
+    const TruthDiscoveryResult& partial = partials[g].value();
+    if (!partial.source_trust.empty()) claims[g] = ClaimsPerSource(*views[g]);
+    parts[g] = {&partial.predicted, &partial.source_trust, &claims[g]};
   }
-  merged.source_trust.assign(trust_weighted.size(), 0.0);
-  for (size_t s = 0; s < trust_weighted.size(); ++s) {
-    if (trust_claims[s] > 0) {
-      merged.source_trust[s] = trust_weighted[s] / trust_claims[s];
+  TruthDiscoveryResult& merged = report.result;
+  merged = MergeGroupRuns(parts, static_cast<size_t>(data.num_sources()));
+  merged.iterations = 1;  // TD-AC runs a single outer pass (paper Table 4)
+  merged.converged = true;
+  for (const Result<TruthDiscoveryResult>& partial : partials) {
+    merged.converged = merged.converged && partial->converged;
+    if (!partial->predicted.empty()) {
+      merged.stop_reason =
+          CombineStopReasons(merged.stop_reason, partial->stop_reason);
     }
   }
 
   if (auto stop = guard.ShouldStop()) {
     // Groups the tripped guard skipped contributed nothing; fill their
     // items from the reference truth so the degraded result still covers
-    // the whole dataset.
-    const GroundTruth* fill = have_reference_result
+    // the whole dataset. The merged predictions win where both predict.
+    const Predictions* fill = have_reference_result
                                   ? &reference_result.predicted
                                   : reference;
     if (fill != nullptr) {
-      for (uint64_t key : fill->SortedKeys()) {
-        const ObjectId o = ObjectFromKey(key);
-        const AttributeId a = AttributeFromKey(key);
-        if (merged.predicted.Has(o, a)) continue;
-        merged.predicted.Set(o, a, *fill->Get(o, a));
-        if (have_reference_result) {
-          auto it = reference_result.confidence.find(key);
-          merged.confidence[key] =
-              it != reference_result.confidence.end() ? it->second : 0.0;
-        } else {
-          merged.confidence[key] = 0.0;
-        }
-      }
+      const Predictions* layers[] = {fill, &merged.predicted};
+      merged.predicted = MergePredictions(layers);
     }
     merged.stop_reason = CombineStopReasons(merged.stop_reason, *stop);
     merged.converged = false;

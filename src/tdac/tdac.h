@@ -165,7 +165,7 @@ class Tdac : public TruthDiscovery {
   /// `partition` holds object ids.
   [[nodiscard]]
   Result<TdacReport> RunPass(const DatasetLike& data, RestrictionCache* cache,
-                             const GroundTruth* reference,
+                             const Predictions* reference,
                              const RunGuard& guard, int round) const;
 
   TdacOptions options_;

@@ -4,7 +4,7 @@
 
 namespace tdac {
 
-void FillTruthVectors(const DatasetLike& data, const GroundTruth& reference,
+void FillTruthVectors(const DatasetLike& data, const Predictions& reference,
                       PartitionAxis axis, const std::vector<int32_t>& items,
                       std::vector<FeatureVector>* vectors,
                       std::vector<std::vector<uint8_t>>* masks) {
@@ -25,28 +25,33 @@ void FillTruthVectors(const DatasetLike& data, const GroundTruth& reference,
     row_of[static_cast<size_t>(items[r])] = static_cast<int>(r);
   }
 
-  // Resolve the reference value to a dictionary id once per data item
-  // (`ValueDict::Find`), then stream that item's claims comparing int32 ids
-  // against it: no per-claim hashing, no Value comparisons. Equal values
-  // share one id, so an id match is a Value match. A reference value absent
-  // from the dictionary (or NaN, which nothing compares equal to) yields
-  // kInvalidId, which no claim id matches: no truth hit.
+  // The reference's keys ascend like DataItems(), so one cursor finds each
+  // item's elected id; the item's claims then compare int32 ids against
+  // it. Equal values share one id, so an id match is a Value match. An
+  // item without a reference value, or whose value is NaN (equal to
+  // nothing), compares against kInvalidId, which no claim carries.
   const Dataset& storage = data.storage();
   const std::vector<int32_t>& sources = storage.claim_sources();
   const std::vector<int32_t>& value_ids = storage.claim_value_ids();
   const ValueDict& dict = storage.value_dict();
-  for (uint64_t key : data.DataItems()) {
+  const std::vector<uint64_t>& keys = data.DataItems();
+  size_t next = 0;
+  for (size_t row = 0; row < keys.size(); ++row) {
+    const uint64_t key = keys[row];
     const ObjectId o = ObjectFromKey(key);
     const AttributeId a = AttributeFromKey(key);
     const int r = row_of[static_cast<size_t>(by_attribute ? a : o)];
     if (r < 0) continue;
-    const Value* truth = reference.Get(o, a);
-    const ValueId truth_id = truth != nullptr ? dict.Find(*truth) : kInvalidId;
+    while (next < reference.size() && reference.keys[next] < key) ++next;
+    const ValueId truth_id =
+        next < reference.size() && reference.keys[next] == key
+            ? MatchId(dict, reference.value_ids[next])
+            : kInvalidId;
     const size_t col_base =
         static_cast<size_t>(by_attribute ? o : a) * num_sources;
     std::vector<uint8_t>& mask_row = (*masks)[static_cast<size_t>(r)];
     FeatureVector& vec_row = (*vectors)[static_cast<size_t>(r)];
-    for (int32_t idx : data.ClaimsOn(o, a)) {
+    for (int32_t idx : data.ClaimsAt(row)) {
       const auto i = static_cast<size_t>(idx);
       const size_t col = col_base + static_cast<size_t>(sources[i]);
       mask_row[col] = 1;
@@ -56,7 +61,7 @@ void FillTruthVectors(const DatasetLike& data, const GroundTruth& reference,
 }
 
 Result<TruthVectorMatrix> BuildTruthVectors(const DatasetLike& data,
-                                            const GroundTruth& reference) {
+                                            const Predictions& reference) {
   if (data.num_claims() == 0) {
     return Status::InvalidArgument("BuildTruthVectors: empty dataset");
   }
@@ -65,6 +70,21 @@ Result<TruthVectorMatrix> BuildTruthVectors(const DatasetLike& data,
   FillTruthVectors(data, reference, PartitionAxis::kAttributes,
                    matrix.attributes, &matrix.vectors, &matrix.masks);
   return matrix;
+}
+
+Result<TruthVectorMatrix> BuildTruthVectors(const DatasetLike& data,
+                                            const GroundTruth& reference) {
+  // Only a value some claim carries can match one: the items whose value
+  // the dictionary holds are the whole reference as far as Eq. 1 can see.
+  const ValueDict& dict = data.storage().value_dict();
+  Predictions resolved;
+  for (uint64_t key : data.DataItems()) {
+    const Value* value =
+        reference.Get(ObjectFromKey(key), AttributeFromKey(key));
+    const ValueId id = value != nullptr ? dict.Find(*value) : kInvalidId;
+    if (id != kInvalidId) resolved.Add(key, id, 0.0);
+  }
+  return BuildTruthVectors(data, resolved);
 }
 
 Result<TruthVectorMatrix> BuildTruthVectors(const TruthDiscovery& base,

@@ -8,6 +8,7 @@
 #include "common/result.h"
 #include "data/dataset_like.h"
 #include "data/ground_truth.h"
+#include "data/predictions.h"
 #include "td/truth_discovery.h"
 
 namespace tdac {
@@ -38,16 +39,24 @@ enum class PartitionAxis { kAttributes, kObjects };
 
 /// Fills the truth vectors of `items`, ids on `axis`, row r for items[r]:
 /// one coordinate per (other-axis id, source) pair in other-axis-major
-/// order, valued 1 where that source's claim on the item matches
-/// `reference` (Eq. 1). `masks` marks the coordinates that carry a claim.
-/// Both outputs are resized to items.size() rows.
-void FillTruthVectors(const DatasetLike& data, const GroundTruth& reference,
+/// order, valued 1 where that source's claim on the item carries the
+/// value `reference` elected (Eq. 1). `reference` comes from a run on
+/// `data`'s storage; an item it does not predict gets no 1. `masks` marks
+/// the coordinates that carry a claim. Both outputs are resized to
+/// items.size() rows.
+void FillTruthVectors(const DatasetLike& data, const Predictions& reference,
                       PartitionAxis axis, const std::vector<int32_t>& items,
                       std::vector<FeatureVector>* vectors,
                       std::vector<std::vector<uint8_t>>* masks);
 
 /// Builds the truth-vector matrix for all active attributes of `data`,
-/// against an explicit reference truth.
+/// against a run's predictions (TD-AC's reference truth).
+[[nodiscard]]
+Result<TruthVectorMatrix> BuildTruthVectors(const DatasetLike& data,
+                                            const Predictions& reference);
+
+/// The same against an explicit reference truth such as a gold standard:
+/// each item's value is resolved through `data`'s dictionary once.
 [[nodiscard]]
 Result<TruthVectorMatrix> BuildTruthVectors(const DatasetLike& data,
                                             const GroundTruth& reference);

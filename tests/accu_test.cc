@@ -19,7 +19,7 @@ TEST(AccuTest, MajorityOfReliableSourcesWins) {
   auto r = accu.Discover(d);
   ASSERT_TRUE(r.ok());
   for (int i = 0; i < 20; ++i) {
-    EXPECT_EQ(*r->predicted.Get(0, i), *truth.Get(0, i)) << "item " << i;
+    EXPECT_EQ(*r->predicted.Get(0, i, d), *truth.Get(0, i)) << "item " << i;
   }
 }
 
@@ -65,7 +65,7 @@ TEST(AccuTest, AccurateMinorityCanBeatInaccurateMajority) {
   ASSERT_TRUE(r.ok());
   for (int i = 0; i < 6; ++i) {
     AttributeId a = 18 + i;
-    EXPECT_EQ(*r->predicted.Get(0, a), Value(int64_t{1000 + i}))
+    EXPECT_EQ(*r->predicted.Get(0, a, d), Value(int64_t{1000 + i}))
         << "contested item " << i;
   }
 }
@@ -98,7 +98,7 @@ TEST(AccuTest, CopyDetectionDiscountsCopiers) {
   ASSERT_TRUE(r.ok());
   int honest_wins_uncovered = 0;
   for (int i = 20; i < 40; ++i) {
-    if (*r->predicted.Get(0, i) == Value(int64_t{10000 + i})) {
+    if (*r->predicted.Get(0, i, d) == Value(int64_t{10000 + i})) {
       ++honest_wins_uncovered;
     }
   }
@@ -113,7 +113,7 @@ TEST(AccuTest, CopyDetectionDiscountsCopiers) {
   ASSERT_TRUE(r2.ok());
   int trio_wins_uncovered = 0;
   for (int i = 20; i < 40; ++i) {
-    if (*r2->predicted.Get(0, i) == Value(int64_t{20000 + i})) {
+    if (*r2->predicted.Get(0, i, d) == Value(int64_t{20000 + i})) {
       ++trio_wins_uncovered;
     }
   }
@@ -138,7 +138,7 @@ TEST(AccuTest, ConfidencesAreProbabilities) {
   Accu accu;
   auto r = accu.Discover(d);
   ASSERT_TRUE(r.ok());
-  for (const auto& [key, conf] : r->confidence) {
+  for (double conf : r->predicted.confidences) {
     EXPECT_GE(conf, 0.0);
     EXPECT_LE(conf, 1.0);
   }
@@ -151,7 +151,7 @@ TEST(DepenTest, UniformAccuracyStillFindsMajorityTruth) {
   auto r = depen.Discover(d);
   ASSERT_TRUE(r.ok());
   for (int i = 0; i < 10; ++i) {
-    EXPECT_EQ(*r->predicted.Get(0, i), *truth.Get(0, i));
+    EXPECT_EQ(*r->predicted.Get(0, i, d), *truth.Get(0, i));
   }
 }
 
@@ -183,7 +183,7 @@ TEST(AccuSimTest, SimilarValuesReinforceEachOther) {
   AccuSim accu_sim(opts);
   auto r = accu_sim.Discover(d);
   ASSERT_TRUE(r.ok());
-  const Value& elected = *r->predicted.Get(0, 0);
+  const Value elected = *r->predicted.Get(0, 0, d);
   EXPECT_TRUE(elected == Value(int64_t{1000}) ||
               elected == Value(int64_t{1001}) ||
               elected == Value(int64_t{1002}))

@@ -15,10 +15,8 @@ TEST(CalibrationTest, PerfectlyConfidentAndCorrectHasZeroEce) {
   Dataset d = testutil::TwoGoodOneBad(6, &truth);
   TruthDiscoveryResult result;
   for (uint64_t key : d.DataItems()) {
-    ObjectId o = ObjectFromKey(key);
-    AttributeId a = AttributeFromKey(key);
-    result.predicted.Set(o, a, *truth.Get(o, a));
-    result.confidence[key] = 1.0;
+    const Value value = *truth.Get(ObjectFromKey(key), AttributeFromKey(key));
+    result.predicted.Add(key, d.value_dict().Find(value), 1.0);
   }
   auto report = EvaluateCalibration(d, result, truth);
   ASSERT_TRUE(report.ok());
@@ -31,11 +29,9 @@ TEST(CalibrationTest, OverconfidentWrongPredictionsScoreHighEce) {
   Dataset d = testutil::TwoGoodOneBad(6, &truth);
   TruthDiscoveryResult result;
   for (uint64_t key : d.DataItems()) {
-    ObjectId o = ObjectFromKey(key);
-    AttributeId a = AttributeFromKey(key);
     // Predict the bad source's value with full confidence.
-    result.predicted.Set(o, a, Value(int64_t{200 + a}));
-    result.confidence[key] = 0.99;
+    const Value value = Value(int64_t{200 + AttributeFromKey(key)});
+    result.predicted.Add(key, d.value_dict().Find(value), 0.99);
   }
   auto report = EvaluateCalibration(d, result, truth);
   ASSERT_TRUE(report.ok());
@@ -48,10 +44,8 @@ TEST(CalibrationTest, BinsPartitionTheItems) {
   TruthDiscoveryResult result;
   double conf = 0.05;
   for (uint64_t key : d.DataItems()) {
-    ObjectId o = ObjectFromKey(key);
-    AttributeId a = AttributeFromKey(key);
-    result.predicted.Set(o, a, *truth.Get(o, a));
-    result.confidence[key] = conf;
+    const Value value = *truth.Get(ObjectFromKey(key), AttributeFromKey(key));
+    result.predicted.Add(key, d.value_dict().Find(value), conf);
     conf += 0.1;
   }
   auto report = EvaluateCalibration(d, result, truth, 10);
@@ -67,10 +61,8 @@ TEST(CalibrationTest, ConfidenceOneLandsInTopBin) {
   Dataset d = testutil::TwoGoodOneBad(3, &truth);
   TruthDiscoveryResult result;
   for (uint64_t key : d.DataItems()) {
-    ObjectId o = ObjectFromKey(key);
-    AttributeId a = AttributeFromKey(key);
-    result.predicted.Set(o, a, *truth.Get(o, a));
-    result.confidence[key] = 1.0;
+    const Value value = *truth.Get(ObjectFromKey(key), AttributeFromKey(key));
+    result.predicted.Add(key, d.value_dict().Find(value), 1.0);
   }
   auto report = EvaluateCalibration(d, result, truth, 5);
   ASSERT_TRUE(report.ok());
@@ -83,8 +75,8 @@ TEST(CalibrationTest, RejectsDegenerateInput) {
   TruthDiscoveryResult empty;
   EXPECT_FALSE(EvaluateCalibration(d, empty, truth).ok());
   TruthDiscoveryResult some;
-  some.predicted.Set(0, 0, *truth.Get(0, 0));
-  some.confidence[ObjectAttrKey(0, 0)] = 0.5;
+  const ValueId value = d.value_dict().Find(*truth.Get(0, 0));
+  some.predicted.Add(ObjectAttrKey(0, 0), value, 0.5);
   EXPECT_FALSE(EvaluateCalibration(d, some, truth, 0).ok());
 }
 

@@ -7,9 +7,11 @@
 
 #include "common/checkpoint.h"
 
+#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -17,7 +19,11 @@
 #include "common/csv.h"
 #include "common/io.h"
 #include "common/random.h"
+#include "data/dataset_builder.h"
+#include "gen/synthetic.h"
+#include "td/majority_vote.h"
 #include "td/truth_discovery.h"
+#include "tdac/tdac.h"
 #include "test_util.h"
 
 namespace tdac {
@@ -503,35 +509,168 @@ TEST_F(CheckpointTest, MalformedPayloadsAreInvalidArgument) {
 // A CRC-valid result payload claiming 2^64-1 trust values once made a
 // resume abort with std::length_error; the count bound rejects it.
 TEST_F(CheckpointTest, ResultPayloadWithHugeCountIsInvalidArgument) {
-  auto parsed =
-      DeserializeTruthDiscoveryResult("R 1 1 0\nT 18446744073709551615\n");
+  const Dataset data = testutil::BuildDataset({{"s", "o", "a", 1}});
+  auto parsed = DeserializeTruthDiscoveryResult(
+      "R 1 1 0\nT 18446744073709551615\n", data);
   ASSERT_FALSE(parsed.ok());
   EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument)
       << parsed.status();
 }
 
+/// Two sources, objects o0 and o1, attributes a0..a2: (0, 1) is claimed
+/// as int 7 and (1, 2) as "new york".
+Dataset PinnedResultData() {
+  DatasetBuilder builder;
+  EXPECT_TRUE(builder.AddClaim("s0", "o0", "a0", Value(int64_t{1})).ok());
+  EXPECT_TRUE(builder.AddClaim("s0", "o0", "a1", Value(int64_t{7})).ok());
+  EXPECT_TRUE(builder.AddClaim("s1", "o1", "a2", Value("new york")).ok());
+  return builder.Build().MoveValue();
+}
+
 TEST_F(CheckpointTest, ResultPayloadFormatIsPinned) {
+  const Dataset data = PinnedResultData();
+  const ValueDict& dict = data.value_dict();
   TruthDiscoveryResult result;
   result.iterations = 4;
   result.converged = true;
   result.stop_reason = StopReason::kDeadline;
   result.source_trust = {0.5, -0.0};
-  result.predicted.Set(1, 2, Value("new york"));
-  result.predicted.Set(0, 1, Value(int64_t{7}));
-  result.confidence[ObjectAttrKey(1, 2)] = 1.0;
-  const std::string payload = SerializeTruthDiscoveryResult(result);
+  result.predicted.Add(ObjectAttrKey(0, 1), dict.Find(Value(int64_t{7})),
+                       0.25);
+  result.predicted.Add(ObjectAttrKey(1, 2), dict.Find(Value("new york")),
+                       1.0);
+  const std::string payload = SerializeTruthDiscoveryResult(result, data);
   EXPECT_EQ(payload,
             "R 4 1 2\n"
             "T 2 3fe0000000000000 8000000000000000\n"
             "I 2\n"
             "1 1 7\n"
             "4294967298 0 new%20york\n"
-            "C 1\n"
+            "C 2\n"
+            "1 3fd0000000000000\n"
             "4294967298 3ff0000000000000\n");
-  auto parsed = DeserializeTruthDiscoveryResult(payload);
+  auto parsed = DeserializeTruthDiscoveryResult(payload, data);
   ASSERT_TRUE(parsed.ok()) << parsed.status();
-  EXPECT_EQ(SerializeTruthDiscoveryResult(parsed.value()), payload);
-  EXPECT_FALSE(DeserializeTruthDiscoveryResult(payload + "x\n").ok());
+  EXPECT_EQ(SerializeTruthDiscoveryResult(parsed.value(), data), payload);
+  EXPECT_FALSE(DeserializeTruthDiscoveryResult(payload + "x\n", data).ok());
+}
+
+// A result payload is restored against a dataset: an item it does not
+// hold, a value no claim on the item carries, or confidences keyed
+// otherwise than the predictions do not fit, and are refused rather than
+// resumed from.
+TEST_F(CheckpointTest, ResultPayloadThatDoesNotFitTheDatasetIsRefused) {
+  const Dataset data = PinnedResultData();
+  // 0.0 as the payload writes it; item 1 is (o0, a1), 4294967298 (o1, a2).
+  const std::string zero = " 0000000000000000\n";
+  const std::string head = "R 4 1 0\nT 2 0000000000000000" + zero;
+  const std::string items = "I 1\n1 1 7\nC 1\n1" + zero;
+  const std::string out_of_order = "I 2\n4294967298 0 new%20york\n1 1 7\n"
+                                   "C 2\n4294967298" +
+                                   zero + "1" + zero;
+  const struct {
+    const char* what;
+    std::string payload;
+  } cases[] = {
+      {"a value the dataset lacks", head + "I 1\n1 1 8\nC 1\n1" + zero},
+      {"a value claimed on another item",
+       head + "I 1\n4294967298 1 7\nC 1\n4294967298" + zero},
+      {"an item the dataset does not hold",
+       head + "I 1\n2 1 7\nC 1\n2" + zero},
+      {"a confidence for another item", head + "I 1\n1 1 7\nC 1\n0" + zero},
+      {"a missing confidence", head + "I 1\n1 1 7\nC 0\n"},
+      {"items out of order", head + out_of_order},
+      {"a trust vector sized otherwise than the sources",
+       "R 4 1 0\nT 1" + zero + items},
+  };
+  for (const auto& c : cases) {
+    auto parsed = DeserializeTruthDiscoveryResult(c.payload, data);
+    ASSERT_FALSE(parsed.ok()) << c.what;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument)
+        << c.what << ": " << parsed.status();
+  }
+  auto fits = DeserializeTruthDiscoveryResult(head + items, data);
+  EXPECT_TRUE(fits.ok()) << fits.status();
+}
+
+/// Forwards to `base` and cancels `token` as its second run (TD-AC's first
+/// group run) starts, so the reference slot is stored and the pass trips.
+class CancelOnSecondRun : public TruthDiscovery {
+ public:
+  CancelOnSecondRun(const TruthDiscovery* base, CancellationToken* token)
+      : base_(base), token_(token) {}
+  std::string_view name() const override { return base_->name(); }
+
+ protected:
+  Result<TruthDiscoveryResult> DiscoverGuarded(
+      const DatasetLike& data, const RunGuard& guard) const override {
+    if (runs_.fetch_add(1) == 1) token_->Cancel();
+    return base_->Discover(data, guard);
+  }
+
+ private:
+  const TruthDiscovery* base_;
+  CancellationToken* token_;
+  mutable std::atomic<int> runs_{0};
+};
+
+// A CRC-valid reference slot whose payload names a value the dataset lacks
+// is refused on resume: TD-AC warns, recomputes the reference run, and
+// lands on the uninterrupted answer.
+TEST_F(CheckpointTest, ReferenceNamingAValueTheDatasetLacksIsRecomputed) {
+  auto config = PaperSyntheticConfig(2, /*seed=*/42);
+  ASSERT_TRUE(config.ok()) << config.status();
+  config->num_objects = 100;
+  auto generated = GenerateSynthetic(*config);
+  ASSERT_TRUE(generated.ok()) << generated.status();
+  const Dataset& data = generated->dataset;
+  const MajorityVote majority;
+  Checkpointer ckpt = MakeCheckpointer();
+  auto make = [&](Checkpointer* checkpointer, const TruthDiscovery* base) {
+    TdacOptions options;
+    options.base = base;
+    options.threads = 1;
+    options.checkpointer = checkpointer;
+    return std::make_unique<Tdac>(options);
+  };
+  {
+    CancellationToken token;
+    CancelOnSecondRun base(&majority, &token);
+    RunGuard guard(&token);
+    auto cut = make(&ckpt, &base)->Discover(data, guard);
+    ASSERT_TRUE(cut.ok()) << cut.status();
+    ASSERT_TRUE(cut->degraded());
+  }
+  const std::string slot = Path("tdac.r0.reference.ckpt");
+  auto stored = LoadCheckpoint(slot);
+  ASSERT_TRUE(stored.ok()) << stored.status();
+  // The first predicted item's value becomes a string no claim carries.
+  std::string text = stored.MoveValue();
+  const size_t items = text.find("\nI ");
+  ASSERT_NE(items, std::string::npos) << text;
+  const size_t record = text.find('\n', items + 1) + 1;
+  const size_t kind = text.find(' ', record) + 1;
+  const size_t end = text.find('\n', kind);
+  text.replace(kind, end - kind, "0 no-such-value");
+  const std::string payload = text.substr(text.find('\n') + 1);
+  auto refused = DeserializeTruthDiscoveryResult(payload, data);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_NE(refused.status().message().find("no-such-value"),
+            std::string::npos)
+      << refused.status();
+  ASSERT_TRUE(SaveCheckpoint(slot, text).ok());
+
+  ::testing::internal::CaptureStderr();
+  auto resumed = make(&ckpt, &majority)->Discover(data);
+  const std::string log = ::testing::internal::GetCapturedStderr();
+  ASSERT_TRUE(resumed.ok()) << resumed.status();
+  EXPECT_NE(log.find("reference checkpoint payload unusable"),
+            std::string::npos)
+      << log;
+  auto uninterrupted = make(nullptr, &majority)->Discover(data);
+  ASSERT_TRUE(uninterrupted.ok()) << uninterrupted.status();
+  EXPECT_EQ(SerializeTruthDiscoveryResult(resumed.value(), data),
+            SerializeTruthDiscoveryResult(uninterrupted.value(), data));
 }
 
 }  // namespace

@@ -19,7 +19,7 @@ TEST(CrhTest, FindsMajorityTruth) {
   auto r = crh.Discover(d);
   ASSERT_TRUE(r.ok());
   for (int i = 0; i < 10; ++i) {
-    EXPECT_EQ(*r->predicted.Get(0, i), *truth.Get(0, i)) << "item " << i;
+    EXPECT_EQ(*r->predicted.Get(0, i, d), *truth.Get(0, i)) << "item " << i;
   }
 }
 
@@ -59,7 +59,7 @@ TEST(CrhTest, WeightedVoteBeatsRawCountAfterCalibration) {
   auto r = crh.Discover(d);
   ASSERT_TRUE(r.ok());
   for (int i = 0; i < 5; ++i) {
-    EXPECT_EQ(*r->predicted.Get(0, 20 + i), Value(int64_t{1000 + i}))
+    EXPECT_EQ(*r->predicted.Get(0, 20 + i, d), Value(int64_t{1000 + i}))
         << "contested " << i;
   }
 }
@@ -70,7 +70,7 @@ TEST(CrhTest, ConfidencesAreVoteShares) {
   Crh crh;
   auto r = crh.Discover(d);
   ASSERT_TRUE(r.ok());
-  for (const auto& [key, c] : r->confidence) {
+  for (double c : r->predicted.confidences) {
     EXPECT_GE(c, 0.0);
     EXPECT_LE(c, 1.0);
   }
@@ -113,7 +113,8 @@ TEST(CrhTest, AllSourcesAgreeUniformFallback) {
     EXPECT_DOUBLE_EQ(r->source_trust[s], r->source_trust[0]);
   }
   for (int i = 0; i < 6; ++i) {
-    EXPECT_EQ(*r->predicted.Get(0, i), Value(int64_t{42 + i})) << "item " << i;
+    EXPECT_EQ(*r->predicted.Get(0, i, d), Value(int64_t{42 + i}))
+        << "item " << i;
   }
 }
 

@@ -25,6 +25,33 @@ TEST(CsvWriterTest, QuotesSpecialCharacters) {
   EXPECT_EQ(w.contents(), "\"a,b\",\"say \"\"hi\"\"\",\"line\nbreak\"\n");
 }
 
+// Each field is its own view: quoting looks at that field's bytes only,
+// so views cut from one buffer write exactly as separate strings would.
+TEST(CsvWriterTest, QuotesEachViewOnItsOwn) {
+  const std::string buffer = "plain;semi\rcr\nlf\"q\"";
+  const std::string_view text = buffer;
+  const std::vector<std::string_view> fields = {
+      text.substr(0, 5),   // plain
+      text.substr(5, 5),   // ;semi
+      text.substr(10, 3),  // \rcr
+      text.substr(13, 3),  // \nlf
+      text.substr(16, 3),  // "q"
+      text.substr(0, 0),   // empty
+  };
+  CsvWriter w(';');
+  w.WriteRow(fields);
+  EXPECT_EQ(w.contents(),
+            "plain;\";semi\";\"\rcr\";\"\nlf\";\"\"\"q\"\"\";\n");
+  CsvWriter comma;
+  comma.WriteRow(fields);
+  EXPECT_EQ(comma.contents(),
+            "plain,;semi,\"\rcr\",\"\nlf\",\"\"\"q\"\"\",\n");
+  auto rows = ParseCsv(w.contents(), ';');
+  ASSERT_TRUE(rows.ok()) << rows.status();
+  ASSERT_EQ(rows->size(), 1u);
+  EXPECT_EQ((*rows)[0], std::vector<std::string>(fields.begin(), fields.end()));
+}
+
 TEST(CsvParseTest, Basic) {
   auto rows = ParseCsv("a,b\nc,d\n");
   ASSERT_TRUE(rows.ok());
@@ -85,7 +112,7 @@ TEST(CsvParseTest, QuotedFieldsRoundTrip) {
   CsvWriter w;
   std::vector<std::string> original{"plain", "with,comma", "with\"quote",
                                     "multi\nline", ""};
-  w.WriteRow(original);
+  w.WriteRow(std::vector<std::string_view>(original.begin(), original.end()));
   auto rows = ParseCsv(w.contents());
   ASSERT_TRUE(rows.ok());
   ASSERT_EQ(rows->size(), 1u);

@@ -153,16 +153,57 @@ TEST(SourceTrustIoTest, FileRoundTrip) {
   EXPECT_NEAR((*loaded)[1], 1.0, 1e-9);
 }
 
-TEST(GroundTruthTest, MergeFromOverwritesOnCollision) {
-  GroundTruth a;
-  a.Set(0, 0, Value("old"));
-  a.Set(0, 1, Value("keep"));
-  GroundTruth b;
-  b.Set(0, 0, Value("new"));
-  a.MergeFrom(b);
-  EXPECT_EQ(*a.Get(0, 0), Value("new"));
-  EXPECT_EQ(*a.Get(0, 1), Value("keep"));
-  EXPECT_EQ(a.size(), 2u);
+TEST(PredictionsTest, MergeKeepsKeysAscendingAndTheLastPartWins) {
+  Predictions a;
+  a.Add(ObjectAttrKey(0, 0), 1, 0.5);
+  a.Add(ObjectAttrKey(0, 2), 2, 0.5);
+  a.Add(ObjectAttrKey(1, 0), 3, 0.5);
+  Predictions b;
+  b.Add(ObjectAttrKey(0, 1), 4, 0.25);
+  b.Add(ObjectAttrKey(0, 2), 5, 0.25);
+  const Predictions* parts[] = {&a, &b, &a};
+  const Predictions* last_b[] = {&a, &b};
+  const Predictions merged = MergePredictions(last_b);
+  EXPECT_EQ(merged.keys,
+            (std::vector<uint64_t>{ObjectAttrKey(0, 0), ObjectAttrKey(0, 1),
+                                   ObjectAttrKey(0, 2), ObjectAttrKey(1, 0)}));
+  EXPECT_EQ(merged.value_ids, (std::vector<ValueId>{1, 4, 5, 3}));
+  EXPECT_EQ(merged.confidences, (std::vector<double>{0.5, 0.25, 0.25, 0.5}));
+  EXPECT_EQ(MergePredictions(parts).value_ids,
+            (std::vector<ValueId>{1, 4, 2, 3}));
+  EXPECT_TRUE(MergePredictions({}).empty());
+}
+
+// A run's predictions are written from value ids, streamed in key order:
+// the bytes are those of the same values written as a GroundTruth, names
+// and values that need quoting included.
+TEST(PredictionsTest, CsvMatchesTheGroundTruthOfTheSameValues) {
+  DatasetBuilder builder;
+  const std::vector<Value> values = {Value("x,\"y\"\nz"), Value(2.5),
+                                     Value(int64_t{-7}), Value("")};
+  for (int s = 0; s < 3; ++s) {
+    for (int o = 0; o < 3; ++o) {
+      for (int a = 0; a < 2; ++a) {
+        ASSERT_TRUE(builder
+                        .AddClaim("s" + std::to_string(s),
+                                  "o,\"" + std::to_string(o) + "\"",
+                                  "a\r" + std::to_string(a),
+                                  values[static_cast<size_t>(s + o + a) % 4])
+                        .ok());
+      }
+    }
+  }
+  const Dataset data = builder.Build().MoveValue();
+  auto run = MajorityVote().Discover(data);
+  ASSERT_TRUE(run.ok()) << run.status();
+  GroundTruth same_values;
+  for (size_t i = 0; i < run->predicted.size(); ++i) {
+    const uint64_t key = run->predicted.keys[i];
+    same_values.Set(ObjectFromKey(key), AttributeFromKey(key),
+                    run->predicted.ValueAt(i, data));
+  }
+  EXPECT_EQ(GroundTruthToCsv(run->predicted, data),
+            GroundTruthToCsv(same_values, data));
 }
 
 TEST(GroundTruthTest, SortedKeysAscending) {

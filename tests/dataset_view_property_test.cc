@@ -76,16 +76,19 @@ std::vector<AttributeId> RandomSubset(const Dataset& d, uint64_t seed) {
 }
 
 /// Exact equality, including every floating-point field: the view path
-/// must be bit-identical to the copy path, not merely close.
+/// must be bit-identical to the copy path, not merely close. A copy has a
+/// dictionary of its own, so values compare as read through each result's
+/// dataset.
 void ExpectBitIdentical(const TruthDiscoveryResult& a,
-                        const TruthDiscoveryResult& b) {
-  EXPECT_EQ(a.predicted, b.predicted);
-  ASSERT_EQ(a.confidence.size(), b.confidence.size());
-  for (const auto& [key, conf] : a.confidence) {
-    auto it = b.confidence.find(key);
-    ASSERT_NE(it, b.confidence.end());
-    EXPECT_EQ(conf, it->second) << "confidence differs on key " << key;
+                        const DatasetLike& on_a,
+                        const TruthDiscoveryResult& b,
+                        const DatasetLike& on_b) {
+  ASSERT_EQ(a.predicted.keys, b.predicted.keys);
+  for (size_t i = 0; i < a.predicted.size(); ++i) {
+    EXPECT_EQ(a.predicted.ValueAt(i, on_a), b.predicted.ValueAt(i, on_b))
+        << "value differs on key " << a.predicted.keys[i];
   }
+  EXPECT_EQ(a.predicted.confidences, b.predicted.confidences);
   ASSERT_EQ(a.source_trust.size(), b.source_trust.size());
   for (size_t s = 0; s < a.source_trust.size(); ++s) {
     EXPECT_EQ(a.source_trust[s], b.source_trust[s]) << "source " << s;
@@ -120,8 +123,8 @@ TEST_P(ViewBitIdentityTest, DiscoverOnViewEqualsDiscoverOnCopy) {
     EXPECT_EQ(on_view.status().code(), on_copy.status().code());
     return;
   }
-  ExpectBitIdentical(*on_view, *on_copy);
-  ExpectBitIdentical(*on_view, *on_materialized);
+  ExpectBitIdentical(*on_view, view, *on_copy, copy);
+  ExpectBitIdentical(*on_view, view, *on_materialized, materialized);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -191,6 +194,47 @@ TEST_P(ItemIndexPropertyTest, ClaimsOnMatchesTheColumns) {
   ExpectItemIndexMatchesColumns(by_object);
 }
 
+/// Every row's claims are its key's ClaimsOn span, the very same storage
+/// row, and StorageRow names the storage's row of the same key.
+void ExpectRowsMatchKeys(const DatasetLike& data) {
+  const std::vector<uint64_t>& items = data.DataItems();
+  for (size_t row = 0; row < items.size(); ++row) {
+    const uint64_t key = items[row];
+    const std::span<const int32_t> by_row = data.ClaimsAt(row);
+    const std::span<const int32_t> by_key =
+        data.ClaimsOn(ObjectFromKey(key), AttributeFromKey(key));
+    EXPECT_EQ(by_row.data(), by_key.data()) << "row " << row;
+    EXPECT_EQ(by_row.size(), by_key.size()) << "row " << row;
+    EXPECT_FALSE(by_row.empty()) << "row " << row;
+    EXPECT_EQ(data.storage().DataItems()[data.StorageRow(row)], key)
+        << "row " << row;
+  }
+}
+
+TEST_P(ItemIndexPropertyTest, RowClaimsEqualClaimsOnOfTheKey) {
+  Dataset d = RandomDataset(GetParam());
+  ExpectRowsMatchKeys(d);
+  Rng rng(GetParam() + 200);
+  std::vector<ObjectId> objects;
+  for (ObjectId o = 0; o < d.num_objects(); ++o) {
+    if (rng.NextBernoulli(0.5)) objects.push_back(o);
+  }
+  const std::vector<AttributeId> attributes = RandomSubset(d, GetParam());
+  DatasetView by_attribute(d, attributes);
+  DatasetView by_object(d, DatasetView::ObjectAxis{}, objects);
+  ExpectRowsMatchKeys(by_attribute);
+  ExpectRowsMatchKeys(by_object);
+  // Nested both ways, and a view of a view on the same axis.
+  std::vector<AttributeId> inner;
+  for (size_t i = 0; i < attributes.size(); i += 2) {
+    inner.push_back(attributes[i]);
+  }
+  ExpectRowsMatchKeys(DatasetView(by_attribute, inner));
+  ExpectRowsMatchKeys(DatasetView(by_object, attributes));
+  ExpectRowsMatchKeys(
+      DatasetView(by_attribute, DatasetView::ObjectAxis{}, objects));
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, ItemIndexPropertyTest,
                          ::testing::Range(uint64_t{0}, uint64_t{8}));
 
@@ -212,7 +256,7 @@ TEST_P(ViewOfViewBitIdentityTest, NestedViewEqualsDirectCopy) {
   auto on_view = base.Discover(nested);
   auto on_copy = base.Discover(copy);
   ASSERT_EQ(on_view.ok(), on_copy.ok());
-  if (on_view.ok()) ExpectBitIdentical(*on_view, *on_copy);
+  if (on_view.ok()) ExpectBitIdentical(*on_view, nested, *on_copy, copy);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ViewOfViewBitIdentityTest,
@@ -247,7 +291,7 @@ TEST_P(TdacViewBitIdentityTest, FullPipelineOnViewEqualsCopy) {
   auto on_copy = tdac.Discover(d);
   ASSERT_TRUE(on_view.ok());
   ASSERT_TRUE(on_copy.ok());
-  ExpectBitIdentical(*on_view, *on_copy);
+  ExpectBitIdentical(*on_view, view, *on_copy, d);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TdacViewBitIdentityTest,

@@ -31,7 +31,7 @@ void ExpectCleanFiniteRun(const TruthDiscovery& algorithm, const Dataset& data,
     EXPECT_TRUE(std::isfinite(run->source_trust[s]))
         << context << ": source_trust[" << s << "]";
   }
-  for (const auto& [key, conf] : run->confidence) {
+  for (double conf : run->predicted.confidences) {
     EXPECT_TRUE(std::isfinite(conf)) << context << ": confidence";
   }
 }
@@ -109,10 +109,8 @@ TEST(EdgeCasesTest, AllSourcesAgreeEverywhere) {
     ASSERT_TRUE(algorithm.ok());
     auto run = (*algorithm)->Discover(data);
     ASSERT_TRUE(run.ok()) << name;
-    for (uint64_t key : run->predicted.SortedKeys()) {
-      EXPECT_EQ(*run->predicted.Get(ObjectFromKey(key), AttributeFromKey(key)),
-                Value(int64_t{7}))
-          << name;
+    for (size_t i = 0; i < run->predicted.size(); ++i) {
+      EXPECT_EQ(run->predicted.ValueAt(i, data), Value(int64_t{7})) << name;
     }
   }
 }

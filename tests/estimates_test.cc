@@ -17,7 +17,7 @@ TEST(TwoEstimatesTest, FindsMajorityTruth) {
   auto r = est.Discover(d);
   ASSERT_TRUE(r.ok());
   for (int i = 0; i < 10; ++i) {
-    EXPECT_EQ(*r->predicted.Get(0, i), *truth.Get(0, i)) << "item " << i;
+    EXPECT_EQ(*r->predicted.Get(0, i, d), *truth.Get(0, i)) << "item " << i;
   }
 }
 
@@ -42,7 +42,7 @@ TEST(TwoEstimatesTest, NegativeClaimsMatter) {
   auto r = est.Discover(d);
   ASSERT_TRUE(r.ok());
   for (int i = 0; i < 15; ++i) {
-    EXPECT_EQ(*r->predicted.Get(0, i), *truth.Get(0, i));
+    EXPECT_EQ(*r->predicted.Get(0, i, d), *truth.Get(0, i));
   }
 }
 
@@ -55,7 +55,7 @@ TEST(TwoEstimatesTest, NormalizationCanBeDisabled) {
   auto r = est.Discover(d);
   ASSERT_TRUE(r.ok());
   for (int i = 0; i < 10; ++i) {
-    EXPECT_EQ(*r->predicted.Get(0, i), *truth.Get(0, i));
+    EXPECT_EQ(*r->predicted.Get(0, i, d), *truth.Get(0, i));
   }
 }
 
@@ -65,7 +65,7 @@ TEST(TwoEstimatesTest, ConfidencesInUnitInterval) {
   TwoEstimates est;
   auto r = est.Discover(d);
   ASSERT_TRUE(r.ok());
-  for (const auto& [key, c] : r->confidence) {
+  for (double c : r->predicted.confidences) {
     EXPECT_GE(c, 0.0);
     EXPECT_LE(c, 1.0);
   }
@@ -78,7 +78,7 @@ TEST(ThreeEstimatesTest, FindsMajorityTruth) {
   auto r = est.Discover(d);
   ASSERT_TRUE(r.ok());
   for (int i = 0; i < 10; ++i) {
-    EXPECT_EQ(*r->predicted.Get(0, i), *truth.Get(0, i));
+    EXPECT_EQ(*r->predicted.Get(0, i, d), *truth.Get(0, i));
   }
 }
 
@@ -101,7 +101,7 @@ TEST(ThreeEstimatesTest, HandlesMixedDifficulty) {
   ThreeEstimates est;
   auto r = est.Discover(d);
   ASSERT_TRUE(r.ok());
-  EXPECT_EQ(*r->predicted.Get(0, 10), Value(int64_t{1}));
+  EXPECT_EQ(*r->predicted.Get(0, 10, d), Value(int64_t{1}));
 }
 
 TEST(EstimatesTest, NamesAreStable) {

@@ -110,7 +110,11 @@ TEST(GreedyPartitionTest, OracleGreedyNeverWorseThanSingletons) {
     Dataset restricted = data.dataset.RestrictToAttributes(group);
     auto r = base.Discover(restricted);
     ASSERT_TRUE(r.ok());
-    merged.MergeFrom(r->predicted);
+    for (size_t i = 0; i < r->predicted.size(); ++i) {
+      const uint64_t key = r->predicted.keys[i];
+      merged.Set(ObjectFromKey(key), AttributeFromKey(key),
+                 r->predicted.ValueAt(i, restricted));
+    }
   }
   double singleton_score =
       Evaluate(data.dataset, merged, data.truth).accuracy;

@@ -137,11 +137,11 @@ TEST(IntegrationTest, DatasetSurvivesIoRoundTripWithIdenticalResults) {
   ASSERT_EQ(original->predicted.size(), reloaded->predicted.size());
   // Interning order is preserved by serialization, so ids and predictions
   // must agree item by item.
-  for (const auto& [key, value] : original->predicted.items()) {
-    const Value* other =
-        reloaded->predicted.Get(ObjectFromKey(key), AttributeFromKey(key));
-    ASSERT_NE(other, nullptr);
-    EXPECT_EQ(*other, value);
+  ASSERT_EQ(original->predicted.keys, reloaded->predicted.keys);
+  EXPECT_EQ(original->predicted.value_ids, reloaded->predicted.value_ids);
+  for (size_t i = 0; i < original->predicted.size(); ++i) {
+    EXPECT_EQ(original->predicted.ValueAt(i, data.dataset),
+              reloaded->predicted.ValueAt(i, *loaded));
   }
 }
 

@@ -17,7 +17,7 @@ TEST(InvestmentTest, FindsMajorityTruth) {
   auto r = inv.Discover(d);
   ASSERT_TRUE(r.ok());
   for (int i = 0; i < 10; ++i) {
-    EXPECT_EQ(*r->predicted.Get(0, i), *truth.Get(0, i)) << "item " << i;
+    EXPECT_EQ(*r->predicted.Get(0, i, d), *truth.Get(0, i)) << "item " << i;
   }
 }
 
@@ -41,7 +41,7 @@ TEST(InvestmentTest, GrowthExponentSharpensWinners) {
   Investment inv;
   auto r = inv.Discover(d);
   ASSERT_TRUE(r.ok());
-  EXPECT_GT(r->confidence.at(ObjectAttrKey(0, 0)), 2.0 / 3.0);
+  EXPECT_GT(r->predicted.confidences[r->predicted.Find(0, 0)], 2.0 / 3.0);
 }
 
 TEST(InvestmentTest, ConfidencesAreNormalizedPerItem) {
@@ -50,7 +50,7 @@ TEST(InvestmentTest, ConfidencesAreNormalizedPerItem) {
   Investment inv;
   auto r = inv.Discover(d);
   ASSERT_TRUE(r.ok());
-  for (const auto& [key, c] : r->confidence) {
+  for (double c : r->predicted.confidences) {
     EXPECT_GE(c, 0.0);
     EXPECT_LE(c, 1.0);
   }
@@ -63,7 +63,7 @@ TEST(PooledInvestmentTest, FindsMajorityTruth) {
   auto r = pooled.Discover(d);
   ASSERT_TRUE(r.ok());
   for (int i = 0; i < 10; ++i) {
-    EXPECT_EQ(*r->predicted.Get(0, i), *truth.Get(0, i));
+    EXPECT_EQ(*r->predicted.Get(0, i, d), *truth.Get(0, i));
   }
 }
 
@@ -87,7 +87,7 @@ TEST(PooledInvestmentTest, PoolingPreservesPerItemInvestmentMass) {
   auto r = pooled.Discover(d);
   ASSERT_TRUE(r.ok());
   for (int i = 0; i < 10; ++i) {
-    EXPECT_EQ(*r->predicted.Get(0, i), Value(int64_t{10 + i}));
+    EXPECT_EQ(*r->predicted.Get(0, i, d), Value(int64_t{10 + i}));
   }
 }
 

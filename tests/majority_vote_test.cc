@@ -19,8 +19,9 @@ TEST(MajorityVoteTest, PicksMostSupportedValue) {
   MajorityVote mv;
   auto r = mv.Discover(d);
   ASSERT_TRUE(r.ok());
-  EXPECT_EQ(*r->predicted.Get(0, 0), Value(int64_t{1}));
-  EXPECT_NEAR(r->confidence.at(ObjectAttrKey(0, 0)), 2.0 / 3.0, 1e-12);
+  EXPECT_EQ(*r->predicted.Get(0, 0, d), Value(int64_t{1}));
+  EXPECT_NEAR(r->predicted.confidences[r->predicted.Find(0, 0)], 2.0 / 3.0,
+              1e-12);
 }
 
 TEST(MajorityVoteTest, TieBreaksToSmallestValue) {
@@ -31,7 +32,7 @@ TEST(MajorityVoteTest, TieBreaksToSmallestValue) {
   MajorityVote mv;
   auto r = mv.Discover(d);
   ASSERT_TRUE(r.ok());
-  EXPECT_EQ(*r->predicted.Get(0, 0), Value(int64_t{4}));
+  EXPECT_EQ(*r->predicted.Get(0, 0, d), Value(int64_t{4}));
 }
 
 TEST(MajorityVoteTest, SingleIteration) {
@@ -74,8 +75,8 @@ TEST(MajorityVoteTest, HandlesItemWithSingleClaim) {
   MajorityVote mv;
   auto r = mv.Discover(d);
   ASSERT_TRUE(r.ok());
-  EXPECT_EQ(*r->predicted.Get(0, 0), Value(int64_t{5}));
-  EXPECT_NEAR(r->confidence.at(ObjectAttrKey(0, 0)), 1.0, 1e-12);
+  EXPECT_EQ(*r->predicted.Get(0, 0, d), Value(int64_t{5}));
+  EXPECT_NEAR(r->predicted.confidences[r->predicted.Find(0, 0)], 1.0, 1e-12);
 }
 
 }  // namespace

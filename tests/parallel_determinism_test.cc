@@ -56,10 +56,13 @@ GeneratedData MakeData(double coverage = 1.0, uint64_t seed = 7) {
 void ExpectIdenticalResults(const TruthDiscoveryResult& base,
                             const TruthDiscoveryResult& other,
                             const std::string& label) {
-  // Predictions: same items, byte-identical values.
-  EXPECT_TRUE(base.predicted == other.predicted) << label << ": predictions";
-  // Confidences: exact double equality, key for key.
-  EXPECT_EQ(base.confidence, other.confidence) << label << ": confidences";
+  // Predictions: same items and value ids (one dataset, so one
+  // dictionary), and exactly equal confidences.
+  EXPECT_EQ(base.predicted.keys, other.predicted.keys) << label << ": items";
+  EXPECT_EQ(base.predicted.value_ids, other.predicted.value_ids)
+      << label << ": predictions";
+  EXPECT_EQ(base.predicted.confidences, other.predicted.confidences)
+      << label << ": confidences";
   // Trust vectors: exact double equality, source for source.
   ASSERT_EQ(base.source_trust.size(), other.source_trust.size()) << label;
   for (size_t s = 0; s < base.source_trust.size(); ++s) {
@@ -112,7 +115,7 @@ TEST(ParallelDeterminismTest, BaseRunsAboveTheGrainAreByteIdentical) {
       const RunWidthScope scope(width);
       auto result = (*algorithm)->Discover(data);
       ASSERT_TRUE(result.ok()) << name << ": " << result.status();
-      const std::string bytes = SerializeTruthDiscoveryResult(*result);
+      const std::string bytes = SerializeTruthDiscoveryResult(*result, data);
       if (width == 1) {
         serial = bytes;
       } else {
@@ -134,7 +137,8 @@ TEST(ParallelDeterminismTest, TdacAboveTheGrainIsByteIdentical) {
     options.threads = threads;
     auto report = Tdac(options).DiscoverWithReport(data);
     ASSERT_TRUE(report.ok()) << report.status();
-    const std::string bytes = SerializeTruthDiscoveryResult(report->result);
+    const std::string bytes =
+        SerializeTruthDiscoveryResult(report->result, data);
     if (threads == 1) {
       serial = bytes;
       serial_partition = report->partition;

@@ -70,8 +70,8 @@ TEST_P(AlgorithmPropertyTest, PredictsExactlyTheClaimedItems) {
   for (uint64_t key : d.DataItems()) {
     ObjectId o = ObjectFromKey(key);
     AttributeId a = AttributeFromKey(key);
-    const Value* p = r->predicted.Get(o, a);
-    ASSERT_NE(p, nullptr);
+    const std::optional<Value> p = r->predicted.Get(o, a, d);
+    ASSERT_TRUE(p.has_value());
     // The elected value must be one of the claimed values.
     bool found = false;
     for (int32_t idx : d.ClaimsOn(o, a)) {
@@ -259,8 +259,8 @@ TEST_P(MixedKindValuesTest, AlgorithmsHandleHeterogeneousValueKinds) {
   auto r = (*algo)->Discover(d);
   ASSERT_TRUE(r.ok()) << GetParam();
   for (int i = 0; i < 6; ++i) {
-    const Value* p = r->predicted.Get(0, i);
-    ASSERT_NE(p, nullptr);
+    const std::optional<Value> p = r->predicted.Get(0, i, d);
+    ASSERT_TRUE(p.has_value());
     // The string "2" has two supporters; the int and double singletons
     // must not pool with it under exact-equality voting.
     EXPECT_EQ(*p, Value("2")) << GetParam();
@@ -332,7 +332,7 @@ TEST_P(CsvFuzzTest, WriterOutputAlwaysParsesBack) {
       }
       row.push_back(std::move(field));
     }
-    writer.WriteRow(row);
+    writer.WriteRow(std::vector<std::string_view>(row.begin(), row.end()));
     rows.push_back(std::move(row));
   }
   auto parsed = ParseCsv(writer.contents());

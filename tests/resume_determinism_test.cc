@@ -102,7 +102,8 @@ class ResumeDeterminismTest : public ::testing::Test {
     auto baseline_algo = make(nullptr);
     auto baseline = baseline_algo->Discover(data_->dataset);
     ASSERT_TRUE(baseline.ok()) << baseline.status();
-    const std::string want = SerializeTruthDiscoveryResult(baseline.value());
+    const std::string want =
+        SerializeTruthDiscoveryResult(baseline.value(), data_->dataset);
 
     for (double deadline_ms : {3.0, 10.0, 30.0, 80.0}) {
       SCOPED_TRACE("deadline_ms=" + std::to_string(deadline_ms));
@@ -122,7 +123,9 @@ class ResumeDeterminismTest : public ::testing::Test {
         ASSERT_TRUE(result.ok()) << result.status();
         clean = !result->degraded();
         if (clean) {
-          EXPECT_EQ(SerializeTruthDiscoveryResult(result.value()), want);
+          EXPECT_EQ(
+              SerializeTruthDiscoveryResult(result.value(), data_->dataset),
+              want);
         }
       }
       if (!clean) {
@@ -130,7 +133,8 @@ class ResumeDeterminismTest : public ::testing::Test {
         auto result = algo->Discover(data_->dataset);
         ASSERT_TRUE(result.ok()) << result.status();
         EXPECT_FALSE(result->degraded());
-        EXPECT_EQ(SerializeTruthDiscoveryResult(result.value()), want);
+        EXPECT_EQ(SerializeTruthDiscoveryResult(result.value(), data_->dataset),
+                  want);
       }
       // Clean completion leaves no resume state (and no temp files) behind.
       EXPECT_EQ(FilesLeft(), 0u);
@@ -250,8 +254,9 @@ TEST_F(ResumeDeterminismTest, ContextMismatchRecomputesInsteadOfResuming) {
   Tdac fresh_algo(fresh);
   auto uninterrupted = fresh_algo.Discover(data_->dataset);
   ASSERT_TRUE(uninterrupted.ok()) << uninterrupted.status();
-  EXPECT_EQ(SerializeTruthDiscoveryResult(resumed.value()),
-            SerializeTruthDiscoveryResult(uninterrupted.value()));
+  EXPECT_EQ(SerializeTruthDiscoveryResult(resumed.value(), data_->dataset),
+            SerializeTruthDiscoveryResult(uninterrupted.value(),
+                                          data_->dataset));
 }
 
 // A CRC-valid reference slot whose payload claims 2^64-1 trust values must
@@ -294,8 +299,9 @@ TEST_F(ResumeDeterminismTest, MalformedReferencePayloadIsRecomputed) {
 
   auto uninterrupted = make(nullptr, &base_)->Discover(data_->dataset);
   ASSERT_TRUE(uninterrupted.ok()) << uninterrupted.status();
-  EXPECT_EQ(SerializeTruthDiscoveryResult(resumed.value()),
-            SerializeTruthDiscoveryResult(uninterrupted.value()));
+  EXPECT_EQ(SerializeTruthDiscoveryResult(resumed.value(), data_->dataset),
+            SerializeTruthDiscoveryResult(uninterrupted.value(),
+                                          data_->dataset));
 }
 
 // Pins the bytes of every checkpoint file a deterministic cancellation

@@ -36,9 +36,9 @@ void ExpectFiniteResult(const TruthDiscoveryResult& result,
     EXPECT_TRUE(std::isfinite(result.source_trust[s]))
         << context << ": source_trust[" << s << "]";
   }
-  for (const auto& [key, conf] : result.confidence) {
-    EXPECT_TRUE(std::isfinite(conf)) << context << ": confidence[" << key
-                                     << "]";
+  for (size_t i = 0; i < result.predicted.size(); ++i) {
+    EXPECT_TRUE(std::isfinite(result.predicted.confidences[i]))
+        << context << ": confidence[" << result.predicted.keys[i] << "]";
   }
 }
 

@@ -234,7 +234,8 @@ std::string RegistryRow(const std::string& input_name,
   return row + " iterations " + std::to_string(result->iterations) +
          " stop " + std::string(StopReasonToString(result->stop_reason)) +
          " fnv1a64 " +
-         testutil::Fnv1a64Hex(SerializeTruthDiscoveryResult(*result)) + "\n";
+         testutil::Fnv1a64Hex(SerializeTruthDiscoveryResult(*result, data)) +
+         "\n";
 }
 
 /// The rows of every registered algorithm on `data`.

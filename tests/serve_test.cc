@@ -206,6 +206,30 @@ TEST(ServeResultCacheTest, OversizedEntryIsDroppedNotAdmitted) {
   EXPECT_LE(stats.bytes, stats.max_bytes);
 }
 
+// A result is charged its prediction arrays, 20 bytes per item (key,
+// value id, confidence), so results weigh in proportion to their items.
+TEST(ServeResultCacheTest, ResultsWeighTheirPredictionArrays) {
+  auto predicting = [](size_t items) {
+    auto result = std::make_shared<TruthDiscoveryResult>();
+    for (size_t i = 0; i < items; ++i) result->predicted.Add(i, 0, 1.0);
+    return std::shared_ptr<const TruthDiscoveryResult>(std::move(result));
+  };
+  const size_t item_bytes =
+      sizeof(uint64_t) + sizeof(ValueId) + sizeof(double);
+  ASSERT_EQ(item_bytes, 20u);
+  EXPECT_EQ(ApproxResultBytes(*predicting(1000)),
+            UnitBytes() + 1000 * item_bytes);
+  // Room for two 1000-item results, not three.
+  ServeResultCache cache(2 * ApproxResultBytes(*predicting(1000)));
+  cache.Put({1, 1}, predicting(1000));
+  cache.Put({2, 2}, predicting(1000));
+  cache.Put({3, 3}, predicting(1000));
+  EXPECT_EQ(cache.stats().evictions, 1u);
+  EXPECT_EQ(cache.Get({1, 1}), nullptr);  // the coldest entry made room
+  ASSERT_NE(cache.Get({2, 2}), nullptr);
+  ASSERT_NE(cache.Get({3, 3}), nullptr);
+}
+
 TEST(ServeResultCacheTest, RefreshingAKeyReplacesItsByteAccounting) {
   ServeResultCache cache(64 * UnitBytes());
   cache.Put({1, 1}, FakeResult(1, /*trust_entries=*/16));

@@ -17,7 +17,7 @@ TEST(SumsTest, MajorityOfMutuallySupportingSourcesWins) {
   auto r = sums.Discover(d);
   ASSERT_TRUE(r.ok());
   for (int i = 0; i < 10; ++i) {
-    EXPECT_EQ(*r->predicted.Get(0, i), *truth.Get(0, i)) << "item " << i;
+    EXPECT_EQ(*r->predicted.Get(0, i, d), *truth.Get(0, i)) << "item " << i;
   }
 }
 
@@ -59,7 +59,7 @@ TEST(SumsTest, MutualReinforcementBeatsRawCounting) {
   auto r = sums.Discover(d);
   ASSERT_TRUE(r.ok());
   AttributeId contested = 30;
-  EXPECT_EQ(*r->predicted.Get(0, contested), Value(int64_t{777}));
+  EXPECT_EQ(*r->predicted.Get(0, contested, d), Value(int64_t{777}));
 }
 
 TEST(SumsTest, IterationsBounded) {
@@ -80,7 +80,7 @@ TEST(AverageLogTest, FindsTruthOnCleanData) {
   auto r = avg_log.Discover(d);
   ASSERT_TRUE(r.ok());
   for (int i = 0; i < 10; ++i) {
-    EXPECT_EQ(*r->predicted.Get(0, i), *truth.Get(0, i));
+    EXPECT_EQ(*r->predicted.Get(0, i, d), *truth.Get(0, i));
   }
 }
 

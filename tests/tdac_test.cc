@@ -119,12 +119,9 @@ TEST(TdacTest, ParallelMatchesSerial) {
   ASSERT_TRUE(parallel.ok());
   EXPECT_EQ(serial->partition, parallel->partition);
   // Identical predictions item by item.
-  for (const auto& [key, value] : serial->result.predicted.items()) {
-    const Value* other = parallel->result.predicted.Get(
-        ObjectFromKey(key), AttributeFromKey(key));
-    ASSERT_NE(other, nullptr);
-    EXPECT_EQ(*other, value);
-  }
+  EXPECT_EQ(serial->result.predicted.keys, parallel->result.predicted.keys);
+  EXPECT_EQ(serial->result.predicted.value_ids,
+            parallel->result.predicted.value_ids);
 }
 
 TEST(TdacTest, SparseAwareModeRuns) {
@@ -234,7 +231,7 @@ TEST(TdacTest, CharacterizationGolden) {
           out << ' ' << k << ':' << HexDouble(score);
         }
         const std::string result =
-            SerializeTruthDiscoveryResult(report->result);
+            SerializeTruthDiscoveryResult(report->result, *data);
         out << "\nresult " << result.size() << " bytes fnv1a64 "
             << testutil::Fnv1a64Hex(result) << '\n';
         actual += out.str();

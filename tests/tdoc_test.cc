@@ -156,7 +156,7 @@ TEST(TdocTest, NameEncodesBase) {
 
 /// Everything a clean TD-OC run decides, bit for bit: the chosen k and
 /// groups, every silhouette, and a digest of the serialized result.
-std::string Characterize(const TdocReport& report) {
+std::string Characterize(const TdocReport& report, const Dataset& data) {
   std::ostringstream out;
   out << "chosen_k " << report.chosen_k << " fell_back "
       << report.fell_back_to_base << "\nsilhouette "
@@ -172,7 +172,8 @@ std::string Characterize(const TdocReport& report) {
     }
     out << ')';
   }
-  const std::string result = SerializeTruthDiscoveryResult(report.result);
+  const std::string result =
+      SerializeTruthDiscoveryResult(report.result, data);
   out << "\nresult " << result.size() << " bytes fnv1a64 "
       << testutil::Fnv1a64Hex(result) << '\n';
   return out.str();
@@ -203,7 +204,7 @@ TEST(TdocTest, CharacterizationGolden) {
       auto report = Tdoc(opts).DiscoverWithReport(*data);
       ASSERT_TRUE(report.ok()) << report.status();
       actual += "[" + data_name + " " + std::string(base->name()) + "]\n" +
-                Characterize(*report);
+                Characterize(*report, *data);
     }
   }
   testutil::ExpectMatchesGolden(

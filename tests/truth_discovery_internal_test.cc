@@ -287,9 +287,10 @@ TEST(ItemBlocksTest, BlocksCoverEveryItemOnceInOrder) {
 // Regression: grouping used to build three vectors per item plus one per
 // value (41,134 allocations on this cell), and the algorithms kept
 // per-item state and scratch (Accu's run made 126,915 allocations,
-// MajorityVote's 56,155). On a 5,000-item cell, grouping now allocates a
-// fixed handful of flat arrays, and a base run adds nothing per item
-// beyond the result's two maps (2 per item).
+// MajorityVote's 56,155), and a result recorded its items into two hash
+// maps (10,002 node allocations here). On a 5,000-item cell, grouping now
+// allocates a fixed handful of flat arrays, and a base run adds nothing
+// per item: its predictions are three flat arrays too.
 TEST(ConflictStoreAllocationTest, GroupingAndBaseRunsAllocateNothingPerItem) {
   ScenarioSpec spec;
   spec.num_objects = 1000;
@@ -323,7 +324,7 @@ TEST(ConflictStoreAllocationTest, GroupingAndBaseRunsAllocateNothingPerItem) {
       ok = result.ok();
     }
     ASSERT_TRUE(ok) << name;
-    EXPECT_LT(run, 2 * items + 500) << name;
+    EXPECT_LT(run, 500u) << name;
   }
 }
 

@@ -17,7 +17,7 @@ TEST(TruthFinderTest, AgreeingMajorityWins) {
   auto r = tf.Discover(d);
   ASSERT_TRUE(r.ok());
   for (int i = 0; i < 10; ++i) {
-    EXPECT_EQ(*r->predicted.Get(0, i), *truth.Get(0, i)) << "item " << i;
+    EXPECT_EQ(*r->predicted.Get(0, i, d), *truth.Get(0, i)) << "item " << i;
   }
 }
 
@@ -58,7 +58,7 @@ TEST(TruthFinderTest, ConfidencesAreProbabilities) {
   TruthFinder tf;
   auto r = tf.Discover(d);
   ASSERT_TRUE(r.ok());
-  for (const auto& [key, conf] : r->confidence) {
+  for (double conf : r->predicted.confidences) {
     EXPECT_GE(conf, 0.0);
     EXPECT_LE(conf, 1.0);
   }
@@ -78,7 +78,7 @@ TEST(TruthFinderTest, ImplicationBoostsSimilarValues) {
   TruthFinder tf;
   auto r = tf.Discover(d);
   ASSERT_TRUE(r.ok());
-  const Value& elected = *r->predicted.Get(0, 0);
+  const Value elected = *r->predicted.Get(0, 0, d);
   EXPECT_TRUE(elected == Value(int64_t{1000}) ||
               elected == Value(int64_t{1001}));
 }
@@ -94,7 +94,7 @@ TEST(TruthFinderTest, ZeroImplicationWeightDisablesAdjustment) {
   TruthFinder tf(opts);
   auto r = tf.Discover(d);
   ASSERT_TRUE(r.ok());
-  EXPECT_EQ(*r->predicted.Get(0, 0), Value(int64_t{20}));
+  EXPECT_EQ(*r->predicted.Get(0, 0, d), Value(int64_t{20}));
 }
 
 TEST(TruthFinderTest, SourceWithNoClaimsKeepsInitialTrust) {

@@ -47,9 +47,9 @@ struct UnorderedNames {
   // unordered containers (visible through headers).
   std::set<std::string> global_vars;
   std::set<std::string> global_fns;
-  // Cross-file: public struct members declared in any header (e.g.
-  // TruthDiscoveryResult::confidence) — result structs travel far from the
-  // header that declares them, so these are visible tree-wide.
+  // Cross-file: public struct members declared in any header — structs
+  // travel far from the header that declares them, so these are visible
+  // tree-wide.
   std::set<std::string> header_vars;
   // Per file (locals, params, members declared in a .cc): rel_path -> names.
   std::map<std::string, std::set<std::string>> file_vars;
